@@ -412,22 +412,17 @@ impl Evaluator {
         // contention for zero concurrency (outcomes are recorded in
         // proposal order either way, so only the cost changes).
         let workers = effective_parallelism(self.parallelism);
-        let outcomes: Vec<TrialOutcome> = if workers > 1 && admitted.len() > 1 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("thread pool construction");
-            pool.install(|| {
-                admitted
-                    .par_iter()
-                    .map(|c| self.evaluate(&c.skeleton, c.params.clone()))
-                    .collect()
-            })
-        } else {
-            admitted
-                .iter()
-                .map(|c| self.evaluate(&c.skeleton, c.params.clone()))
-                .collect()
+        let evaluate = |c: &&Candidate| self.evaluate(&c.skeleton, c.params.clone());
+        let pool = (workers > 1 && admitted.len() > 1)
+            .then(|| rayon::ThreadPoolBuilder::new().num_threads(workers).build())
+            .and_then(|built| built.ok());
+        let outcomes: Vec<TrialOutcome> = match pool {
+            Some(pool) => pool.install(|| admitted.par_iter().map(evaluate).collect()),
+            // Pool construction only fails on thread-resource exhaustion;
+            // outcomes are recorded in proposal order either way, so the
+            // sequential schedule returns the same results rather than
+            // killing the search.
+            None => admitted.iter().map(evaluate).collect(),
         };
         self.history.lock().extend(outcomes.iter().cloned());
         outcomes

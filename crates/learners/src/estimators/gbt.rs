@@ -367,7 +367,7 @@ type Hist = Vec<Vec<(f64, f64)>>;
 /// features past [`PAR_FEATURE_THRESHOLD`]). Within a feature, rows
 /// accumulate in row order; features are independent — so the result is
 /// bit-identical at any worker count.
-// xlint: allow(unclamped-rayon): runs on the caller-installed pool (par_iter spawns nothing itself); the worker count was clamped by the Evaluator that built the pool
+// xlint: allow(unclamped-rayon): runs at the caller-installed width on the persistent process-wide rayon pool (par_iter spawns no threads); that width was clamped by the Evaluator that installed it
 fn node_hist(bm: &BinnedMatrix, g: &[f64], h: &[f64], rows: &[usize]) -> Hist {
     let build = |f: usize| {
         let bins = &bm.bins[f];
@@ -407,7 +407,7 @@ fn subtract_hist(parent: &Hist, child: &Hist) -> Hist {
 /// independent (rayon-parallel past [`PAR_FEATURE_THRESHOLD`]) and the
 /// reduction folds per-feature bests in feature order, so the winner is
 /// bit-identical at any worker count.
-// xlint: allow(unclamped-rayon): runs on the caller-installed pool (par_iter spawns nothing itself); the worker count was clamped by the Evaluator that built the pool
+// xlint: allow(unclamped-rayon): runs at the caller-installed width on the persistent process-wide rayon pool (par_iter spawns no threads); that width was clamped by the Evaluator that installed it
 fn best_split_from_hist(
     hist: &Hist,
     g_sum: f64,

@@ -19,6 +19,9 @@ cargo test --workspace -q
 echo "==> cargo bench --no-run (kernel changes must keep benches compiling)"
 cargo bench --workspace --no-run
 
+echo "==> vendored parallel runtime (one persistent pool: order, nesting, panics, no per-call threads)"
+cargo test -p rayon -q
+
 echo "==> determinism suite (parallel engine bit-for-bit reproducibility)"
 cargo test -p kgpip-graphgen --test determinism -q
 cargo test -p kgpip-nn --test props -q
