@@ -4,8 +4,8 @@
 //!
 //! The `similarity_tiers` pass builds a 100K-vector clustered catalog
 //! (`KGPIP_BENCH_EMBED_N` overrides the size, up to 1M) and measures
-//! every tier the index can run: exact-scan ground truth, IVF, and the
-//! HNSW graph — build time, incremental-insert throughput, queries/sec,
+//! every tier the index can run: exact-scan ground truth and the HNSW
+//! graph — build time, incremental-insert throughput, queries/sec,
 //! recall@10 against the exact scan, and resident bytes per tier. The
 //! `pq_tiers` arms measure the product-quantized storage layer under the
 //! graph tier: codebook-fit time, online encode throughput, reranked and
@@ -64,11 +64,6 @@ fn bench_embeddings(c: &mut Criterion) {
     let query = table_embedding(&ds.features);
     group.bench_function("exact_top3_of_104", |b| {
         b.iter(|| index.top_k(black_box(&query), 3))
-    });
-    let mut ivf = index.clone();
-    ivf.train_ivf(8, 2, 0);
-    group.bench_function("ivf_top3_of_104", |b| {
-        b.iter(|| ivf.top_k_ivf(black_box(&query), 3))
     });
 
     // Figure 10: t-SNE over 38 dataset embeddings.
@@ -168,13 +163,6 @@ fn bench_similarity_tiers(c: &mut Criterion) {
     let truth: Vec<Vec<(String, f64)>> = probes.iter().map(|q| exact.top_k(q, TIER_K)).collect();
     let exact_qps = probes.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
 
-    // IVF mid-band tier, at the shape auto_tune picks (√n lists).
-    let lists = ((n as f64).sqrt() as usize).max(1);
-    let mut ivf = exact.clone();
-    let started = Instant::now();
-    ivf.train_ivf(lists, (lists / 4).max(1), 0);
-    let ivf_numbers = measure_tier(&ivf, probes, &truth, started.elapsed().as_secs_f64());
-
     // HNSW tier: build from scratch...
     let mut hnsw = exact.clone();
     let started = Instant::now();
@@ -229,9 +217,6 @@ fn bench_similarity_tiers(c: &mut Criterion) {
     group.bench_function(format!("exact_top10_of_{n}"), |b| {
         b.iter(|| exact.top_k(black_box(query), TIER_K))
     });
-    group.bench_function(format!("ivf_top10_of_{n}"), |b| {
-        b.iter(|| ivf.search(black_box(query), TIER_K))
-    });
     group.bench_function(format!("hnsw_top10_of_{n}"), |b| {
         b.iter(|| hnsw.search(black_box(query), TIER_K))
     });
@@ -250,18 +235,16 @@ fn bench_similarity_tiers(c: &mut Criterion) {
          \"resident_bytes\":{}}}",
         exact.stats().resident_bytes()
     );
-    for (id, numbers) in [("tier_ivf", &ivf_numbers), ("tier_hnsw", &hnsw_numbers)] {
-        println!(
-            "BENCH_JSON {{\"id\":{id:?},\"n\":{n},\"dim\":{dim},\"build_secs\":{:.2},\
-             \"qps\":{:.1},\"recall_at_10\":{:.4},\"speedup_vs_exact\":{:.1},\
-             \"resident_bytes\":{}}}",
-            numbers.build_secs,
-            numbers.qps,
-            numbers.recall,
-            numbers.qps / exact_qps.max(1e-9),
-            numbers.resident_bytes,
-        );
-    }
+    println!(
+        "BENCH_JSON {{\"id\":\"tier_hnsw\",\"n\":{n},\"dim\":{dim},\"build_secs\":{:.2},\
+         \"qps\":{:.1},\"recall_at_10\":{:.4},\"speedup_vs_exact\":{:.1},\
+         \"resident_bytes\":{}}}",
+        hnsw_numbers.build_secs,
+        hnsw_numbers.qps,
+        hnsw_numbers.recall,
+        hnsw_numbers.qps / exact_qps.max(1e-9),
+        hnsw_numbers.resident_bytes,
+    );
     println!(
         "BENCH_JSON {{\"id\":\"tier_hnsw_pq\",\"n\":{n},\"dim\":{dim},\"m\":{},\"rerank\":{},\
          \"build_secs\":{:.2},\"qps\":{:.1},\"recall_at_10\":{:.4},\

@@ -1,6 +1,6 @@
 //! Seeded synthetic embedding catalogs and the recall@K harness.
 //!
-//! The similarity-index tiers in `kgpip-embeddings` (exact / IVF / HNSW)
+//! The similarity-index tiers in `kgpip-embeddings` (exact / HNSW)
 //! are benchmarked on catalogs far larger than any training corpus this
 //! repo synthesizes — 100K to 1M table embeddings. [`synthetic_embeddings`]
 //! mass-produces those catalogs as a clustered Gaussian mixture: unit-norm

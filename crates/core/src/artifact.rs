@@ -93,7 +93,7 @@ impl TrainedModel {
     /// Registers an unseen dataset in the similarity catalog online:
     /// embeds `frame` by content, extends the active index tier
     /// incrementally (`VectorIndex::register` — an HNSW graph takes an
-    /// insert, IVF assigns to its nearest centroid; no retrain), and
+    /// insert, the exact tier appends; no retrain), and
     /// stores the embedding for future conditional generation. Returns
     /// the stored embedding.
     ///

@@ -127,9 +127,10 @@ impl TrainedModel {
     /// Finds the nearest training dataset `(name, similarity)` for an
     /// already-computed query embedding, through whichever similarity
     /// tier `Kgpip::train`'s auto-tuning selected for the catalog size:
-    /// exact scan below `VectorIndex::IVF_AUTO_THRESHOLD`, IVF probing
-    /// up to `VectorIndex::HNSW_AUTO_THRESHOLD`, and the deterministic
-    /// HNSW graph beyond it (`VectorIndex::search` dispatches).
+    /// the exact scan below `VectorIndex::HNSW_AUTO_THRESHOLD` and the
+    /// deterministic HNSW graph at or above it (`VectorIndex::search`
+    /// dispatches). Snapshots written with the retired IVF tier load on
+    /// the exact tier.
     ///
     /// Errors with [`KgpipError::EmptyCatalog`] when the model has no
     /// training datasets — a state a server must report, not panic on.
@@ -647,34 +648,5 @@ mod tests {
         let (name, sim) = model.nearest_dataset(&ds).unwrap();
         assert!(name == "alpha" || name == "beta");
         assert!(sim > 0.5);
-    }
-
-    /// The `nearest_dataset` lookup runs through `VectorIndex::search`;
-    /// above the auto-tune threshold, the trained IVF partitioning must
-    /// choose the same neighbour as an exact scan on a synthetic dataset
-    /// catalog.
-    #[test]
-    fn ivf_lookup_agrees_with_exact_on_synthetic_catalog() {
-        use kgpip_embeddings::{table_embedding, IndexTier, VectorIndex};
-        let catalog = VectorIndex::IVF_AUTO_THRESHOLD + 22;
-        let mut index = VectorIndex::new();
-        for d in 0..catalog {
-            let e = table_embedding(&table_like(d as f64 * 3.0, 24 + d % 9));
-            index.add(format!("ds{d}"), e);
-        }
-        assert_eq!(
-            index.auto_tune(0),
-            IndexTier::Ivf,
-            "catalog exceeds the IVF threshold"
-        );
-        for q in 0..24 {
-            let query = table_embedding(&table_like(q as f64 * 19.0 + 1.5, 31));
-            let exact = index.top_k(&query, 1);
-            let ivf = index.search(&query, 1);
-            assert_eq!(
-                exact[0].0, ivf[0].0,
-                "query {q}: IVF neighbour diverged from exact"
-            );
-        }
     }
 }

@@ -229,8 +229,8 @@ impl Kgpip {
             index.add(name.clone(), e.clone());
             embeddings.insert(name.clone(), e);
         }
-        // Large catalogs get an IVF partitioning so the nearest-dataset
-        // lookup in `predict` stays sublinear; small ones stay exact.
+        // Large catalogs get an HNSW graph so the nearest-dataset lookup
+        // in `predict` stays sublinear; small ones stay exact.
         index.auto_tune(config.seed);
         let embedding_secs = embedding_started.elapsed().as_secs_f64();
 

@@ -1,5 +1,5 @@
 //! Deterministic HNSW: the graph-based approximate-nearest-neighbor tier
-//! for catalogs beyond IVF's reach.
+//! for catalogs beyond the exact scan's reach.
 //!
 //! A Hierarchical Navigable Small World graph (Malkov & Yashunin, 2016)
 //! answers top-k cosine queries in roughly logarithmic time: each vector
@@ -8,8 +8,7 @@
 //! (`ef`) over layer 0 collects the candidates. This is FAISS's
 //! `IndexHNSWFlat` counterpart, sized for the 100K–1M-table catalogs the
 //! platform roadmap targets — where the exact scan pays one cosine per
-//! catalog entry per query and IVF's coarse partitions either under-recall
-//! or degenerate into near-exact scans.
+//! catalog entry per query.
 //!
 //! # Determinism rules
 //!
@@ -27,9 +26,9 @@
 //!   in order, so registering a dataset online then querying is
 //!   bit-identical to rebuilding from scratch with the same order.
 //!
-//! The graph stores adjacency only; vectors stay in the owning store
-//! (an owned [`VectorIndex`] or a mapped, read-only catalog), abstracted
-//! behind [`VectorSource`] so the same search code serves both.
+//! The graph stores adjacency only; vectors stay in the owning
+//! [`VectorIndex`], abstracted behind [`VectorSource`] so the same search
+//! code walks full-precision vectors and product-quantized codes.
 //!
 //! [`VectorIndex`]: crate::VectorIndex
 
@@ -68,11 +67,9 @@ impl Default for HnswConfig {
 }
 
 /// Read-only access to the vectors an [`Hnsw`] graph indexes. Implemented
-/// by the owned `Vec<Vec<f64>>` store and by the zero-copy mapped catalog
-/// ([`MappedIndex`]); both must compute cosine with the exact operation
-/// order of [`cosine`] so the two answer bit-identically.
-///
-/// [`MappedIndex`]: crate::mapped::MappedIndex
+/// by [`SliceSource`] over full-precision vectors, scoring with
+/// [`cosine`], and by the product-quantized store's search-only ADC view
+/// (`crate::pq::AdcSource`), scoring codes.
 pub trait VectorSource {
     /// Number of stored vectors.
     fn count(&self) -> usize;
@@ -291,9 +288,8 @@ impl Hnsw {
 
     /// Approximate top-k by cosine similarity: `(id, score)` pairs in
     /// `(score desc, id asc)` order. `ef` is raised to `max(ef_search,
-    /// k)`; scores are computed by `source` with the exact operation
-    /// order of [`cosine`], so owned and mapped stores answer
-    /// bit-identically.
+    /// k)`; scores are whatever `source` computes (exact [`cosine`] for
+    /// a [`SliceSource`]).
     pub fn search(&self, query: &[f64], k: usize, source: &impl VectorSource) -> Vec<(usize, f64)> {
         let Some(entry) = self.entry else {
             return Vec::new();
@@ -555,13 +551,16 @@ impl Hnsw {
             tag => return Err(format!("unknown HNSW entry tag {tag}")),
         };
         let n = r.u64()? as usize;
-        let mut nodes = Vec::with_capacity(n.min(1 << 20));
+        // Reservations are capped by the bytes left: a node encodes at
+        // least its 8-byte level count, a level its 8-byte length, a link
+        // 4 bytes.
+        let mut nodes = Vec::with_capacity(n.min(r.remaining() / 8));
         for _ in 0..n {
             let num_levels = r.u64()? as usize;
-            let mut levels = Vec::with_capacity(num_levels.min(MAX_LEVEL + 1));
+            let mut levels = Vec::with_capacity(num_levels.min(r.remaining() / 8));
             for _ in 0..num_levels {
                 let len = r.u64()? as usize;
-                let mut list = Vec::with_capacity(len.min(1 << 20));
+                let mut list = Vec::with_capacity(len.min(r.remaining() / 4));
                 for _ in 0..len {
                     let id = r.u32()?;
                     if id as usize >= n {

@@ -1,29 +1,23 @@
 //! Vector similarity index — the FAISS substitute.
 //!
-//! Three tiers, auto-selected by catalog size ([`VectorIndex::auto_tune`]):
-//! exact cosine top-k for small catalogs; an IVF (inverted file) mode that
-//! partitions vectors with k-means and probes only the nearest partitions
-//! (FAISS's `IndexIVFFlat`); and a deterministic HNSW graph
+//! Two tiers, auto-selected by catalog size ([`VectorIndex::auto_tune`]):
+//! exact cosine top-k for small catalogs, and a deterministic HNSW graph
 //! ([`crate::hnsw`], FAISS's `IndexHNSWFlat`) for the 100K–1M-vector
-//! catalogs where even coarse IVF probes pay a near-linear scan.
-//! [`VectorIndex::search`] dispatches to the active tier;
-//! [`VectorIndex::register`] grows the catalog online without retraining
+//! catalogs where a per-query linear scan stops being cheap. Product
+//! quantization ([`crate::pq`]) is a storage option under either tier.
+//! [`VectorIndex::search`] is the one routine that dispatches on tier;
+//! [`VectorIndex::register`] grows the catalog online without rebuilding
 //! whichever tier is active.
 
 use crate::column::cosine;
 use crate::hnsw::{Hnsw, HnswConfig, SliceSource};
-use crate::pq::{par_map_indices, AdcSource, Pq, PqConfig};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::pq::{AdcSource, Pq, PqConfig};
 
 /// Which search structure a [`VectorIndex`] currently answers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexTier {
-    /// Linear scan — trivially correct, fastest below ~hundreds.
+    /// Linear scan — trivially correct, fastest below a few thousand.
     Exact,
-    /// k-means partitions with `nprobe` probing.
-    Ivf,
     /// Hierarchical navigable small-world graph.
     Hnsw,
 }
@@ -32,7 +26,6 @@ impl std::fmt::Display for IndexTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IndexTier::Exact => write!(f, "exact"),
-            IndexTier::Ivf => write!(f, "ivf"),
             IndexTier::Hnsw => write!(f, "hnsw"),
         }
     }
@@ -53,8 +46,6 @@ pub struct IndexStats {
     pub dim: usize,
     /// Bytes of the full-precision `f64` vector block.
     pub vector_bytes: usize,
-    /// Bytes of IVF state (centroids + member lists).
-    pub ivf_bytes: usize,
     /// Bytes of the HNSW adjacency (serialized size — the graph stores
     /// no vectors).
     pub hnsw_bytes: usize,
@@ -66,7 +57,7 @@ pub struct IndexStats {
 impl IndexStats {
     /// Total resident bytes across all components.
     pub fn resident_bytes(&self) -> usize {
-        self.vector_bytes + self.ivf_bytes + self.hnsw_bytes + self.pq_bytes
+        self.vector_bytes + self.hnsw_bytes + self.pq_bytes
     }
 
     /// Bytes the active tier's candidate scan touches per full pass: the
@@ -80,50 +71,34 @@ impl IndexStats {
     }
 }
 
-/// A named-vector index with exact, IVF-approximate, and HNSW-approximate
-/// top-k search.
+/// A named-vector index with exact and HNSW-approximate top-k search.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct VectorIndex {
     pub(crate) names: Vec<String>,
     pub(crate) vectors: Vec<Vec<f64>>,
-    /// IVF state: centroid vectors and per-partition member lists.
-    ivf: Option<Ivf>,
     /// HNSW state: the layered proximity graph (adjacency only; vectors
     /// stay in `vectors`). Absent in pre-HNSW serialized indexes.
     #[serde(default)]
     pub(crate) hnsw: Option<Hnsw>,
     /// Product-quantization state: per-subspace codebooks plus the `u8`
     /// code matrix. A storage/scoring layer under the tiers, not a tier —
-    /// when present, beam/list scans read codes and the top `rerank × k`
-    /// candidates are re-ranked with exact cosine. Absent in pre-PQ
-    /// serialized indexes.
+    /// when present, the tier's candidate scan reads codes and the top
+    /// `rerank × k` candidates are re-ranked with exact cosine. Absent in
+    /// pre-PQ serialized indexes.
     #[serde(default)]
     pub(crate) pq: Option<Pq>,
-    /// Requested worker count for k-means assignment and PQ encoding
+    /// Requested worker count for PQ codebook training and encoding
     /// (clamped through `effective_parallelism`; 0 means sequential).
     /// Ephemeral build-time state — any value produces bit-identical
     /// results, so round-tripping it is harmless.
     #[serde(default)]
-    parallelism: usize,
-}
-
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct Ivf {
-    centroids: Vec<Vec<f64>>,
-    members: Vec<Vec<usize>>,
-    nprobe: usize,
+    pub(crate) parallelism: usize,
 }
 
 impl VectorIndex {
     /// Catalog size at which [`VectorIndex::auto_tune`] switches the
-    /// nearest-dataset lookup from exact scan to IVF probing. Below this,
-    /// an exact scan is both faster and trivially correct.
-    pub const IVF_AUTO_THRESHOLD: usize = 128;
-
-    /// Catalog size at which [`VectorIndex::auto_tune`] switches from IVF
-    /// to the HNSW graph. At √n-list sizing, IVF probes ~n/4 vectors per
-    /// query; past a few thousand entries the graph's near-logarithmic
-    /// descent wins.
+    /// nearest-dataset lookup from the exact scan to the HNSW graph.
+    /// Below this, an exact scan is both fast and trivially correct.
     pub const HNSW_AUTO_THRESHOLD: usize = 4096;
 
     /// Catalog size at which [`VectorIndex::auto_tune`] additionally
@@ -138,19 +113,18 @@ impl VectorIndex {
         Self::default()
     }
 
-    /// Adds a named vector at build time. Invalidates any trained IVF
-    /// partitioning or HNSW graph — callers retune once after bulk adds.
+    /// Adds a named vector at build time. Invalidates any built HNSW
+    /// graph or quantized store — callers retune once after bulk adds.
     /// For online growth that *extends* the current tier instead, use
     /// [`VectorIndex::register`].
     pub fn add(&mut self, name: impl Into<String>, vector: Vec<f64>) {
         self.names.push(name.into());
         self.vectors.push(vector);
-        self.ivf = None;
         self.hnsw = None;
         self.pq = None;
     }
 
-    /// Sets the requested worker count for k-means assignment and PQ
+    /// Sets the requested worker count for PQ codebook training and
     /// encoding (clamped through `effective_parallelism`; 0 or 1 means
     /// sequential). Parallelism changes build *cost* only — results are
     /// bit-identical at any setting.
@@ -166,10 +140,8 @@ impl VectorIndex {
     /// Registers a named vector online, extending whichever tier is
     /// active instead of invalidating it: HNSW gets an incremental
     /// [`Hnsw::insert`] (bit-identical to a from-scratch rebuild with the
-    /// same order), IVF assigns the vector to its nearest centroid
-    /// without re-running k-means, and the exact tier just appends. A
-    /// quantized store encodes the new vector against the frozen
-    /// codebooks — no retrain.
+    /// same order) and the exact tier just appends. A quantized store
+    /// encodes the new vector against the frozen codebooks — no retrain.
     pub fn register(&mut self, name: impl Into<String>, vector: Vec<f64>) {
         self.names.push(name.into());
         self.vectors.push(vector);
@@ -179,22 +151,6 @@ impl VectorIndex {
         }
         if let (Some(pq), Some(v)) = (&mut self.pq, self.vectors.last()) {
             pq.append(v);
-        }
-        let id = self.vectors.len() - 1;
-        if let (Some(ivf), Some(v)) = (&mut self.ivf, self.vectors.last()) {
-            let best = ivf
-                .centroids
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    cosine(v, a.1)
-                        .total_cmp(&cosine(v, b.1))
-                        .then_with(|| b.0.cmp(&a.0))
-                })
-                .map(|(c, _)| c);
-            if let Some(members) = best.and_then(|c| ivf.members.get_mut(c)) {
-                members.push(id);
-            }
         }
     }
 
@@ -221,102 +177,16 @@ impl VectorIndex {
     /// Exact top-k by cosine similarity: `(name, similarity)` descending.
     /// Ties order by insertion id via `(score, id)` `total_cmp`, so equal
     /// scores (and NaN-scored entries) rank identically across rebuilds.
+    /// This is the exact tier and the reference every other search path
+    /// is tested against.
     pub fn top_k(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let mut scored: Vec<(usize, f64)> = self
+        let scored = self
             .vectors
             .iter()
             .enumerate()
             .map(|(i, v)| (i, cosine(query, v)))
             .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-            .into_iter()
-            .take(k)
-            .map(|(i, s)| (self.names[i].clone(), s))
-            .collect()
-    }
-
-    /// Trains an IVF partitioning with `nlist` k-means partitions, probing
-    /// `nprobe` partitions at query time.
-    pub fn train_ivf(&mut self, nlist: usize, nprobe: usize, seed: u64) {
-        let n = self.vectors.len();
-        if n == 0 {
-            return;
-        }
-        let nlist = nlist.clamp(1, n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        // k-means++ style init: random distinct seeds.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let mut centroids: Vec<Vec<f64>> = order[..nlist]
-            .iter()
-            .map(|&i| self.vectors[i].clone())
-            .collect();
-        let vectors = &self.vectors;
-        let mut assignment = vec![0usize; n];
-        for _iter in 0..20 {
-            // Assignment is embarrassingly parallel: each vector's best
-            // centroid is independent, and `par_map_indices` reduces in
-            // input order, so any worker count is bit-identical to the
-            // sequential scan.
-            let next: Vec<usize> = par_map_indices(n, self.parallelism, |i| {
-                vectors.get(i).map_or(0, |v| {
-                    centroids
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| {
-                            cosine(v, a.1)
-                                .total_cmp(&cosine(v, b.1))
-                                .then_with(|| b.0.cmp(&a.0))
-                        })
-                        .map(|(c, _)| c)
-                        .unwrap_or(0)
-                })
-            });
-            let changed = next != assignment;
-            assignment = next;
-            // Recompute centroids as member means in one pass over the
-            // catalog: per-centroid sums accumulate in ascending id order
-            // (the same fold order as a per-centroid member walk), so the
-            // result is bit-identical to the old O(nlist·n) recompute.
-            let mut sums: Vec<Vec<f64>> = centroids.iter().map(|c| vec![0.0; c.len()]).collect();
-            let mut counts = vec![0usize; centroids.len()];
-            for (i, &c) in assignment.iter().enumerate() {
-                if let (Some(sum), Some(v)) = (sums.get_mut(c), vectors.get(i)) {
-                    for (s, x) in sum.iter_mut().zip(v) {
-                        *s += x;
-                    }
-                }
-                if let Some(cnt) = counts.get_mut(c) {
-                    *cnt += 1;
-                }
-            }
-            for ((centroid, sum), &cnt) in centroids.iter_mut().zip(sums).zip(&counts) {
-                if cnt == 0 {
-                    continue;
-                }
-                for (dst, s) in centroid.iter_mut().zip(sum) {
-                    *dst = s / cnt as f64;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut members = vec![Vec::new(); nlist];
-        for (i, &c) in assignment.iter().enumerate() {
-            members[c].push(i);
-        }
-        self.ivf = Some(Ivf {
-            centroids,
-            members,
-            nprobe: nprobe.clamp(1, nlist),
-        });
-    }
-
-    /// True when an IVF partitioning is currently trained.
-    pub fn has_ivf(&self) -> bool {
-        self.ivf.is_some()
+        self.named(best_k(scored, k))
     }
 
     /// True when an HNSW graph is currently built.
@@ -325,12 +195,10 @@ impl VectorIndex {
     }
 
     /// The search structure [`VectorIndex::search`] currently dispatches
-    /// to: HNSW when built, else IVF when trained, else the exact scan.
+    /// to: HNSW when built, else the exact scan.
     pub fn tier(&self) -> IndexTier {
         if self.hnsw.is_some() {
             IndexTier::Hnsw
-        } else if self.ivf.is_some() {
-            IndexTier::Ivf
         } else {
             IndexTier::Exact
         }
@@ -343,18 +211,16 @@ impl VectorIndex {
     }
 
     /// Builds (or rebuilds) the HNSW graph over the current catalog by
-    /// inserting vectors in id order; replaces any IVF partitioning as
-    /// the active tier.
+    /// inserting vectors in id order; it becomes the active tier.
     pub fn build_hnsw(&mut self, config: HnswConfig) {
         self.hnsw = Some(Hnsw::build(config, &SliceSource(&self.vectors)));
     }
 
-    /// Selects and trains the search tier for the current catalog size:
-    /// `n < 128` stays exact, `128 ≤ n < 4096` trains `√n`-list IVF
-    /// probing `max(1, √n/4)` partitions (the standard sizing rule), and
-    /// `n ≥ 4096` builds a default-parameter HNSW graph seeded with
-    /// `seed`. Returns the chosen tier. The losing tiers are dropped so
-    /// [`VectorIndex::tier`] always reflects the policy's pick.
+    /// Selects and builds the search tier for the current catalog size:
+    /// below [`VectorIndex::HNSW_AUTO_THRESHOLD`] the index stays exact,
+    /// at or above it a default-parameter HNSW graph seeded with `seed`
+    /// is built. Returns the chosen tier; a graph the policy does not
+    /// pick is dropped so [`VectorIndex::tier`] always reflects it.
     ///
     /// Orthogonally, catalogs of [`VectorIndex::PQ_AUTO_THRESHOLD`] or
     /// more vectors also get a product-quantized vector store
@@ -362,24 +228,14 @@ impl VectorIndex {
     /// read compact codes; smaller catalogs drop any quantization.
     pub fn auto_tune(&mut self, seed: u64) -> IndexTier {
         let n = self.vectors.len();
-        let tier = if n >= Self::HNSW_AUTO_THRESHOLD {
-            self.ivf = None;
+        if n >= Self::HNSW_AUTO_THRESHOLD {
             self.build_hnsw(HnswConfig {
                 seed,
                 ..HnswConfig::default()
             });
-            IndexTier::Hnsw
-        } else if n >= Self::IVF_AUTO_THRESHOLD {
-            self.hnsw = None;
-            let nlist = (n as f64).sqrt().round().max(1.0) as usize;
-            let nprobe = (nlist / 4).max(1);
-            self.train_ivf(nlist, nprobe, seed);
-            IndexTier::Ivf
         } else {
             self.hnsw = None;
-            self.ivf = None;
-            IndexTier::Exact
-        };
+        }
         self.pq = None;
         if n >= Self::PQ_AUTO_THRESHOLD {
             // Mixed-dimension catalogs cannot quantize (the flat codebook
@@ -389,7 +245,7 @@ impl VectorIndex {
                 ..PqConfig::default()
             });
         }
-        tier
+        self.tier()
     }
 
     /// Quantizes the vector store: trains per-subspace codebooks over the
@@ -421,127 +277,72 @@ impl VectorIndex {
 
     /// Resident byte accounting per storage component.
     pub fn stats(&self) -> IndexStats {
-        let vector_bytes: usize = self.vectors.iter().map(|v| v.len() * 8).sum();
-        let ivf_bytes = self.ivf.as_ref().map_or(0, |ivf| {
-            let cents: usize = ivf.centroids.iter().map(|c| c.len() * 8).sum();
-            let members: usize = ivf.members.iter().map(|m| m.len() * 8).sum();
-            cents + members
-        });
-        let hnsw_bytes = self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len());
-        let pq_bytes = self.pq.as_ref().map_or(0, Pq::resident_bytes);
         IndexStats {
             tier: self.tier(),
             quantized: self.pq.is_some(),
             count: self.vectors.len(),
             dim: self.vectors.first().map_or(0, Vec::len),
-            vector_bytes,
-            ivf_bytes,
-            hnsw_bytes,
-            pq_bytes,
+            vector_bytes: self.vectors.iter().map(|v| v.len() * 8).sum(),
+            hnsw_bytes: self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len()),
+            pq_bytes: self.pq.as_ref().map_or(0, Pq::resident_bytes),
         }
     }
 
-    /// Top-k through the active tier — the serve-path entry point.
-    /// Results are `(name, similarity)` in `(score desc, id asc)` order
-    /// for every tier. When the store is quantized, the tier's scan reads
-    /// PQ codes and the answer is re-ranked with exact cosine
-    /// ([`VectorIndex::search_quantized`]); the reported similarities are
-    /// always exact.
-    pub fn search(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if let Some(pq) = &self.pq {
-            return self.search_quantized(pq, query, k);
-        }
-        match self.tier() {
-            IndexTier::Hnsw => self.top_k_hnsw(query, k),
-            IndexTier::Ivf => self.top_k_ivf(query, k),
-            IndexTier::Exact => self.top_k(query, k),
-        }
-    }
-
-    /// Top-k over the quantized store: the active tier's candidate scan
-    /// (HNSW beam, IVF probed lists, or the full scan) scores PQ codes
-    /// via one per-query ADC table, then the top `rerank × k` candidates
-    /// are re-scored with exact [`cosine`] over the retained
-    /// full-precision vectors and ordered `(score desc, id asc)` —
-    /// compression changes what a query costs, never what it returns.
-    /// Whenever the rerank window covers the candidate pool the answer is
-    /// bit-identical to the unquantized index.
+    /// Top-k through the active tier — the serve-path entry point and the
+    /// only routine that dispatches on tier. Results are `(name,
+    /// similarity)` in `(score desc, id asc)` order for every tier.
+    ///
+    /// Unquantized, the HNSW tier walks the graph over full-precision
+    /// vectors and the exact tier is [`VectorIndex::top_k`]. Quantized,
+    /// the tier's candidate scan (HNSW beam or full scan) scores PQ codes
+    /// through one per-query ADC table, then the top `rerank × k`
+    /// candidates are re-scored with exact [`cosine`] over the retained
+    /// full-precision vectors — compression changes what a query costs,
+    /// never what it returns. Whenever the rerank window covers the
+    /// candidate pool the answer is bit-identical to the unquantized
+    /// index, and the reported similarities are always exact.
     ///
     /// [`cosine`]: crate::column::cosine
-    fn search_quantized(&self, pq: &Pq, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if k == 0 || self.vectors.is_empty() {
-            return Vec::new();
-        }
+    pub fn search(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
+        let Some(pq) = &self.pq else {
+            return match &self.hnsw {
+                Some(hnsw) => self.named(hnsw.search(query, k, &SliceSource(&self.vectors))),
+                None => self.top_k(query, k),
+            };
+        };
         let table = pq.adc_table(query);
         let fetch = k.saturating_mul(pq.rerank());
-        let candidates: Vec<usize> = match (&self.hnsw, &self.ivf) {
-            (Some(hnsw), _) => {
-                // The beam descends over codes: `AdcSource::similarity`
-                // reads the prebuilt table, never the f64 block. The
-                // graph itself was built over full-precision vectors, so
-                // it is the same graph an unquantized index searches.
-                let source = AdcSource { pq, table: &table };
-                hnsw.search(query, fetch, &source)
-                    .into_iter()
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            (None, Some(ivf)) => {
-                // Probe selection stays full-precision (centroids are
-                // few); member scans read codes.
-                let mut parts: Vec<(usize, f64)> = ivf
-                    .centroids
-                    .iter()
-                    .enumerate()
-                    .map(|(c, v)| (c, cosine(query, v)))
-                    .collect();
-                parts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                let mut scored: Vec<(usize, f64)> = parts
-                    .iter()
-                    .take(ivf.nprobe)
-                    .filter_map(|&(c, _)| ivf.members.get(c))
-                    .flatten()
-                    .map(|&i| (i, pq.score(&table, i)))
-                    .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.into_iter().take(fetch).map(|(i, _)| i).collect()
-            }
-            (None, None) => {
-                let mut scored: Vec<(usize, f64)> = (0..self.vectors.len())
+        let candidates = match &self.hnsw {
+            // The beam descends over codes: `AdcSource::similarity` reads
+            // the prebuilt table, never the f64 block. The graph itself
+            // was built over full-precision vectors, so it is the same
+            // graph an unquantized index searches.
+            Some(hnsw) => hnsw.search(query, fetch, &AdcSource { pq, table: &table }),
+            None => {
+                let scored = (0..self.vectors.len())
                     .map(|i| (i, pq.score(&table, i)))
                     .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.into_iter().take(fetch).map(|(i, _)| i).collect()
+                best_k(scored, fetch)
             }
         };
-        let mut reranked: Vec<(usize, f64)> = candidates
+        let reranked = candidates
             .into_iter()
-            .map(|i| (i, self.vectors.get(i).map_or(0.0, |v| cosine(query, v))))
+            .map(|(i, _)| (i, self.vectors.get(i).map_or(0.0, |v| cosine(query, v))))
             .collect();
-        reranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        reranked
-            .into_iter()
-            .take(k)
+        self.named(best_k(reranked, k))
+    }
+
+    /// Resolves `(id, score)` hits to `(name, score)`.
+    fn named(&self, hits: Vec<(usize, f64)>) -> Vec<(String, f64)> {
+        hits.into_iter()
             .filter_map(|(i, s)| self.names.get(i).map(|n| (n.clone(), s)))
             .collect()
     }
 
-    /// HNSW-approximate top-k. Falls back to exact search when no graph
-    /// has been built.
-    pub fn top_k_hnsw(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let Some(hnsw) = &self.hnsw else {
-            return self.top_k(query, k);
-        };
-        hnsw.search(query, k, &SliceSource(&self.vectors))
-            .into_iter()
-            .filter_map(|(i, s)| self.names.get(i).map(|n| (n.clone(), s)))
-            .collect()
-    }
-
-    /// Serializes the index (names, vectors, and any trained IVF state)
-    /// to a self-contained little-endian binary payload — the section
-    /// format used inside KGpip model snapshots. Round-trips bit-for-bit
-    /// through [`VectorIndex::from_bytes`].
+    /// Serializes the index (names, vectors, and any HNSW graph and PQ
+    /// store) to a self-contained little-endian binary payload — the
+    /// section format used inside KGpip model snapshots. Round-trips
+    /// bit-for-bit through [`VectorIndex::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         write_u64(&mut out, self.names.len() as u64);
@@ -549,23 +350,9 @@ impl VectorIndex {
             write_str(&mut out, name);
             write_f64s(&mut out, vector);
         }
-        match &self.ivf {
-            None => out.push(0),
-            Some(ivf) => {
-                out.push(1);
-                write_u64(&mut out, ivf.centroids.len() as u64);
-                for centroid in &ivf.centroids {
-                    write_f64s(&mut out, centroid);
-                }
-                for members in &ivf.members {
-                    write_u64(&mut out, members.len() as u64);
-                    for &m in members {
-                        write_u64(&mut out, m as u64);
-                    }
-                }
-                write_u64(&mut out, ivf.nprobe as u64);
-            }
-        }
+        // The slot of the retired IVF tier, always absent, so the bytes of
+        // every index this build can produce match older writers'.
+        out.push(0);
         match &self.hnsw {
             None => out.push(0),
             Some(hnsw) => {
@@ -589,47 +376,37 @@ impl VectorIndex {
 
     /// Restores an index from [`VectorIndex::to_bytes`] output. Strict:
     /// trailing bytes, truncation, or malformed UTF-8 all fail rather
-    /// than producing a partially-loaded index. Two tolerances for older
+    /// than producing a partially-loaded index. Tolerances for older
     /// writers: payloads written before the HNSW tier existed end right
-    /// after the IVF block (those load with `hnsw = None`), and payloads
+    /// after the IVF slot (those load with `hnsw = None`), payloads
     /// written before product quantization end right after the HNSW
-    /// block (those load with `pq = None`) — so old snapshots keep
-    /// opening.
+    /// block (those load with `pq = None`), and a present IVF block from
+    /// the retired IVF tier is bounds-checked and dropped — so old
+    /// snapshots keep opening, answering through the exact scan.
     pub fn from_bytes(bytes: &[u8]) -> Result<VectorIndex, String> {
         let mut r = Reader::new(bytes);
         let n = r.u64()? as usize;
-        let mut names = Vec::with_capacity(n.min(1 << 20));
-        let mut vectors = Vec::with_capacity(n.min(1 << 20));
+        // Each entry encodes at least two 8-byte length prefixes.
+        let cap = n.min(r.remaining() / 16);
+        let mut names = Vec::with_capacity(cap);
+        let mut vectors = Vec::with_capacity(cap);
         for _ in 0..n {
             names.push(r.str()?);
             vectors.push(r.f64s()?);
         }
-        let ivf = match r.u8()? {
-            0 => None,
+        match r.u8()? {
+            0 => {}
             1 => {
-                let nlist = r.u64()? as usize;
-                let mut centroids = Vec::with_capacity(nlist.min(1 << 20));
-                for _ in 0..nlist {
-                    centroids.push(r.f64s()?);
+                // `nlist` centroids then `nlist` member lists, each a u64
+                // count of 8-byte words, then `nprobe`.
+                let nlist = r.u64()?;
+                for _ in 0..nlist.saturating_mul(2) {
+                    r.skip_words()?;
                 }
-                let mut members = Vec::with_capacity(nlist.min(1 << 20));
-                for _ in 0..nlist {
-                    let len = r.u64()? as usize;
-                    let mut list = Vec::with_capacity(len.min(1 << 20));
-                    for _ in 0..len {
-                        list.push(r.u64()? as usize);
-                    }
-                    members.push(list);
-                }
-                let nprobe = r.u64()? as usize;
-                Some(Ivf {
-                    centroids,
-                    members,
-                    nprobe,
-                })
+                r.u64()?;
             }
             tag => return Err(format!("unknown IVF tag {tag}")),
-        };
+        }
         let hnsw = if r.at_end() {
             None
         } else {
@@ -674,41 +451,19 @@ impl VectorIndex {
         Ok(VectorIndex {
             names,
             vectors,
-            ivf,
             hnsw,
             pq,
             parallelism: 0,
         })
     }
+}
 
-    /// IVF-approximate top-k: probes the `nprobe` partitions whose
-    /// centroids are most similar to the query. Falls back to exact search
-    /// when IVF has not been trained. Tie-breaking matches
-    /// [`VectorIndex::top_k`]: `(score, id)` under `total_cmp`.
-    pub fn top_k_ivf(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let Some(ivf) = &self.ivf else {
-            return self.top_k(query, k);
-        };
-        let mut parts: Vec<(usize, f64)> = ivf
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(c, v)| (c, cosine(query, v)))
-            .collect();
-        parts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut scored: Vec<(usize, f64)> = Vec::new();
-        for &(c, _) in parts.iter().take(ivf.nprobe) {
-            for &i in &ivf.members[c] {
-                scored.push((i, cosine(query, &self.vectors[i])));
-            }
-        }
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-            .into_iter()
-            .take(k)
-            .map(|(i, s)| (self.names[i].clone(), s))
-            .collect()
-    }
+/// Sorts `(id, score)` pairs into the house order — score descending
+/// under `total_cmp`, ties to the lower id — and keeps the first `k`.
+fn best_k(mut scored: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
 }
 
 pub(crate) fn write_u64(out: &mut Vec<u8>, v: u64) {
@@ -732,8 +487,10 @@ pub(crate) fn write_f64s(out: &mut Vec<u8>, xs: &[f64]) {
 }
 
 /// Bounds-checked little-endian cursor shared by the binary decoders in
-/// this crate ([`VectorIndex::from_bytes`], `Hnsw::from_bytes`, and the
-/// mapped-catalog opener).
+/// this crate ([`VectorIndex::from_bytes`], `Hnsw::from_bytes`, the PQ
+/// decoders, and the `KGVI` decoder). Decoders size every reservation by
+/// [`Reader::remaining`], never by a length prefix alone, so a corrupt
+/// prefix cannot allocate more than the payload could hold.
 pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -744,9 +501,9 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
-    /// Current cursor position (bytes consumed so far).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
     }
 
     /// True when every byte has been consumed.
@@ -798,6 +555,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(buf))
     }
 
+    pub(crate) fn f64(&mut self) -> Result<f64, String> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
     pub(crate) fn str(&mut self) -> Result<String, String> {
         let len = self.u64()? as usize;
         String::from_utf8(self.take(len)?.to_vec()).map_err(|e| e.to_string())
@@ -805,14 +566,17 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, String> {
         let len = self.u64()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        let mut out = Vec::with_capacity(len.min(self.remaining() / 8));
         for _ in 0..len {
-            let bytes = self.take(8)?;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(bytes);
-            out.push(f64::from_le_bytes(buf));
+            out.push(self.f64()?);
         }
         Ok(out)
+    }
+
+    /// Skips a u64 count followed by that many 8-byte words.
+    pub(crate) fn skip_words(&mut self) -> Result<(), String> {
+        let len = self.u64()? as usize;
+        self.take(len.saturating_mul(8)).map(|_| ())
     }
 }
 
@@ -824,6 +588,14 @@ mod tests {
         let mut v = vec![0.0; dim];
         v[dir] = 1.0;
         v
+    }
+
+    fn assert_bitwise_eq(a: &[(String, f64)], b: &[(String, f64)]) {
+        assert_eq!(a.len(), b.len());
+        for ((na, sa), (nb, sb)) in a.iter().zip(b) {
+            assert_eq!(na, nb);
+            assert_eq!(sa.to_bits(), sb.to_bits(), "scores must match bitwise");
+        }
     }
 
     #[test]
@@ -847,63 +619,26 @@ mod tests {
     }
 
     #[test]
-    fn ivf_with_full_probe_matches_exact() {
+    fn auto_tune_respects_threshold() {
         let mut idx = VectorIndex::new();
-        for i in 0..40 {
-            let mut v = vec![0.0; 8];
-            v[i % 8] = 1.0;
-            v[(i + 1) % 8] = 0.3;
+        for i in 0..VectorIndex::HNSW_AUTO_THRESHOLD - 1 {
+            let v: Vec<f64> = (0..4).map(|d| ((i * 4 + d) as f64 * 0.37).sin()).collect();
             idx.add(format!("v{i}"), v);
         }
-        let exact = idx.top_k(&unit(3, 8), 5);
-        idx.train_ivf(4, 4, 7);
-        let approx = idx.top_k_ivf(&unit(3, 8), 5);
         assert_eq!(
-            exact.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            approx.iter().map(|(n, _)| n).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn ivf_narrow_probe_still_finds_near_cluster() {
-        let mut idx = VectorIndex::new();
-        // Two tight clusters along axes 0 and 5.
-        for i in 0..20 {
-            let mut v = vec![0.0; 8];
-            v[0] = 1.0;
-            v[1] = 0.01 * i as f64;
-            idx.add(format!("a{i}"), v);
-            let mut w = vec![0.0; 8];
-            w[5] = 1.0;
-            w[6] = 0.01 * i as f64;
-            idx.add(format!("b{i}"), w);
-        }
-        idx.train_ivf(2, 1, 3);
-        let hits = idx.top_k_ivf(&unit(0, 8), 3);
-        assert!(hits.iter().all(|(n, _)| n.starts_with('a')));
-    }
-
-    #[test]
-    fn auto_tune_respects_threshold() {
-        let mut small = VectorIndex::new();
-        for i in 0..VectorIndex::IVF_AUTO_THRESHOLD - 1 {
-            small.add(format!("v{i}"), unit(i % 8, 8));
-        }
-        assert_eq!(
-            small.auto_tune(0),
+            idx.auto_tune(0),
             IndexTier::Exact,
             "below threshold stays exact"
         );
-        assert!(!small.has_ivf());
-        assert_eq!(small.tier(), IndexTier::Exact);
-        small.add("last", unit(0, 8));
+        assert!(!idx.has_hnsw());
+        idx.add("last", unit(0, 4));
         assert_eq!(
-            small.auto_tune(0),
-            IndexTier::Ivf,
-            "at threshold trains IVF"
+            idx.auto_tune(0),
+            IndexTier::Hnsw,
+            "at threshold builds the graph"
         );
-        assert!(small.has_ivf());
-        assert_eq!(small.tier(), IndexTier::Ivf);
+        assert_eq!(idx.tier(), IndexTier::Hnsw);
+        assert!(!idx.is_quantized(), "PQ waits for its own threshold");
     }
 
     #[test]
@@ -918,26 +653,7 @@ mod tests {
         idx.build_hnsw(HnswConfig::default());
         assert_eq!(idx.tier(), IndexTier::Hnsw);
         let q = unit(3, 8);
-        let exact = idx.top_k(&q, 5);
-        let approx = idx.search(&q, 5);
-        assert_eq!(exact.len(), approx.len());
-        for ((na, sa), (nb, sb)) in exact.iter().zip(&approx) {
-            assert_eq!(na, nb);
-            assert_eq!(sa.to_bits(), sb.to_bits(), "scores must match bitwise");
-        }
-    }
-
-    #[test]
-    fn register_extends_ivf_without_retrain() {
-        let mut idx = VectorIndex::new();
-        for i in 0..40 {
-            idx.add(format!("v{i}"), unit(i % 8, 8));
-        }
-        idx.train_ivf(4, 4, 7);
-        idx.register("fresh", unit(2, 8));
-        assert!(idx.has_ivf(), "register must not invalidate IVF");
-        let hits = idx.top_k_ivf(&unit(2, 8), 41);
-        assert!(hits.iter().any(|(n, _)| n == "fresh"));
+        assert_bitwise_eq(&idx.top_k(&q, 5), &idx.search(&q, 5));
     }
 
     #[test]
@@ -982,13 +698,6 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(names, ["dup0", "dup1", "dup2", "dup3"]);
-        idx.train_ivf(2, 2, 0);
-        let ivf_names: Vec<String> = idx
-            .top_k_ivf(&unit(0, 4), 4)
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(ivf_names, ["dup0", "dup1", "dup2", "dup3"]);
         // NaN scores must rank deterministically instead of panicking the
         // comparator (the pre-total_cmp sort unwrapped partial_cmp).
         let nan_hits = idx.top_k(&[f64::NAN; 4], 3);
@@ -1003,22 +712,64 @@ mod tests {
             v[i % 8] = 1.0 + i as f64 * 0.001;
             idx.add(format!("v{i}"), v);
         }
-        idx.train_ivf(4, 2, 9);
         let restored = VectorIndex::from_bytes(&idx.to_bytes()).unwrap();
         assert_eq!(restored.names, idx.names);
         for (a, b) in idx.vectors.iter().zip(&restored.vectors) {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b));
         }
-        assert!(restored.has_ivf());
+        assert_eq!(restored.tier(), IndexTier::Exact);
         let q = unit(3, 8);
-        let before: Vec<_> = idx.top_k_ivf(&q, 5);
-        let after: Vec<_> = restored.top_k_ivf(&q, 5);
-        assert_eq!(before.len(), after.len());
-        for ((na, sa), (nb, sb)) in before.iter().zip(&after) {
-            assert_eq!(na, nb);
-            assert_eq!(sa.to_bits(), sb.to_bits());
+        assert_bitwise_eq(&idx.search(&q, 5), &restored.search(&q, 5));
+    }
+
+    /// Snapshots written while the IVF tier existed may carry a trained
+    /// IVF block. It is bounds-checked and dropped: the index loads on the
+    /// exact tier, re-serializes without it, and answers like `top_k`.
+    #[test]
+    fn legacy_ivf_block_loads_as_exact() {
+        let mut idx = VectorIndex::new();
+        for i in 0..12 {
+            let v: Vec<f64> = (0..4).map(|d| ((i * 4 + d) as f64 * 0.53).sin()).collect();
+            idx.add(format!("v{i}"), v);
         }
+        let bytes = idx.to_bytes();
+        assert_eq!(
+            &bytes[bytes.len() - 3..],
+            &[0, 0, 0],
+            "IVF, HNSW, PQ absent"
+        );
+        let mut legacy = bytes[..bytes.len() - 3].to_vec();
+        legacy.push(1);
+        write_u64(&mut legacy, 2);
+        write_f64s(&mut legacy, &[1.0, 0.0, 0.0, 0.0]);
+        write_f64s(&mut legacy, &[0.0, 1.0, 0.0, 0.0]);
+        for members in [(0..12).step_by(2), (1..12).step_by(2)] {
+            write_u64(&mut legacy, 6);
+            for m in members {
+                write_u64(&mut legacy, m);
+            }
+        }
+        write_u64(&mut legacy, 1);
+        // A v1 snapshot ends right after the IVF block; later writers
+        // append the HNSW and PQ tags.
+        let v1 = VectorIndex::from_bytes(&legacy).unwrap();
+        legacy.extend_from_slice(&[0, 0]);
+        let restored = VectorIndex::from_bytes(&legacy).unwrap();
+        for loaded in [&v1, &restored] {
+            assert_eq!(loaded.tier(), IndexTier::Exact);
+            assert_eq!(loaded.to_bytes(), bytes, "the IVF block is dropped");
+            for q in 0..4 {
+                let query = unit(q, 4);
+                assert_bitwise_eq(&loaded.search(&query, 5), &loaded.top_k(&query, 5));
+            }
+        }
+        // The dropped block is still bounds-checked.
+        assert!(VectorIndex::from_bytes(&legacy[..legacy.len() - 3]).is_err());
+        let mut inflated = legacy.clone();
+        let at = bytes.len() - 3 + 1 + 8;
+        inflated[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(VectorIndex::from_bytes(&inflated).is_err());
     }
 
     #[test]
@@ -1073,13 +824,7 @@ mod tests {
         })
         .unwrap();
         let q: Vec<f64> = (0..8).map(|d| (d as f64 * 0.9).cos()).collect();
-        let exact = idx.top_k(&q, 5);
-        let quantized = idx.search(&q, 5);
-        assert_eq!(exact.len(), quantized.len());
-        for ((na, sa), (nb, sb)) in exact.iter().zip(&quantized) {
-            assert_eq!(na, nb);
-            assert_eq!(sa.to_bits(), sb.to_bits(), "scores must match bitwise");
-        }
+        assert_bitwise_eq(&idx.top_k(&q, 5), &idx.search(&q, 5));
     }
 
     #[test]
@@ -1117,13 +862,14 @@ mod tests {
     }
 
     #[test]
-    fn adding_invalidates_ivf() {
+    fn adding_invalidates_the_graph() {
         let mut idx = VectorIndex::new();
         idx.add("a", unit(0, 4));
-        idx.train_ivf(1, 1, 0);
+        idx.build_hnsw(HnswConfig::default());
         idx.add("b", unit(1, 4));
         // Falls back to exact search and still sees the new vector.
-        let hits = idx.top_k_ivf(&unit(1, 4), 1);
+        assert_eq!(idx.tier(), IndexTier::Exact);
+        let hits = idx.search(&unit(1, 4), 1);
         assert_eq!(hits[0].0, "b");
     }
 }

@@ -12,11 +12,11 @@
 //!   from actual values (distribution sketches for numerics, hashed
 //!   character n-grams for strings) — the KGLac substitute,
 //! * [`table_embedding`] — mean-pooled, L2-normalized table vectors,
-//! * [`index::VectorIndex`] — tiered top-k cosine search (exact scan,
-//!   IVF partitions, deterministic HNSW graph) — the FAISS substitute,
+//! * [`index::VectorIndex`] — tiered top-k cosine search (exact scan or
+//!   deterministic HNSW graph) — the FAISS substitute,
 //! * [`hnsw`] — the deterministic HNSW graph layer itself,
-//! * [`mapped`] — a read-only mapped catalog file (`KGVI`) so serve
-//!   replicas warm-start without copying vectors into owned buffers,
+//! * [`mapped`] — the standalone `KGVI` catalog file, which decodes into
+//!   an ordinary [`index::VectorIndex`],
 //! * [`pq`] — product quantization: compressed `u8` code storage with
 //!   ADC scoring under the tiers and an exact re-rank on top,
 //! * [`tsne`] — exact t-SNE for the Figure-10 qualitative analysis.
@@ -35,7 +35,6 @@ pub mod tsne;
 pub use column::{column_embedding, column_embedding_parts, EMBED_DIM};
 pub use hnsw::{Hnsw, HnswConfig, SliceSource, VectorSource};
 pub use index::{IndexStats, IndexTier, VectorIndex};
-pub use mapped::MappedIndex;
 pub use pq::{Pq, PqConfig};
 pub use table::{table_embedding, table_embedding_chunked, table_embeddings};
 pub use tsne::tsne;

@@ -1,15 +1,12 @@
-//! Mapped read-only catalog files (`KGVI`) for serve-replica warm starts.
+//! Standalone catalog files (`KGVI`) for `kgpip-cli index` and tooling.
 //!
-//! A serve replica that loads a million-table catalog through
-//! [`VectorIndex::from_bytes`] pays an owned allocation per vector and per
-//! name before it can answer its first query. The `KGVI` file sidesteps
-//! that: the whole catalog is read once into a single shared immutable
-//! buffer and *decoded in place* — vectors and names are addressed through
-//! in-file offset tables and never copied into owned buffers. (The
-//! workspace forbids `unsafe`, so the buffer comes from one `fs::read`
-//! rather than an OS `mmap(2)`; the layout is position-independent and
-//! page-aligned-friendly so a real mapping could drop in without a format
-//! change.)
+//! A `.kgvi` file is a tagged-section encoding of one [`VectorIndex`]:
+//! [`VectorIndex::to_mapped_bytes`] writes it and
+//! [`VectorIndex::from_mapped_bytes`] decodes it back into an ordinary
+//! owned index, which answers through the same [`VectorIndex::search`]
+//! as every other index. The vector block is one flat, position-
+//! independent section, so the layout could back a real memory mapping
+//! without a format change.
 //!
 //! # Layout
 //!
@@ -19,34 +16,23 @@
 //! magic "KGVI" · u32 version
 //! repeated sections: u32 tag · u64 payload_len · payload
 //!   tag 1 header:  u64 count · u32 dim
-//!   tag 2 vectors: count × dim f64, catalog order (zero-copy scanned)
+//!   tag 2 vectors: count × dim f64, catalog order
 //!   tag 3 names:   u64 count · (count+1) × u64 offsets · UTF-8 blob
 //!   tag 4 hnsw:    Hnsw::to_bytes payload (optional section)
 //!   tag 5 pq book: PqCodebook::to_bytes payload (optional section)
-//!   tag 6 pq codes: count × m u8 code matrix (zero-copy scanned;
-//!                   requires tag 5 and vice versa)
+//!   tag 6 pq codes: count × m u8 code matrix (requires tag 5 and vice
+//!                   versa)
 //! ```
 //!
 //! Unknown tags are skipped, mirroring the snapshot reader's
-//! forward-compatibility rule. Offsets and UTF-8 are validated once at
-//! [`MappedIndex::open`]; afterwards every accessor is panic-free and
-//! allocation-free.
-//!
-//! # Bit-identity
-//!
-//! [`MappedIndex::top_k`] must answer **bit-identically** to the owned
-//! [`VectorIndex::search`] over the same catalog. Cosine over mapped bytes
-//! therefore replays the exact operation order of [`cosine`]: dot over the
-//! zip-truncated prefix, then the two norms (the stored-vector norm over
-//! *all* of its elements), the `1e-12` zero guards, then `dot / (na·nb)`.
-//!
-//! [`cosine`]: crate::column::cosine
+//! forward-compatibility rule. Every section is validated against the
+//! header before the index is assembled, so a decoded index is as sound
+//! as one built in memory.
 
-use crate::hnsw::{Hnsw, VectorSource};
-use crate::index::{write_u32, write_u64, IndexStats, IndexTier, Reader, VectorIndex};
-use crate::pq::{AdcTable, PqCodebook};
+use crate::hnsw::Hnsw;
+use crate::index::{write_u32, write_u64, Reader, VectorIndex};
+use crate::pq::{Pq, PqCodebook};
 use std::path::Path;
-use std::sync::Arc;
 
 /// File magic, the mapped-catalog sibling of the `KGPS` snapshot magic.
 pub const MAGIC: &[u8; 4] = b"KGVI";
@@ -60,501 +46,6 @@ const TAG_NAMES: u32 = 3;
 const TAG_HNSW: u32 = 4;
 const TAG_PQ_BOOK: u32 = 5;
 const TAG_PQ_CODES: u32 = 6;
-
-/// A read-only vector catalog decoded in place over one shared buffer.
-/// Cloning is cheap (an `Arc` bump), so one loaded file can back many
-/// concurrent readers.
-#[derive(Debug, Clone)]
-pub struct MappedIndex {
-    buf: Arc<[u8]>,
-    count: usize,
-    dim: usize,
-    /// Byte offset of the vectors payload (`count * dim * 8` bytes).
-    vec_start: usize,
-    /// Byte offset of the `(count+1)`-entry name offset table.
-    name_off_start: usize,
-    /// Byte offset and length of the UTF-8 name blob.
-    name_blob_start: usize,
-    name_blob_len: usize,
-    /// HNSW adjacency, parsed owned — it is small next to the vectors,
-    /// which stay zero-copy.
-    hnsw: Option<Hnsw>,
-    /// PQ codebooks, parsed owned (a few KB); the `count × m` code
-    /// matrix stays zero-copy in the buffer at `codes_start`.
-    pq_book: Option<PqCodebook>,
-    /// Byte offset of the PQ code matrix payload (`count × m` bytes);
-    /// meaningful only when `pq_book` is present.
-    codes_start: usize,
-}
-
-impl MappedIndex {
-    /// Opens a `KGVI` file read-only: one read into a shared buffer, one
-    /// validation pass, no per-vector copies.
-    pub fn open(path: impl AsRef<Path>) -> Result<MappedIndex, String> {
-        let bytes = std::fs::read(path.as_ref())
-            .map_err(|e| format!("open {}: {e}", path.as_ref().display()))?;
-        MappedIndex::from_vec(bytes)
-    }
-
-    /// Decodes a `KGVI` payload already in memory, taking ownership of the
-    /// buffer (no copy).
-    pub fn from_vec(bytes: Vec<u8>) -> Result<MappedIndex, String> {
-        let mut r = Reader::new(&bytes);
-        if r.take(4)? != MAGIC {
-            return Err("not a KGVI mapped catalog (bad magic)".into());
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "unsupported KGVI version {version} (reader supports {FORMAT_VERSION})"
-            ));
-        }
-        let mut header: Option<(usize, usize)> = None;
-        let mut vec_range: Option<(usize, usize)> = None;
-        let mut name_range: Option<(usize, usize)> = None;
-        let mut hnsw: Option<Hnsw> = None;
-        let mut pq_book: Option<PqCodebook> = None;
-        let mut codes_range: Option<(usize, usize)> = None;
-        while !r.at_end() {
-            let tag = r.u32()?;
-            let len = r.u64()? as usize;
-            let start = r.pos();
-            let payload = r.take(len)?;
-            match tag {
-                TAG_HEADER => {
-                    let mut h = Reader::new(payload);
-                    let count = h.u64()? as usize;
-                    let dim = h.u32()? as usize;
-                    h.expect_end("KGVI header")?;
-                    header = Some((count, dim));
-                }
-                TAG_VECTORS => vec_range = Some((start, len)),
-                TAG_NAMES => name_range = Some((start, len)),
-                TAG_HNSW => hnsw = Some(Hnsw::from_bytes(payload)?),
-                TAG_PQ_BOOK => pq_book = Some(PqCodebook::from_bytes(payload)?),
-                TAG_PQ_CODES => codes_range = Some((start, len)),
-                _ => {} // Forward compatibility: skip unknown sections.
-            }
-        }
-        let (count, dim) = header.ok_or("KGVI missing header section")?;
-        let (vec_start, vec_len) = vec_range.ok_or("KGVI missing vectors section")?;
-        let (name_start, name_len) = name_range.ok_or("KGVI missing names section")?;
-        let expected = count
-            .checked_mul(dim)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or("KGVI vector section size overflows")?;
-        if vec_len != expected {
-            return Err(format!(
-                "KGVI vectors section holds {vec_len} bytes, header implies {expected}"
-            ));
-        }
-        // Names: u64 count · (count+1) offsets · blob. Validate offsets
-        // are monotone, end-anchored, and each slice is UTF-8 — after
-        // this pass `name()` can never fail on a well-formed handle.
-        let mut n = Reader::new(bytes.get(name_start..name_start + name_len).unwrap_or(&[]));
-        let name_count = n.u64()? as usize;
-        if name_count != count {
-            return Err(format!(
-                "KGVI names section lists {name_count} names for {count} vectors"
-            ));
-        }
-        let name_off_start = name_start + n.pos();
-        let offsets = count
-            .checked_add(1)
-            .and_then(|c| c.checked_mul(8))
-            .ok_or("KGVI name offset table size overflows")?;
-        let table = n.take(offsets)?;
-        let name_blob_start = name_start + n.pos();
-        let blob = n.take(name_len.saturating_sub(n.pos()))?;
-        n.expect_end("KGVI names")?;
-        let mut prev = 0u64;
-        for (i, chunk) in table.chunks_exact(8).enumerate() {
-            let mut buf8 = [0u8; 8];
-            buf8.copy_from_slice(chunk);
-            let off = u64::from_le_bytes(buf8);
-            if off < prev || off as usize > blob.len() {
-                return Err(format!("KGVI name offset {i} out of order or out of range"));
-            }
-            if std::str::from_utf8(blob.get(prev as usize..off as usize).unwrap_or(&[])).is_err() {
-                return Err(format!("KGVI name {i} is not valid UTF-8"));
-            }
-            prev = off;
-        }
-        if prev as usize != blob.len() {
-            return Err("KGVI name offsets do not cover the blob".into());
-        }
-        if let Some(graph) = &hnsw {
-            if graph.len() != count {
-                return Err(format!(
-                    "KGVI HNSW graph indexes {} nodes but catalog holds {count}",
-                    graph.len()
-                ));
-            }
-        }
-        // PQ sections come in pairs: codebooks (owned, small) + the
-        // zero-copy code matrix. Validate geometry and code range once so
-        // every later scan is panic-free.
-        let codes_start = match (&pq_book, codes_range) {
-            (None, None) => 0,
-            (Some(book), Some((start, len))) => {
-                if book.dim() != dim {
-                    return Err(format!(
-                        "KGVI PQ codebooks cover dim {} but catalog is dim {dim}",
-                        book.dim()
-                    ));
-                }
-                let expected = count
-                    .checked_mul(book.m())
-                    .ok_or("KGVI PQ code section size overflows")?;
-                if len != expected {
-                    return Err(format!(
-                        "KGVI PQ code section holds {len} bytes, geometry implies {expected}"
-                    ));
-                }
-                let codes = bytes.get(start..start + len).unwrap_or(&[]);
-                if codes.iter().any(|&c| c as usize >= book.ksub()) {
-                    return Err("KGVI PQ code out of codebook range".into());
-                }
-                start
-            }
-            _ => {
-                return Err(
-                    "KGVI PQ sections must appear in pairs (codebooks + code matrix)".into(),
-                )
-            }
-        };
-        let name_blob_len = blob.len();
-        Ok(MappedIndex {
-            buf: bytes.into(),
-            count,
-            dim,
-            vec_start,
-            name_off_start,
-            name_blob_start,
-            name_blob_len,
-            hnsw,
-            pq_book,
-            codes_start,
-        })
-    }
-
-    /// Number of catalog entries.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// True when the file carried an HNSW graph section.
-    pub fn has_hnsw(&self) -> bool {
-        self.hnsw.is_some()
-    }
-
-    /// The HNSW graph, when the file carried one.
-    pub fn hnsw(&self) -> Option<&Hnsw> {
-        self.hnsw.as_ref()
-    }
-
-    /// True when the file carried a product-quantized store.
-    pub fn is_quantized(&self) -> bool {
-        self.pq_book.is_some()
-    }
-
-    /// The PQ codebooks, when the file carried them.
-    pub fn pq_book(&self) -> Option<&PqCodebook> {
-        self.pq_book.as_ref()
-    }
-
-    /// The code row of the i-th vector, borrowed straight from the
-    /// mapped buffer (no decode, no copy).
-    fn code_row(&self, i: usize) -> Option<&[u8]> {
-        let book = self.pq_book.as_ref()?;
-        if i >= self.count {
-            return None;
-        }
-        let start = self.codes_start + i * book.m();
-        self.buf.get(start..start + book.m())
-    }
-
-    /// Resident byte accounting per storage component, mirroring
-    /// [`VectorIndex::stats`]. The tier is HNSW when the file carries a
-    /// graph, exact otherwise (`KGVI` files do not serialize IVF).
-    pub fn stats(&self) -> IndexStats {
-        let tier = if self.hnsw.is_some() {
-            IndexTier::Hnsw
-        } else {
-            IndexTier::Exact
-        };
-        let pq_bytes = self
-            .pq_book
-            .as_ref()
-            .map_or(0, |book| self.count * book.m() + book.codebook_bytes());
-        IndexStats {
-            tier,
-            quantized: self.pq_book.is_some(),
-            count: self.count,
-            dim: self.dim,
-            vector_bytes: self.count * self.dim * 8,
-            ivf_bytes: 0,
-            hnsw_bytes: self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len()),
-            pq_bytes,
-        }
-    }
-
-    /// Raw little-endian bytes of the i-th vector (no decode, no copy).
-    fn vector_bytes(&self, i: usize) -> Option<&[u8]> {
-        if i >= self.count {
-            return None;
-        }
-        let start = self.vec_start + i * self.dim * 8;
-        self.buf.get(start..start + self.dim * 8)
-    }
-
-    /// The i-th vector decoded into an owned buffer — for callers that
-    /// need `&[f64]` semantics; the query path never calls this.
-    pub fn vector(&self, i: usize) -> Option<Vec<f64>> {
-        let bytes = self.vector_bytes(i)?;
-        Some(
-            bytes
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(c);
-                    f64::from_le_bytes(buf)
-                })
-                .collect(),
-        )
-    }
-
-    /// Name of the i-th entry, borrowed straight from the mapped buffer.
-    pub fn name(&self, i: usize) -> Option<&str> {
-        if i >= self.count {
-            return None;
-        }
-        let lo = self.offset_entry(i)?;
-        let hi = self.offset_entry(i + 1)?;
-        if lo > hi || hi > self.name_blob_len {
-            return None;
-        }
-        let blob = self
-            .buf
-            .get(self.name_blob_start..self.name_blob_start + self.name_blob_len)?;
-        std::str::from_utf8(blob.get(lo..hi)?).ok()
-    }
-
-    fn offset_entry(&self, i: usize) -> Option<usize> {
-        let start = self.name_off_start + i * 8;
-        let chunk = self.buf.get(start..start + 8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(chunk);
-        Some(u64::from_le_bytes(buf) as usize)
-    }
-
-    /// Top-k through the mapped catalog: HNSW when the file carries a
-    /// graph, exact scan otherwise. Answers bit-identically to
-    /// [`VectorIndex::search`] over the same catalog and tier —
-    /// including quantized catalogs, where the beam reads the zero-copy
-    /// code matrix and the answer is re-ranked with exact cosine over
-    /// the mapped full-precision vectors.
-    pub fn top_k(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if let Some(book) = &self.pq_book {
-            return self.top_k_quantized(book, query, k);
-        }
-        match &self.hnsw {
-            Some(hnsw) => hnsw
-                .search(query, k, self)
-                .into_iter()
-                .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
-                .collect(),
-            None => self.top_k_exact(query, k),
-        }
-    }
-
-    /// Quantized top-k, mirroring the owned `search_quantized` path: the
-    /// beam (or full scan) scores mapped code rows through one per-query
-    /// ADC table, then the top `rerank × k` candidates are re-scored
-    /// with [`cosine_bytes`] (bit-identical to owned `cosine`) and
-    /// ordered `(score desc, id asc)`.
-    fn top_k_quantized(&self, book: &PqCodebook, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if k == 0 || self.count == 0 {
-            return Vec::new();
-        }
-        let table = book.adc_table(query);
-        let fetch = k.saturating_mul(book.rerank().max(1));
-        let candidates: Vec<usize> = match &self.hnsw {
-            Some(hnsw) => {
-                let source = MappedAdcSource {
-                    index: self,
-                    book,
-                    table: &table,
-                };
-                hnsw.search(query, fetch, &source)
-                    .into_iter()
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            None => {
-                let mut scored: Vec<(usize, f64)> = (0..self.count)
-                    .map(|i| (i, self.adc_score(book, &table, i)))
-                    .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.into_iter().take(fetch).map(|(i, _)| i).collect()
-            }
-        };
-        let mut reranked: Vec<(usize, f64)> = candidates
-            .into_iter()
-            .map(|i| (i, self.similarity(i, query)))
-            .collect();
-        reranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        reranked
-            .into_iter()
-            .take(k)
-            .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
-            .collect()
-    }
-
-    /// ADC score of the i-th mapped code row (0.0 out of range).
-    fn adc_score(&self, book: &PqCodebook, table: &AdcTable, i: usize) -> f64 {
-        self.code_row(i)
-            .map_or(0.0, |row| book.score_codes(table, row))
-    }
-
-    /// Exact top-k over the mapped vectors, mirroring
-    /// [`VectorIndex::top_k`]'s scoring and `(score, id)` ordering.
-    pub fn top_k_exact(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let mut scored: Vec<(usize, f64)> = (0..self.count)
-            .map(|i| (i, self.similarity(i, query)))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-            .into_iter()
-            .take(k)
-            .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
-            .collect()
-    }
-}
-
-/// A [`VectorSource`] over a mapped quantized catalog: `similarity`
-/// scores zero-copy code rows through the prebuilt ADC tables (the query
-/// argument is already folded in). Search-only — `pair_similarity` is
-/// never called by `Hnsw::search` and answers 0.0.
-struct MappedAdcSource<'a> {
-    index: &'a MappedIndex,
-    book: &'a PqCodebook,
-    table: &'a AdcTable,
-}
-
-impl VectorSource for MappedAdcSource<'_> {
-    fn count(&self) -> usize {
-        self.index.count
-    }
-
-    fn similarity(&self, i: usize, _query: &[f64]) -> f64 {
-        self.index.adc_score(self.book, self.table, i)
-    }
-
-    fn pair_similarity(&self, _i: usize, _j: usize) -> f64 {
-        0.0
-    }
-}
-
-impl VectorSource for MappedIndex {
-    fn count(&self) -> usize {
-        self.count
-    }
-
-    fn similarity(&self, i: usize, query: &[f64]) -> f64 {
-        self.vector_bytes(i)
-            .map_or(0.0, |bytes| cosine_bytes(query, bytes))
-    }
-
-    fn pair_similarity(&self, i: usize, j: usize) -> f64 {
-        // Argument order mirrors `SliceSource`: cosine(vec_j, vec_i).
-        match (self.vector_bytes(i), self.vector_bytes(j)) {
-            (Some(a), Some(b)) => cosine_bytes_pair(b, a),
-            _ => 0.0,
-        }
-    }
-}
-
-/// Cosine between an owned query and a little-endian vector payload,
-/// replaying [`cosine`]'s operation order exactly: dot over the zipped
-/// prefix, query norm over the full query, stored norm over **all** stored
-/// elements (not just the zipped prefix), the `1e-12` guards, then
-/// `dot / (na * nb)` — so mapped and owned scores agree to the bit.
-///
-/// [`cosine`]: crate::column::cosine
-fn cosine_bytes(query: &[f64], bytes: &[u8]) -> f64 {
-    let dot: f64 = query
-        .iter()
-        .zip(bytes.chunks_exact(8))
-        .map(|(x, c)| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(c);
-            x * f64::from_le_bytes(buf)
-        })
-        .sum();
-    let na: f64 = query.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(c);
-            let y = f64::from_le_bytes(buf);
-            y * y
-        })
-        .sum::<f64>()
-        .sqrt();
-    if na < 1e-12 || nb < 1e-12 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
-/// [`cosine_bytes`] where both sides are mapped payloads (`a` plays the
-/// query role).
-fn cosine_bytes_pair(a: &[u8], b: &[u8]) -> f64 {
-    let decode = |c: &[u8]| {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(c);
-        f64::from_le_bytes(buf)
-    };
-    let dot: f64 = a
-        .chunks_exact(8)
-        .zip(b.chunks_exact(8))
-        .map(|(x, y)| decode(x) * decode(y))
-        .sum();
-    let na: f64 = a
-        .chunks_exact(8)
-        .map(|c| {
-            let x = decode(c);
-            x * x
-        })
-        .sum::<f64>()
-        .sqrt();
-    let nb: f64 = b
-        .chunks_exact(8)
-        .map(|c| {
-            let y = decode(c);
-            y * y
-        })
-        .sum::<f64>()
-        .sqrt();
-    if na < 1e-12 || nb < 1e-12 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
 
 fn section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
     write_u32(out, tag);
@@ -610,18 +101,168 @@ impl VectorIndex {
         Ok(out)
     }
 
-    /// Writes the `KGVI` mapped catalog to `path` for serve replicas to
-    /// [`MappedIndex::open`].
+    /// Writes the `KGVI` mapped catalog to `path`; read it back with
+    /// [`VectorIndex::open_mapped`].
     pub fn write_mapped(&self, path: impl AsRef<Path>) -> Result<(), String> {
         std::fs::write(path.as_ref(), self.to_mapped_bytes()?)
             .map_err(|e| format!("write {}: {e}", path.as_ref().display()))
     }
+
+    /// Reads a `KGVI` file and decodes it with
+    /// [`VectorIndex::from_mapped_bytes`].
+    pub fn open_mapped(path: impl AsRef<Path>) -> Result<VectorIndex, String> {
+        let bytes = std::fs::read(path.as_ref())
+            .map_err(|e| format!("open {}: {e}", path.as_ref().display()))?;
+        VectorIndex::from_mapped_bytes(&bytes)
+    }
+
+    /// Decodes a `KGVI` payload into an owned index holding the same
+    /// catalog, graph, and quantized store that
+    /// [`VectorIndex::to_mapped_bytes`] wrote: re-encoding reproduces the
+    /// payload (less any unknown sections) and `search` answers
+    /// bit-identically. Strict: a bad magic or version, a missing
+    /// section, or sections that disagree with the header all fail.
+    pub fn from_mapped_bytes(bytes: &[u8]) -> Result<VectorIndex, String> {
+        let mut r = Reader::new(bytes);
+        if r.take(4)? != MAGIC {
+            return Err("not a KGVI mapped catalog (bad magic)".into());
+        }
+        let version = r.u32()?;
+        if version != FORMAT_VERSION {
+            return Err(format!(
+                "unsupported KGVI version {version} (reader supports {FORMAT_VERSION})"
+            ));
+        }
+        let mut header: Option<(usize, usize)> = None;
+        let mut vector_block: Option<&[u8]> = None;
+        let mut name_block: Option<&[u8]> = None;
+        let mut hnsw: Option<Hnsw> = None;
+        let mut book: Option<PqCodebook> = None;
+        let mut codes: Option<&[u8]> = None;
+        while !r.at_end() {
+            let tag = r.u32()?;
+            let len = r.u64()? as usize;
+            let payload = r.take(len)?;
+            match tag {
+                TAG_HEADER => {
+                    let mut h = Reader::new(payload);
+                    let count = h.u64()? as usize;
+                    let dim = h.u32()? as usize;
+                    h.expect_end("KGVI header")?;
+                    header = Some((count, dim));
+                }
+                TAG_VECTORS => vector_block = Some(payload),
+                TAG_NAMES => name_block = Some(payload),
+                TAG_HNSW => hnsw = Some(Hnsw::from_bytes(payload)?),
+                TAG_PQ_BOOK => book = Some(PqCodebook::from_bytes(payload)?),
+                TAG_PQ_CODES => codes = Some(payload),
+                _ => {} // Forward compatibility: skip unknown sections.
+            }
+        }
+        let (count, dim) = header.ok_or("KGVI missing header section")?;
+        let vector_block = vector_block.ok_or("KGVI missing vectors section")?;
+        let names = decode_names(name_block.ok_or("KGVI missing names section")?, count)?;
+        let expected = count
+            .checked_mul(dim)
+            .and_then(|n| n.checked_mul(8))
+            .ok_or("KGVI vector section size overflows")?;
+        if vector_block.len() != expected {
+            return Err(format!(
+                "KGVI vectors section holds {} bytes, header implies {expected}",
+                vector_block.len()
+            ));
+        }
+        // `count` is now bounded by the name offset table actually read.
+        let mut v = Reader::new(vector_block);
+        let mut vectors = Vec::with_capacity(count);
+        for _ in 0..count {
+            vectors.push((0..dim).map(|_| v.f64()).collect::<Result<Vec<f64>, _>>()?);
+        }
+        if let Some(graph) = &hnsw {
+            if graph.len() != count {
+                return Err(format!(
+                    "KGVI HNSW graph indexes {} nodes but catalog holds {count}",
+                    graph.len()
+                ));
+            }
+        }
+        let pq = match (book, codes) {
+            (None, None) => None,
+            (Some(book), Some(codes)) => {
+                if book.dim() != dim {
+                    return Err(format!(
+                        "KGVI PQ codebooks cover dim {} but catalog is dim {dim}",
+                        book.dim()
+                    ));
+                }
+                if count.checked_mul(book.m()) != Some(codes.len()) {
+                    return Err(format!(
+                        "KGVI PQ code section holds {} bytes for {count} vectors of {} codes",
+                        codes.len(),
+                        book.m()
+                    ));
+                }
+                Some(Pq::from_parts(book, codes.to_vec())?)
+            }
+            _ => {
+                return Err(
+                    "KGVI PQ sections must appear in pairs (codebooks + code matrix)".into(),
+                )
+            }
+        };
+        Ok(VectorIndex {
+            names,
+            vectors,
+            hnsw,
+            pq,
+            parallelism: 0,
+        })
+    }
+}
+
+/// Decodes the names section — `u64 count · (count+1) offsets · blob` —
+/// requiring monotone offsets that start at 0, end at the blob's end, and
+/// slice it into valid UTF-8.
+fn decode_names(block: &[u8], count: usize) -> Result<Vec<String>, String> {
+    let mut r = Reader::new(block);
+    let name_count = r.u64()? as usize;
+    if name_count != count {
+        return Err(format!(
+            "KGVI names section lists {name_count} names for {count} vectors"
+        ));
+    }
+    let table_len = count
+        .checked_add(1)
+        .and_then(|c| c.checked_mul(8))
+        .ok_or("KGVI name offset table size overflows")?;
+    let mut table = Reader::new(r.take(table_len)?);
+    let blob = r.take(r.remaining())?;
+    let mut names = Vec::with_capacity(count);
+    let mut prev = table.u64()?;
+    if prev != 0 {
+        return Err("KGVI name offsets must start at 0".into());
+    }
+    for i in 0..count {
+        let off = table.u64()?;
+        let name = blob
+            .get(prev as usize..off as usize)
+            .ok_or_else(|| format!("KGVI name offset {i} out of order or out of range"))?;
+        let name =
+            std::str::from_utf8(name).map_err(|_| format!("KGVI name {i} is not valid UTF-8"))?;
+        names.push(name.to_string());
+        prev = off;
+    }
+    if prev != blob.len() as u64 {
+        return Err("KGVI name offsets do not cover the blob".into());
+    }
+    Ok(names)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hnsw::HnswConfig;
+    use crate::pq::PqConfig;
 
     fn catalog(n: usize, dim: usize) -> VectorIndex {
         let mut idx = VectorIndex::new();
@@ -634,38 +275,54 @@ mod tests {
         idx
     }
 
-    #[test]
-    fn mapped_exact_matches_owned_bitwise() {
-        let idx = catalog(80, 7);
-        let mapped = MappedIndex::from_vec(idx.to_mapped_bytes().unwrap()).unwrap();
-        assert_eq!(mapped.len(), 80);
-        assert_eq!(mapped.dim(), 7);
-        for q in 0..10 {
-            let query = idx.vector(q).unwrap().to_vec();
-            let owned = idx.top_k(&query, 5);
-            let via_map = mapped.top_k(&query, 5);
-            assert_eq!(owned.len(), via_map.len());
-            for ((na, sa), (nb, sb)) in owned.iter().zip(&via_map) {
-                assert_eq!(na, nb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "query {q} diverged");
+    /// Rebuilds a `KGVI` payload keeping only the sections `keep` admits.
+    fn filter_sections(full: &[u8], keep: impl Fn(u32) -> bool) -> Vec<u8> {
+        let mut r = Reader::new(full);
+        r.take(8).unwrap(); // magic + version
+        let mut out = full[..8].to_vec();
+        while !r.at_end() {
+            let tag = r.u32().unwrap();
+            let len = r.u64().unwrap() as usize;
+            let payload = r.take(len).unwrap();
+            if keep(tag) {
+                section(&mut out, tag, payload);
             }
         }
+        out
     }
 
+    /// Exact, HNSW, PQ-only, and HNSW+PQ catalogs survive `to_mapped_bytes
+    /// → from_mapped_bytes` with identical names, vector bits, tier, and
+    /// re-encoded bytes, and answer `search` bit-identically.
     #[test]
-    fn mapped_hnsw_matches_owned_bitwise() {
-        let mut idx = catalog(100, 6);
-        idx.build_hnsw(HnswConfig::default());
-        let mapped = MappedIndex::from_vec(idx.to_mapped_bytes().unwrap()).unwrap();
-        assert!(mapped.has_hnsw());
-        for q in 0..10 {
-            let query = idx.vector(q).unwrap().to_vec();
-            let owned = idx.search(&query, 5);
-            let via_map = mapped.top_k(&query, 5);
-            assert_eq!(owned.len(), via_map.len());
-            for ((na, sa), (nb, sb)) in owned.iter().zip(&via_map) {
-                assert_eq!(na, nb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "query {q} diverged");
+    fn kgvi_roundtrip_is_byte_and_answer_identical() {
+        let pq = PqConfig {
+            m: 4,
+            rerank: 4,
+            seed: 0,
+        };
+        for (graph, quantized) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut idx = catalog(120, 8);
+            if graph {
+                idx.build_hnsw(HnswConfig::default());
+            }
+            if quantized {
+                idx.quantize(pq).unwrap();
+            }
+            let bytes = idx.to_mapped_bytes().unwrap();
+            let decoded = VectorIndex::from_mapped_bytes(&bytes).unwrap();
+            let what = format!("graph={graph} pq={quantized}");
+            assert_eq!(decoded.to_mapped_bytes().unwrap(), bytes, "{what}");
+            assert_eq!(decoded.to_bytes(), idx.to_bytes(), "{what}");
+            assert_eq!(decoded.stats(), idx.stats(), "{what}");
+            for q in 0..12 {
+                let query = idx.vector(q).unwrap().to_vec();
+                let (a, b) = (idx.search(&query, 5), decoded.search(&query, 5));
+                assert_eq!(a.len(), b.len());
+                for ((na, sa), (nb, sb)) in a.iter().zip(&b) {
+                    assert_eq!(na, nb, "{what} query {q}");
+                    assert_eq!(sa.to_bits(), sb.to_bits(), "{what} query {q}");
+                }
             }
         }
     }
@@ -681,30 +338,24 @@ mod tests {
     }
 
     #[test]
-    fn names_and_vectors_decode_in_place() {
-        let idx = catalog(12, 3);
-        let mapped = MappedIndex::from_vec(idx.to_mapped_bytes().unwrap()).unwrap();
-        for i in 0..12 {
-            assert_eq!(mapped.name(i), Some(format!("table-{i}").as_str()));
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&mapped.vector(i).unwrap()),
-                bits(idx.vector(i).unwrap())
-            );
-        }
-        assert_eq!(mapped.name(12), None);
-        assert_eq!(mapped.vector(12), None);
+    fn empty_catalog_roundtrips() {
+        let bytes = VectorIndex::new().to_mapped_bytes().unwrap();
+        let decoded = VectorIndex::from_mapped_bytes(&bytes).unwrap();
+        assert!(decoded.is_empty());
+        assert!(decoded.search(&[1.0, 0.0], 3).is_empty());
     }
 
     #[test]
-    fn open_rejects_malformed_files() {
+    fn decode_rejects_malformed_files() {
         let idx = catalog(5, 3);
         let bytes = idx.to_mapped_bytes().unwrap();
-        assert!(MappedIndex::from_vec(bytes[..bytes.len() - 3].to_vec()).is_err());
-        assert!(MappedIndex::from_vec(b"NOPE".to_vec()).is_err());
+        assert!(VectorIndex::from_mapped_bytes(&bytes[..bytes.len() - 3]).is_err());
+        assert!(VectorIndex::from_mapped_bytes(b"NOPE").is_err());
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFF;
-        assert!(MappedIndex::from_vec(bad_version).is_err());
+        assert!(VectorIndex::from_mapped_bytes(&bad_version).is_err());
+        let no_names = filter_sections(&bytes, |tag| tag != TAG_NAMES);
+        assert!(VectorIndex::from_mapped_bytes(&no_names).is_err());
         let mut ragged = VectorIndex::new();
         ragged.add("a", vec![1.0, 0.0]);
         ragged.add("b", vec![1.0]);
@@ -717,47 +368,12 @@ mod tests {
         let mut bytes = idx.to_mapped_bytes().unwrap();
         // Append an unknown tag-99 section; the reader must ignore it.
         section(&mut bytes, 99, b"future data");
-        let mapped = MappedIndex::from_vec(bytes).unwrap();
-        assert_eq!(mapped.len(), 4);
-    }
-
-    #[test]
-    fn mapped_quantized_matches_owned_bitwise() {
-        use crate::pq::PqConfig;
-        for build_graph in [false, true] {
-            let mut idx = catalog(120, 8);
-            if build_graph {
-                idx.build_hnsw(HnswConfig::default());
-            }
-            idx.quantize(PqConfig {
-                m: 4,
-                rerank: 4,
-                seed: 0,
-            })
-            .unwrap();
-            let mapped = MappedIndex::from_vec(idx.to_mapped_bytes().unwrap()).unwrap();
-            assert!(mapped.is_quantized());
-            for q in 0..12 {
-                let query = idx.vector(q).unwrap().to_vec();
-                let owned = idx.search(&query, 5);
-                let via_map = mapped.top_k(&query, 5);
-                assert_eq!(owned.len(), via_map.len());
-                for ((na, sa), (nb, sb)) in owned.iter().zip(&via_map) {
-                    assert_eq!(na, nb);
-                    assert_eq!(
-                        sa.to_bits(),
-                        sb.to_bits(),
-                        "query {q} diverged (graph={build_graph})"
-                    );
-                }
-            }
-            assert_eq!(mapped.stats().pq_bytes, idx.stats().pq_bytes);
-        }
+        let decoded = VectorIndex::from_mapped_bytes(&bytes).unwrap();
+        assert_eq!(decoded.len(), 4);
     }
 
     #[test]
     fn pq_sections_must_pair() {
-        use crate::pq::PqConfig;
         let mut idx = catalog(20, 6);
         idx.quantize(PqConfig {
             m: 3,
@@ -766,36 +382,15 @@ mod tests {
         })
         .unwrap();
         let full = idx.to_mapped_bytes().unwrap();
-        // Rebuild the file keeping every section except tag-6 codes: a
-        // book without its matrix must be rejected, not half-loaded.
-        let mut r = Reader::new(&full);
-        r.take(8).unwrap(); // magic + version
-        let mut stripped = full[..8].to_vec();
-        while !r.at_end() {
-            let tag = r.u32().unwrap();
-            let len = r.u64().unwrap() as usize;
-            let payload = r.take(len).unwrap();
-            if tag != TAG_PQ_CODES {
-                section(&mut stripped, tag, payload);
-            }
-        }
-        assert!(MappedIndex::from_vec(stripped).is_err());
+        // A book without its matrix must be rejected, not half-loaded.
+        let stripped = filter_sections(&full, |tag| tag != TAG_PQ_CODES);
+        assert!(VectorIndex::from_mapped_bytes(&stripped).is_err());
         // Dropping both PQ sections is the pre-PQ file: loads, answers
         // full-precision.
-        let mut r = Reader::new(&full);
-        r.take(8).unwrap();
-        let mut pre_pq = full[..8].to_vec();
-        while !r.at_end() {
-            let tag = r.u32().unwrap();
-            let len = r.u64().unwrap() as usize;
-            let payload = r.take(len).unwrap();
-            if tag != TAG_PQ_CODES && tag != TAG_PQ_BOOK {
-                section(&mut pre_pq, tag, payload);
-            }
-        }
-        let mapped = MappedIndex::from_vec(pre_pq).unwrap();
-        assert!(!mapped.is_quantized());
-        assert_eq!(mapped.len(), 20);
+        let pre_pq = filter_sections(&full, |tag| tag != TAG_PQ_CODES && tag != TAG_PQ_BOOK);
+        let decoded = VectorIndex::from_mapped_bytes(&pre_pq).unwrap();
+        assert!(!decoded.is_quantized());
+        assert_eq!(decoded.len(), 20);
     }
 
     #[test]
@@ -806,9 +401,9 @@ mod tests {
         let mut idx = catalog(20, 4);
         idx.build_hnsw(HnswConfig::default());
         idx.write_mapped(&path).unwrap();
-        let mapped = MappedIndex::open(&path).unwrap();
+        let decoded = VectorIndex::open_mapped(&path).unwrap();
         let query = idx.vector(3).unwrap().to_vec();
-        assert_eq!(idx.search(&query, 3), mapped.top_k(&query, 3));
+        assert_eq!(idx.search(&query, 3), decoded.search(&query, 3));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -23,10 +23,10 @@
 //!
 //! PQ is a storage/scoring layer under the existing tiers, not a new
 //! tier. Compression changes what a query *costs*, never what `top_k`
-//! *returns*: the beam (HNSW descent or IVF list scan) reads codes, the
-//! top `rerank × k` candidates are re-scored with exact [`cosine`] over
-//! the retained full-precision vectors, and the final `(score desc, id
-//! asc)` order is computed from those exact scores. Whenever the rerank
+//! *returns*: the tier's candidate scan (HNSW beam or full scan) reads
+//! codes, the top `rerank × k` candidates are re-scored with exact
+//! [`cosine`] over the retained full-precision vectors, and the final
+//! `(score desc, id asc)` order is computed from those exact scores. Whenever the rerank
 //! window covers the candidate pool, the answer is bit-identical to the
 //! unquantized index.
 //!
@@ -85,8 +85,7 @@ impl Default for PqConfig {
 }
 
 /// Trained per-subspace codebooks (no codes) — the part of the PQ state
-/// a mapped (`KGVI`) reader parses owned while the code matrix stays
-/// zero-copy in the file buffer.
+/// a `KGVI` file stores as its own section, apart from the code matrix.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PqCodebook {
     m: usize,
@@ -164,9 +163,9 @@ fn nearest_centroid(block: &[f64], len: usize, row: &[f64]) -> usize {
 /// Runs `f` over `0..n` on a rayon pool clamped by
 /// [`effective_parallelism`], collecting results in input order — the
 /// reduction is index-ordered, so any worker count (including the
-/// sequential fallback) produces bit-identical output. Shared by the IVF
-/// k-means assignment step and PQ codebook training/encoding.
-pub(crate) fn par_map_indices<T, F>(n: usize, requested: usize, f: F) -> Vec<T>
+/// sequential fallback) produces bit-identical output. Shared by PQ
+/// codebook training and encoding.
+fn par_map_indices<T, F>(n: usize, requested: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -337,12 +336,9 @@ impl PqCodebook {
                 ksub * dim
             ));
         }
-        let mut codebooks = Vec::with_capacity(cb_len.min(1 << 24));
+        let mut codebooks = Vec::with_capacity(cb_len.min(r.remaining() / 8));
         for _ in 0..cb_len {
-            let chunk = r.take(8)?;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(chunk);
-            codebooks.push(f64::from_le_bytes(buf));
+            codebooks.push(r.f64()?);
         }
         Ok(PqCodebook {
             m,
@@ -570,27 +566,26 @@ impl Pq {
         let code_len = r.u64()? as usize;
         let codes = r.take(code_len)?.to_vec();
         r.expect_end("PQ state")?;
-        let pq = Pq { book, codes };
-        pq.validate()?;
-        Ok(pq)
+        Pq::from_parts(book, codes)
     }
 
-    /// Checks the code matrix is whole rows of in-range codebook ids.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.book.m == 0 || !self.codes.len().is_multiple_of(self.book.m) {
+    /// Assembles PQ state from decoded codebooks and a code matrix,
+    /// checking the matrix is whole rows of in-range codebook ids.
+    pub(crate) fn from_parts(book: PqCodebook, codes: Vec<u8>) -> Result<Pq, String> {
+        if book.m == 0 || !codes.len().is_multiple_of(book.m) {
             return Err(format!(
                 "PQ code matrix of {} bytes is not whole {}-byte rows",
-                self.codes.len(),
-                self.book.m
+                codes.len(),
+                book.m
             ));
         }
-        if let Some(&bad) = self.codes.iter().find(|&&c| c as usize >= self.book.ksub) {
+        if let Some(&bad) = codes.iter().find(|&&c| c as usize >= book.ksub) {
             return Err(format!(
                 "PQ code {bad} out of range for a {}-entry codebook",
-                self.book.ksub
+                book.ksub
             ));
         }
-        Ok(())
+        Ok(Pq { book, codes })
     }
 }
 

@@ -5,10 +5,10 @@
 //! * insert-then-query ≡ build-from-scratch, serialized graphs included,
 //! * queries are bit-identical at any parallelism (threads share one
 //!   graph; reads must not depend on scheduling),
-//! * the mapped (`KGVI`) catalog answers bit-identically to the owned
-//!   index, through a disk round-trip.
+//! * a graph catalog survives a `KGVI` file round-trip through disk:
+//!   same bytes on re-export, bit-identical answers.
 
-use kgpip_embeddings::{Hnsw, HnswConfig, MappedIndex, SliceSource, VectorIndex};
+use kgpip_embeddings::{Hnsw, HnswConfig, SliceSource, VectorIndex};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -116,10 +116,10 @@ fn queries_are_bit_identical_at_any_parallelism() {
     }
 }
 
-/// Owned index → KGVI file → mapped open: same bytes on re-export, same
-/// answers to the bit on every tier the file can carry.
+/// Index → KGVI file → decoded index: same bytes on re-export, same
+/// answers to the bit.
 #[test]
-fn mapped_roundtrip_is_bit_identical() {
+fn kgvi_roundtrip_is_bit_identical() {
     let vecs = vectors(300, 10, 1.0);
     let mut idx = VectorIndex::new();
     for (i, v) in vecs.iter().enumerate() {
@@ -131,18 +131,18 @@ fn mapped_roundtrip_is_bit_identical() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("catalog.kgvi");
     idx.write_mapped(&path).unwrap();
-    let mapped = MappedIndex::open(&path).unwrap();
-    assert!(mapped.has_hnsw());
+    let decoded = VectorIndex::open_mapped(&path).unwrap();
+    assert!(decoded.has_hnsw());
 
-    // The file is deterministic: exporting again produces the same bytes.
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        idx.to_mapped_bytes().unwrap()
-    );
+    // The file is deterministic: exporting either index again produces
+    // the same bytes.
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(file, idx.to_mapped_bytes().unwrap());
+    assert_eq!(file, decoded.to_mapped_bytes().unwrap());
 
     for (q, query) in vecs.iter().enumerate().take(30) {
         let owned = idx.search(query, 7);
-        let via_map = mapped.top_k(query, 7);
+        let via_map = decoded.search(query, 7);
         assert_eq!(owned.len(), via_map.len());
         for ((na, sa), (nb, sb)) in owned.iter().zip(&via_map) {
             assert_eq!(na, nb, "q={q}");

@@ -6,12 +6,12 @@
 //! * codebook training is bit-identical at any requested worker count,
 //! * encode/decode reconstruction error is bounded (and exact when every
 //!   training row gets its own centroid),
-//! * the mapped (`KGVI`) quantized catalog answers bit-identically to
-//!   the owned index, through a disk round-trip,
+//! * a quantized catalog survives a `KGVI` file round-trip through disk
+//!   with bit-identical answers and byte accounting,
 //! * pre-PQ readers of new `.kgvi` files and new readers of pre-PQ
 //!   files both keep working (tagged-section skipping).
 
-use kgpip_embeddings::{HnswConfig, MappedIndex, PqConfig, VectorIndex};
+use kgpip_embeddings::{HnswConfig, PqConfig, VectorIndex};
 use proptest::prelude::*;
 
 fn vectors(n: usize, dim: usize, phase: f64) -> Vec<Vec<f64>> {
@@ -70,28 +70,6 @@ proptest! {
             prop_assert_eq!(sa.to_bits(), sb.to_bits());
         }
     }
-
-    /// IVF-tier quantized search degenerates to the unquantized IVF
-    /// answer when the rerank window covers everything the probes scan.
-    #[test]
-    fn quantized_ivf_equals_unquantized_ivf_when_rerank_covers_probes(
-        n in 20usize..60,
-        nlist in 2usize..6,
-        phase in -3.0f64..3.0,
-    ) {
-        let vecs = vectors(n, 6, phase);
-        let mut idx = catalog(&vecs);
-        idx.train_ivf(nlist, nlist, 7);
-        let k = 5usize;
-        let unquantized = idx.search(&vecs[1], k);
-        idx.quantize(PqConfig { m: 3, rerank: n / k + 1, seed: 0 }).unwrap();
-        let quantized = idx.search(&vecs[1], k);
-        prop_assert_eq!(unquantized.len(), quantized.len());
-        for ((na, sa), (nb, sb)) in unquantized.iter().zip(&quantized) {
-            prop_assert_eq!(na, nb);
-            prop_assert_eq!(sa.to_bits(), sb.to_bits());
-        }
-    }
 }
 
 /// Codebook training and encoding are bit-identical at any requested
@@ -115,27 +93,6 @@ fn codebooks_are_bit_identical_across_worker_counts() {
             Some(b) => assert_eq!(
                 b, &bytes,
                 "worker count {workers} changed the quantized index bytes"
-            ),
-        }
-    }
-}
-
-/// IVF k-means (the parallelized assignment step) is likewise
-/// bit-identical at any worker count.
-#[test]
-fn ivf_training_is_bit_identical_across_worker_counts() {
-    let vecs = vectors(300, 8, 1.0);
-    let mut baseline: Option<Vec<u8>> = None;
-    for workers in [0usize, 1, 2, 4] {
-        let mut idx = catalog(&vecs);
-        idx.set_parallelism(workers);
-        idx.train_ivf(17, 4, 9);
-        let bytes = idx.to_bytes();
-        match &baseline {
-            None => baseline = Some(bytes),
-            Some(b) => assert_eq!(
-                b, &bytes,
-                "worker count {workers} changed the IVF index bytes"
             ),
         }
     }
@@ -194,10 +151,10 @@ fn small_catalog_reconstructs_exactly() {
     }
 }
 
-/// The `.kgvi` mapped file round-trips a quantized HNSW catalog through
-/// disk and answers bit-identically to the owned index.
+/// The `.kgvi` file round-trips a quantized HNSW catalog through disk and
+/// answers bit-identically to the index that wrote it.
 #[test]
-fn mapped_quantized_roundtrip_matches_owned() {
+fn kgvi_quantized_roundtrip_matches_original() {
     let vecs = vectors(150, 10, 0.0);
     let mut idx = catalog(&vecs);
     idx.build_hnsw(HnswConfig::default());
@@ -211,17 +168,17 @@ fn mapped_quantized_roundtrip_matches_owned() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("catalog.kgvi");
     idx.write_mapped(&path).unwrap();
-    let mapped = MappedIndex::open(&path).unwrap();
-    assert!(mapped.is_quantized());
+    let decoded = VectorIndex::open_mapped(&path).unwrap();
+    assert!(decoded.is_quantized());
     for q in 0..15 {
         let query = idx.vector(q).unwrap().to_vec();
         assert_bitwise_eq(
             &idx.search(&query, 5),
-            &mapped.top_k(&query, 5),
-            &format!("disk-mapped query {q}"),
+            &decoded.search(&query, 5),
+            &format!("disk round-trip query {q}"),
         );
     }
-    let stats = mapped.stats();
+    let stats = decoded.stats();
     assert!(stats.quantized);
     // The code matrix is count × m bytes vs count × dim × 8 for the f64
     // block (the fixed codebook cost amortizes away at catalog scale —

@@ -83,10 +83,10 @@ impl WorkspaceConfig {
         ];
         // kgpip-embeddings: compute rules plus the serve-path panic rule
         // on the similarity tiers a serving process runs — the HNSW
-        // graph, the mapped (`KGVI`) catalog, and the product-quantized
-        // store its scans read. A malformed index file or a query of any
-        // shape must surface as a Result or an empty answer, never a
-        // panic in a worker.
+        // graph and the product-quantized store its scans read — and on
+        // the `KGVI` catalog decoder. A malformed index file or a query
+        // of any shape must surface as a Result or an empty answer, never
+        // a panic in a worker.
         let mut embeddings = compute("crates/embeddings");
         embeddings.rules.push("panic-in-serve-path".to_string());
         embeddings.panic_files = vec![

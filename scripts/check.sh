@@ -32,8 +32,10 @@ echo "==> chunked-identity suite (chunking changes cost, never results)"
 cargo test -p kgpip-tabular --test chunked_identity -q
 cargo test -p kgpip-learners --test gbt_chunked -q
 
-echo "==> similarity-tier suite (HNSW determinism; mapped ≡ owned; recall gate)"
+echo "==> similarity-tier suite (HNSW determinism; KGVI round-trip; decoder fuzz and allocation bounds; recall gate)"
 cargo test -p kgpip-embeddings --test hnsw -q
+cargo test -p kgpip-embeddings --test decode_fuzz -q
+cargo test -p kgpip-embeddings --test decode_alloc -q
 cargo test -p kgpip-benchdata --test recall -q
 
 echo "==> product-quantization suite (rerank ≡ exact; codebooks bit-stable across workers; .kgvi PQ round-trip)"

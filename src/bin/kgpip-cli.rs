@@ -56,19 +56,18 @@
 //! `--json` emits the full machine-readable report (findings plus every
 //! justified suppression).
 //!
-//! `index` manages standalone `.kgvi` similarity-catalog files, the
-//! mmap-backed format a serving process opens read-only for warm starts.
+//! `index` manages standalone `.kgvi` similarity-catalog files, which
+//! decode into the same `VectorIndex` a trained model searches.
 //! `build` exports a model's catalog (`--model`) or a seeded synthetic
 //! one (`--n/--dim/--clusters`); `--tier auto` builds the HNSW graph
-//! once the catalog crosses the auto-tune threshold. (IVF is an
-//! in-memory mid-band tier and is not serialized to `.kgvi` files.)
+//! once the catalog crosses the auto-tune threshold.
 //! `--pq m=8,rerank=4` product-quantizes the vector store before export:
 //! tier scans read compact codes with an exact top-`rerank × k` re-rank,
 //! so answers stay exact-ordered while resident bytes shrink.
 //! `query` measures queries/sec over seeded synthetic probes and, with
 //! `--recall`, scores the graph tier's recall@K against the exact scan.
 //! `stats` prints the catalog's shape, tier, and per-component resident
-//! bytes without loading vectors.
+//! bytes.
 //!
 //! Layout expected by `train`:
 //! * `--scripts DIR` — one subdirectory per dataset, each containing the
@@ -546,13 +545,13 @@ fn cmd_xlint(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
 }
 
 /// Builds, queries, and inspects standalone `.kgvi` similarity-catalog
-/// files (`kgpip_embeddings::MappedIndex`).
+/// files (`kgpip_embeddings::VectorIndex::open_mapped`).
 // The CLI prints build times and queries/sec for humans; wall-clock here
 // never reaches a compute result.
 #[allow(clippy::disallowed_methods)]
 fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResult {
     use kgpip_benchdata::{recall_at_k, synthetic_embeddings};
-    use kgpip_embeddings::{HnswConfig, MappedIndex, VectorIndex};
+    use kgpip_embeddings::{HnswConfig, VectorIndex};
     use std::time::Instant;
 
     match args.get(1).map(String::as_str) {
@@ -614,31 +613,31 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(200);
             let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-            let mapped = MappedIndex::open(&path)?;
-            if mapped.is_empty() {
+            let index = VectorIndex::open_mapped(&path)?;
+            if index.is_empty() {
                 return Err("index holds no vectors".into());
             }
             // A distinct derived seed keeps probes off the catalog points
             // even when both were synthesized with the same base seed.
-            let probes = synthetic_embeddings(queries, mapped.dim(), 32, seed ^ 0x9e37_79b9);
+            let probes = synthetic_embeddings(queries, index.stats().dim, 32, seed ^ 0x9e37_79b9);
             let started = Instant::now();
             let mut retrieved = 0usize;
             for q in &probes {
-                retrieved += mapped.top_k(q, k).len();
+                retrieved += index.search(q, k).len();
             }
             let elapsed = started.elapsed().as_secs_f64();
             println!(
                 "{} probes x top-{k} over {} vectors (tier {}{}): {:.0} queries/sec ({retrieved} results)",
                 probes.len(),
-                mapped.len(),
-                if mapped.has_hnsw() { "hnsw" } else { "exact" },
-                if mapped.is_quantized() { "+pq" } else { "" },
+                index.len(),
+                index.tier(),
+                if index.is_quantized() { "+pq" } else { "" },
                 probes.len() as f64 / elapsed.max(1e-9),
             );
             if args.iter().any(|a| a == "--recall") {
                 let mut total = 0.0;
                 for q in &probes {
-                    total += recall_at_k(&mapped.top_k_exact(q, k), &mapped.top_k(q, k), k);
+                    total += recall_at_k(&index.top_k(q, k), &index.search(q, k), k);
                 }
                 println!(
                     "recall@{k} vs exact scan: {:.3}",
@@ -650,13 +649,13 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
         Some("stats") => {
             let path = require(flag, "--index")?;
             let bytes = std::fs::metadata(&path)?.len();
-            let mapped = MappedIndex::open(&path)?;
+            let index = VectorIndex::open_mapped(&path)?;
+            let stats = index.stats();
             println!(
                 "{path}: {} vectors x {} dims, {bytes} bytes on disk",
-                mapped.len(),
-                mapped.dim()
+                stats.count, stats.dim
             );
-            match mapped.hnsw() {
+            match index.hnsw() {
                 Some(h) => println!(
                     "  tier: hnsw — {} layers, {} links, m={}, ef_construction={}, ef_search={}, seed={}",
                     h.num_layers(),
@@ -668,7 +667,6 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
                 ),
                 None => println!("  tier: exact (no graph section)"),
             }
-            let stats = mapped.stats();
             println!(
                 "  resident: {} bytes total — vectors {}, hnsw {}, pq {}",
                 stats.resident_bytes(),
@@ -676,7 +674,7 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
                 stats.hnsw_bytes,
                 stats.pq_bytes
             );
-            if let Some(book) = mapped.pq_book() {
+            if let Some(book) = index.pq().map(|pq| pq.book()) {
                 println!(
                     "  pq: m={}, ksub={}, rerank={}, seed={} — tier scans read {} bytes (vs {} full-precision)",
                     book.m(),

@@ -1,7 +1,8 @@
 //! File-level workflow: write a corpus + tables to disk the way the CLI
 //! expects, train through `Kgpip::train` from those files, save, reload,
 //! and run on a CSV dataset — the full downstream-user path without
-//! spawning a subprocess.
+//! spawning a subprocess. The `.kgvi` catalog commands, whose only
+//! consumer is the CLI, are driven through the built `kgpip-cli` binary.
 
 use kgpip::{Kgpip, KgpipConfig};
 use kgpip_benchdata::{training_setup, ScaleConfig};
@@ -10,6 +11,7 @@ use kgpip_graphgen::GeneratorConfig;
 use kgpip_hpo::{Flaml, TimeBudget};
 use kgpip_tabular::{csv, Dataset};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("kgpip_cli_files_test").join(name);
@@ -114,4 +116,58 @@ fn csv_on_disk_roundtrip_feeds_training_and_prediction() {
     assert!(run.best_score() > 0.5, "score {}", run.best_score());
 
     std::fs::remove_dir_all(std::env::temp_dir().join("kgpip_cli_files_test")).ok();
+}
+
+/// Runs `kgpip-cli` with `args`, asserting success; returns stdout.
+fn kgpip_cli(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_kgpip-cli"))
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "kgpip-cli {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn index_build_query_stats_roundtrip_a_quantized_graph_catalog() {
+    let dir = std::env::temp_dir().join("kgpip_cli_index_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("catalog.kgvi");
+    let path = path.to_str().unwrap();
+    kgpip_cli(&[
+        "index",
+        "build",
+        "--n",
+        "300",
+        "--dim",
+        "16",
+        "--tier",
+        "hnsw",
+        "--pq",
+        "m=4,rerank=4",
+        "--out",
+        path,
+    ]);
+    let query = kgpip_cli(&[
+        "index",
+        "query",
+        "--index",
+        path,
+        "--k",
+        "5",
+        "--queries",
+        "20",
+        "--recall",
+    ]);
+    assert!(query.contains("tier hnsw+pq"), "{query}");
+    assert!(query.contains("recall@5 vs exact scan"), "{query}");
+    let stats = kgpip_cli(&["index", "stats", "--index", path]);
+    assert!(stats.contains("300 vectors x 16 dims"), "{stats}");
+    assert!(stats.contains("tier: hnsw"), "{stats}");
+    assert!(stats.contains("pq: m=4"), "{stats}");
+    std::fs::remove_dir_all(&dir).ok();
 }
