@@ -8,8 +8,8 @@
 //!   the acceptance bar is ≥ 1.5× rows/sec at p ≥ 2 over `read_frame`;
 //!   on a 1-CPU host (where `effective_parallelism` clamps every arm to
 //!   one worker) the bar is parity with ≤ 2 resident chunks per worker.
-//! * `gbt_fit_*` — histogram GBT fits: dense `fit` vs `fit_chunked`
-//!   (sample-fit bin edges, per-chunk binning, no dense matrix).
+//! * `gbt_fit_dense` — a histogram GBT fit on the dense encoded matrix,
+//!   the one fit path every trial takes.
 //! * `embed_*` — table embeddings: in-memory `table_embedding` vs the
 //!   sampled chunk-streaming `table_embedding_chunked`.
 //!
@@ -23,7 +23,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kgpip_embeddings::{table_embedding, table_embedding_chunked};
 use kgpip_learners::estimators::gbt::{GbtConfig, GradientBoosting};
-use kgpip_learners::{ChunkedMatrix, Estimator, EstimatorKind, Matrix};
+use kgpip_learners::{Estimator, EstimatorKind, Matrix};
 use kgpip_tabular::{csv::read_frame, read_chunked_with_report, ChunkedReadOptions, Task};
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,7 +34,7 @@ const CSV_ROWS: usize = 40_000;
 /// Rows per chunk for the streaming arms.
 const CHUNK_ROWS: usize = 4096;
 
-/// Row-sample bound for the sampled embedding / GBT edge arms.
+/// Row-sample bound for the sampled embedding arm.
 const SAMPLE_BOUND: usize = 8192;
 
 /// A deterministic mixed-type CSV document: numeric, categorical, and
@@ -128,25 +128,11 @@ fn bench_tabular_chunked(c: &mut Criterion) {
     });
 
     let (x, y) = gbt_fixture(20_000);
-    let cm = ChunkedMatrix::from_matrix(&x, CHUNK_ROWS);
     group.bench_function("gbt_fit_dense", |b| {
         b.iter(|| {
             let mut m = GradientBoosting::new(gbt_config());
             m.fit(black_box(&x), black_box(&y), Task::Regression)
                 .unwrap();
-            m
-        })
-    });
-    group.bench_function("gbt_fit_chunked", |b| {
-        b.iter(|| {
-            let mut m = GradientBoosting::new(gbt_config());
-            m.fit_chunked(
-                black_box(&cm),
-                black_box(&y),
-                Task::Regression,
-                SAMPLE_BOUND,
-            )
-            .unwrap();
             m
         })
     });
@@ -207,22 +193,10 @@ fn bench_tabular_chunked(c: &mut Criterion) {
         let mut m = GradientBoosting::new(gbt_config());
         m.fit(&x, &y, Task::Regression).unwrap();
     });
-    let chunked_secs = timed(&|| {
-        let mut m = GradientBoosting::new(gbt_config());
-        m.fit_chunked(&cm, &y, Task::Regression, SAMPLE_BOUND)
-            .unwrap();
-    });
     println!(
         "BENCH_JSON {{\"id\":\"tabular_gbt_fit_dense\",\"rows\":{},\"rows_per_sec\":{:.0}}}",
         x.rows(),
         x.rows() as f64 / dense_secs.max(1e-9)
-    );
-    println!(
-        "BENCH_JSON {{\"id\":\"tabular_gbt_fit_chunked\",\"rows\":{},\"rows_per_sec\":{:.0},\
-         \"speedup_vs_dense\":{:.3}}}",
-        x.rows(),
-        x.rows() as f64 / chunked_secs.max(1e-9),
-        dense_secs / chunked_secs.max(1e-9),
     );
     let embed_dense_secs = timed(&|| {
         table_embedding(&frame);

@@ -14,23 +14,21 @@
 //! softmax (multi-class, one tree per class per round).
 //!
 //! The histogram engine is the trial hot path: bin edges are quantile-fit
-//! once per matrix content and memoized process-wide, per-node histograms
-//! accumulate in row order with feature scans fanned over rayon past a
-//! feature-count threshold, sibling nodes reuse the parent histogram by
-//! subtraction, and in-bag rows take their leaf value from the builder's
-//! assignments instead of re-traversing the tree. Every reduction has a
-//! fixed order, so fitted models are bit-identical at any worker count
-//! (`tests/gbt_determinism.rs`). The exact-split path stays available
-//! behind the `exact` hyperparameter.
+//! once per fit, per-node histograms accumulate in row order with feature
+//! scans fanned over rayon past a feature-count threshold, sibling nodes
+//! reuse the parent histogram by subtraction, and in-bag rows take their
+//! leaf value from the builder's assignments instead of re-traversing the
+//! tree. Every reduction has a fixed order, so fitted models are
+//! bit-identical at any worker count (`tests/gbt_determinism.rs`). The
+//! exact-split path stays available behind the `exact` hyperparameter.
 
 use super::{argmax_rows, check_fit_inputs, Estimator, EstimatorKind};
-use crate::matrix::{ChunkedMatrix, Matrix};
+use crate::matrix::Matrix;
 use crate::{LearnError, Result};
-use kgpip_tabular::{fnv1a, Task};
+use kgpip_tabular::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Hyperparameters of the boosting engine.
 #[derive(Debug, Clone)]
@@ -201,9 +199,7 @@ fn build_exact_node(
 // ---------------------------------------------------------------------------
 
 /// Quantile bin edges of one feature from its (unsorted) values: sort,
-/// dedup, then up to `max_bins` upper-inclusive edges. The edges depend
-/// only on the *set* of values, so any full-coverage sample of a column
-/// yields the same edges as the column itself.
+/// dedup, then up to `max_bins` upper-inclusive edges.
 fn quantile_edges(mut vals: Vec<f64>, max_bins: usize) -> Vec<f64> {
     vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
     vals.dedup();
@@ -230,9 +226,8 @@ fn bin_value(v: f64, edges: &[f64]) -> u16 {
 }
 
 /// Global quantile binning of the training matrix: per feature, up to
-/// `max_bins` bin edges; returns (bin index matrix as u16, per-feature bin
-/// upper edges).
-pub(crate) fn quantile_bins(x: &Matrix, max_bins: usize) -> (Vec<Vec<u16>>, Vec<Vec<f64>>) {
+/// `max_bins` bin edges and every row's bin index.
+fn quantile_bins(x: &Matrix, max_bins: usize) -> BinnedMatrix {
     let mut binned = Vec::with_capacity(x.cols());
     let mut edges_all = Vec::with_capacity(x.cols());
     for f in 0..x.cols() {
@@ -241,7 +236,10 @@ pub(crate) fn quantile_bins(x: &Matrix, max_bins: usize) -> (Vec<Vec<u16>>, Vec<
         binned.push(bins);
         edges_all.push(edges);
     }
-    (binned, edges_all)
+    BinnedMatrix {
+        bins: binned,
+        edges: edges_all,
+    }
 }
 
 /// A matrix pre-binned for histogram split finding: per-feature bin indices
@@ -251,114 +249,10 @@ struct BinnedMatrix {
     edges: Vec<Vec<f64>>,
 }
 
-/// Entries kept in the process-wide bin cache. Small: one entry per live
-/// encoded training matrix; HPO trials against the same split all hit the
-/// same entry.
-const BIN_CACHE_CAPACITY: usize = 8;
-
 /// Features at or above this count fan histogram accumulation / split scans
 /// out over rayon. Below it the parallel dispatch overhead dominates (and
 /// the trial-level engine already runs whole pipelines in parallel).
 const PAR_FEATURE_THRESHOLD: usize = 16;
-
-/// FNV-1a over the matrix dimensions and raw `f64` bit patterns.
-fn matrix_fingerprint(x: &Matrix) -> u64 {
-    let mut hash = fnv1a(b"gbt-bins");
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(x.rows() as u64);
-    mix(x.cols() as u64);
-    for v in x.as_slice() {
-        mix(v.to_bits());
-    }
-    hash
-}
-
-/// Returns the binned form of `x`, memoized process-wide so bin edges are
-/// fit once per (matrix content, `max_bins`) — every HPO trial sharing a
-/// cached encoded matrix skips the per-feature sorts entirely.
-fn binned_for(x: &Matrix, max_bins: usize) -> Arc<BinnedMatrix> {
-    type BinKey = (u64, usize, usize, usize);
-    type BinCache = Mutex<Vec<(BinKey, Arc<BinnedMatrix>)>>;
-    static CACHE: OnceLock<BinCache> = OnceLock::new();
-    let key: BinKey = (matrix_fingerprint(x), x.rows(), x.cols(), max_bins);
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    {
-        let mut cache = cache.lock().expect("bin cache poisoned");
-        if let Some(i) = cache.iter().position(|(k, _)| *k == key) {
-            let entry = cache.remove(i);
-            let out = Arc::clone(&entry.1);
-            cache.push(entry); // most-recently-used at the back
-            return out;
-        }
-    }
-    // Bin outside the lock; a racing fit of the same matrix computes the
-    // same bins (binning is deterministic), so losing the race is harmless.
-    let (bins, edges) = quantile_bins(x, max_bins);
-    let binned = Arc::new(BinnedMatrix { bins, edges });
-    let mut cache = cache.lock().expect("bin cache poisoned");
-    if !cache.iter().any(|(k, _)| *k == key) {
-        if cache.len() >= BIN_CACHE_CAPACITY {
-            cache.remove(0);
-        }
-        cache.push((key, Arc::clone(&binned)));
-    }
-    binned
-}
-
-/// Binned form of a chunked matrix for the chunk-streaming fit. Bin edges
-/// are fit on a deterministic bottom-k row sample (ascending global row
-/// order); each chunk is then binned against those edges in chunk order and
-/// the per-feature bin vectors concatenate into exactly the layout
-/// [`quantile_bins`] produces. Whenever `sample_bound >= rows` the sample
-/// is every row, the per-feature value sets match the full columns, and the
-/// edges — hence the bins, hence the fitted trees — are bit-identical to
-/// the dense fit. Above the bound the edges are approximate but still
-/// invariant to chunk size, because the sample is keyed by global row
-/// index.
-fn binned_chunked(
-    x: &ChunkedMatrix,
-    max_bins: usize,
-    sample_bound: usize,
-    seed: u64,
-) -> BinnedMatrix {
-    let sample = kgpip_tabular::sample_rows(x.rows(), sample_bound, seed);
-    // Per-feature sampled values, gathered chunk-by-chunk in row order.
-    let mut sampled: Vec<Vec<f64>> = vec![Vec::with_capacity(sample.len()); x.cols()];
-    let mut cursor = sample.iter().peekable();
-    let mut base = 0usize;
-    for chunk in x.chunks() {
-        let len = chunk.rows();
-        while let Some(&&r) = cursor.peek() {
-            if r < base || r >= base + len {
-                break;
-            }
-            for (f, vals) in sampled.iter_mut().enumerate() {
-                vals.push(chunk.get(r - base, f));
-            }
-            cursor.next();
-        }
-        base += len;
-    }
-    let edges: Vec<Vec<f64>> = sampled
-        .into_iter()
-        .map(|vals| quantile_edges(vals, max_bins))
-        .collect();
-    // Bin chunk-by-chunk, concatenating per feature in chunk order.
-    let mut bins: Vec<Vec<u16>> = vec![Vec::with_capacity(x.rows()); x.cols()];
-    for chunk in x.chunks() {
-        for (f, (feature_bins, feature_edges)) in bins.iter_mut().zip(edges.iter()).enumerate() {
-            for r in 0..chunk.rows() {
-                feature_bins.push(bin_value(chunk.get(r, f), feature_edges));
-            }
-        }
-    }
-    BinnedMatrix { bins, edges }
-}
 
 /// Per-node histogram: `hist[feature][bin] = (Σg, Σh)` over the node's rows.
 type Hist = Vec<Vec<(f64, f64)>>;
@@ -687,90 +581,10 @@ impl GradientBoosting {
         }
         out
     }
-}
 
-/// The rows a fit reads feature values from: either a dense matrix (the
-/// classic path, required for exact splits) or a chunked one (the
-/// streaming path, histogram mode only — only out-of-bag routing touches
-/// individual rows, resolved chunk-locally).
-enum FitRows<'a> {
-    Dense(&'a Matrix),
-    Chunked(&'a ChunkedMatrix),
-}
-
-impl FitRows<'_> {
-    #[inline]
-    fn row(&self, r: usize) -> &[f64] {
-        match self {
-            FitRows::Dense(x) => x.row(r),
-            FitRows::Chunked(x) => x.row(r),
-        }
-    }
-
-    fn rows(&self) -> usize {
-        match self {
-            FitRows::Dense(x) => x.rows(),
-            FitRows::Chunked(x) => x.rows(),
-        }
-    }
-}
-
-impl GradientBoosting {
-    /// Fits from a chunked matrix without ever materializing the dense
-    /// form (histogram configurations): bin edges come from a
-    /// deterministic sample of at most `sample_bound` rows, each chunk is
-    /// binned against them in chunk order, and the boosting loop then runs
-    /// on the compact `u16` bins. Whenever `sample_bound >= rows` the
-    /// fitted model is bit-identical to [`Estimator::fit`] on the
-    /// concatenated matrix (`tests/gbt_chunked.rs` asserts this via
-    /// `to_bits`); above the bound the edges are sample-approximate but
-    /// still chunk-size invariant. Exact-split configurations need full
-    /// per-feature sorts, so they concatenate and delegate to the dense
-    /// fit.
-    pub fn fit_chunked(
-        &mut self,
-        x: &ChunkedMatrix,
-        y: &[f64],
-        task: Task,
-        sample_bound: usize,
-    ) -> Result<()> {
-        if !self.config.histogram {
-            let dense = x.to_matrix();
-            return self.fit(&dense, y, task);
-        }
-        if x.rows() == 0 || x.cols() == 0 {
-            return Err(LearnError::Shape("gbt: empty training matrix".into()));
-        }
-        if x.rows() != y.len() {
-            return Err(LearnError::Shape(format!(
-                "gbt: {} rows vs {} targets",
-                x.rows(),
-                y.len()
-            )));
-        }
-        if x.has_nan() {
-            return Err(LearnError::Shape(
-                "gbt: training matrix contains NaN; impute first".into(),
-            ));
-        }
-        let binned = binned_chunked(
-            x,
-            self.config.max_bins.max(2),
-            sample_bound.max(1),
-            self.config.seed,
-        );
-        self.boost(&FitRows::Chunked(x), Some(Arc::new(binned)), y, task)
-    }
-
-    /// The shared additive-boosting loop; `binned` is `Some` exactly when
-    /// the configuration is in histogram mode.
-    fn boost(
-        &mut self,
-        x: &FitRows<'_>,
-        binned: Option<Arc<BinnedMatrix>>,
-        y: &[f64],
-        task: Task,
-    ) -> Result<()> {
+    /// The additive-boosting loop; `binned` is `Some` exactly when the
+    /// configuration is in histogram mode.
+    fn boost(&mut self, x: &Matrix, binned: Option<BinnedMatrix>, y: &[f64], task: Task) {
         let n = x.rows();
         let heads = match task {
             Task::Regression | Task::Binary => 1,
@@ -842,15 +656,10 @@ impl GradientBoosting {
                         tree
                     }
                     None => {
-                        let FitRows::Dense(xm) = x else {
-                            return Err(LearnError::Shape(
-                                "gbt: exact splits require a dense matrix".into(),
-                            ));
-                        };
-                        let tree = build_exact(xm, g, h, rows.clone(), &self.config);
+                        let tree = build_exact(x, g, h, rows.clone(), &self.config);
                         for r in 0..n {
                             f_scores[r * heads + head] +=
-                                self.config.learning_rate * tree.predict_row(xm.row(r));
+                                self.config.learning_rate * tree.predict_row(x.row(r));
                         }
                         tree
                     }
@@ -860,22 +669,18 @@ impl GradientBoosting {
             self.trees.push(round_trees);
         }
         self.task = Some(task);
-        Ok(())
     }
 }
 
 impl Estimator for GradientBoosting {
     fn fit(&mut self, x: &Matrix, y: &[f64], task: Task) -> Result<()> {
         check_fit_inputs("gbt", x, y)?;
-        // Bin edges are fit once per (matrix content, max_bins) and shared
-        // process-wide: HPO trials hammering the same cached encoded matrix
-        // skip the per-feature sorts after the first fit.
-        let binned: Option<Arc<BinnedMatrix>> = if self.config.histogram {
-            Some(binned_for(x, self.config.max_bins.max(2)))
-        } else {
-            None
-        };
-        self.boost(&FitRows::Dense(x), binned, y, task)
+        let binned = self
+            .config
+            .histogram
+            .then(|| quantile_bins(x, self.config.max_bins.max(2)));
+        self.boost(x, binned, y, task);
+        Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -1162,7 +967,7 @@ mod tests {
     fn in_bag_assignments_match_tree_routing() {
         let (x, y) = friedman_like(120);
         let c = cfg(EstimatorKind::Lgbm);
-        let bm = binned_for(&x, c.max_bins);
+        let bm = quantile_bins(&x, c.max_bins);
         // First-round gradients at raw score 0: g = −y, h = 1.
         let g: Vec<f64> = y.iter().map(|v| -v).collect();
         let h = vec![1.0; y.len()];
@@ -1194,13 +999,13 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let (binned, edges) = quantile_bins(&x, 8);
-        assert!(edges[0].len() <= 8);
+        let bm = quantile_bins(&x, 8);
+        assert!(bm.edges[0].len() <= 8);
         // Bin index is monotone in the value.
-        for w in binned[0].windows(2) {
+        for w in bm.bins[0].windows(2) {
             assert!(w[0] <= w[1]);
         }
-        assert!((*binned[0].iter().max().unwrap() as usize) < edges[0].len());
+        assert!((*bm.bins[0].iter().max().unwrap() as usize) < bm.edges[0].len());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod preprocess;
 pub use cache::TransformCache;
 pub use encode::{EncodedDataset, FeatureEncoder};
 pub use estimators::{build_estimator, Estimator, EstimatorKind, Params};
-pub use matrix::{ChunkedMatrix, Matrix};
+pub use matrix::Matrix;
 pub use pipeline::Pipeline;
 pub use preprocess::{build_transformer, Transformer, TransformerKind};
 

@@ -224,103 +224,6 @@ impl Matrix {
     }
 }
 
-/// A row-chunked matrix: the learners-side mirror of the tabular crate's
-/// `ChunkedFrame`. Rows live in fixed-size row-major chunks so consumers
-/// that fold chunk-by-chunk (the histogram GBT binner, streamed holdout
-/// scoring) never materialize the full dense matrix. `to_matrix` restores
-/// the exact dense form — chunking changes cost, never content.
-#[derive(Debug, Clone)]
-pub struct ChunkedMatrix {
-    chunks: Vec<Matrix>,
-    /// Global row index where each chunk starts (same length as `chunks`).
-    starts: Vec<usize>,
-    rows: usize,
-    cols: usize,
-}
-
-impl ChunkedMatrix {
-    /// Assembles a chunked matrix; every chunk must have the same column
-    /// count.
-    pub fn from_chunks(chunks: Vec<Matrix>) -> Result<ChunkedMatrix> {
-        let cols = chunks.first().map(Matrix::cols).unwrap_or(0);
-        if let Some(bad) = chunks.iter().find(|c| c.cols() != cols) {
-            return Err(LearnError::Shape(format!(
-                "chunked matrix: chunk has {} cols, expected {cols}",
-                bad.cols()
-            )));
-        }
-        let mut starts = Vec::with_capacity(chunks.len());
-        let mut rows = 0usize;
-        for c in &chunks {
-            starts.push(rows);
-            rows += c.rows();
-        }
-        Ok(ChunkedMatrix {
-            chunks,
-            starts,
-            rows,
-            cols,
-        })
-    }
-
-    /// Splits a dense matrix into chunks of `chunk_rows` rows.
-    pub fn from_matrix(x: &Matrix, chunk_rows: usize) -> ChunkedMatrix {
-        let chunk_rows = chunk_rows.max(1);
-        let mut chunks = Vec::new();
-        let mut at = 0usize;
-        while at < x.rows() {
-            let len = chunk_rows.min(x.rows() - at);
-            let idx: Vec<usize> = (at..at + len).collect();
-            chunks.push(x.take_rows(&idx));
-            at += len;
-        }
-        ChunkedMatrix::from_chunks(chunks).expect("uniform chunks by construction")
-    }
-
-    /// Total rows across all chunks.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The chunks, in row order.
-    pub fn chunks(&self) -> &[Matrix] {
-        &self.chunks
-    }
-
-    /// Borrow of global row `r` from whichever chunk holds it.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
-        debug_assert!(r < self.rows);
-        let k = self.starts.partition_point(|&s| s <= r) - 1;
-        self.chunks[k].row(r - self.starts[k])
-    }
-
-    /// Concatenates the chunks back into the exact dense matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows * self.cols);
-        for c in &self.chunks {
-            data.extend_from_slice(c.as_slice());
-        }
-        Matrix {
-            data,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-
-    /// True when any element of any chunk is NaN.
-    pub fn has_nan(&self) -> bool {
-        self.chunks.iter().any(Matrix::has_nan)
-    }
-}
-
 /// Solves the symmetric positive-definite system `a · x = b` via Cholesky
 /// decomposition; adds `ridge` to the diagonal for conditioning.
 pub fn solve_spd(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
@@ -438,27 +341,6 @@ mod tests {
         let a = Matrix::from_vec(vec![1.0, 1.0, 1.0, 1.0], 2, 2).unwrap();
         let x = solve_spd(&a, &[2.0, 2.0], 1e-6).unwrap();
         assert!(x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn chunked_matrix_roundtrips_and_locates_rows() {
-        let m = Matrix::from_vec((0..20).map(|i| i as f64).collect(), 5, 4).unwrap();
-        for chunk_rows in [1, 2, 3, 100] {
-            let cm = ChunkedMatrix::from_matrix(&m, chunk_rows);
-            assert_eq!(cm.rows(), 5);
-            assert_eq!(cm.cols(), 4);
-            assert_eq!(cm.to_matrix(), m, "chunk_rows {chunk_rows}");
-            for r in 0..5 {
-                assert_eq!(cm.row(r), m.row(r), "row {r} at chunk_rows {chunk_rows}");
-            }
-        }
-        assert!(!ChunkedMatrix::from_matrix(&m, 2).has_nan());
-        let mut nan = m.clone();
-        nan.set(4, 3, f64::NAN);
-        assert!(ChunkedMatrix::from_matrix(&nan, 2).has_nan());
-        assert!(
-            ChunkedMatrix::from_chunks(vec![Matrix::zeros(1, 2), Matrix::zeros(1, 3)]).is_err()
-        );
     }
 
     #[test]

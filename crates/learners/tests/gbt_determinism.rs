@@ -129,10 +129,8 @@ fn multiclass_histogram_fit_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn repeated_fits_are_bit_identical_under_the_shared_bin_cache() {
-    // The process-wide bin cache must hand back the same bins a fresh
-    // binning would produce: two fits of the same config on the same data
-    // (second fit hits the cache) must agree bit-for-bit.
+fn repeated_fits_are_bit_identical() {
+    // Two fits of the same config on the same data must agree bit-for-bit.
     let x = wide_matrix(200);
     let y = regression_target(&x);
     let cfg = lgbm_config(1.0);

@@ -2,7 +2,7 @@
 //!
 //! A [`ChunkedFrame`] holds each column as a sequence of fixed-size row
 //! chunks instead of one contiguous column. Every consumer that can fold
-//! over chunks (sampling, streamed statistics, histogram GBT fits) avoids
+//! over chunks (sampling, streamed statistics, table embeddings) avoids
 //! materializing the full column; [`ChunkedFrame::to_frame`] concatenates
 //! the chunks back into the exact [`DataFrame`] the in-memory reader would
 //! have produced — chunking changes what a stage *costs*, never what it
@@ -23,7 +23,6 @@
 //!   come from the sample and are exact when the sample covers all rows.
 
 use crate::column::{Column, ColumnKind};
-use crate::error::TabularError;
 use crate::frame::DataFrame;
 use crate::stats::ColumnStats;
 use crate::Result;
@@ -106,11 +105,6 @@ impl ChunkedFrame {
         self.names.len()
     }
 
-    /// Number of chunks (identical for every column).
-    pub fn num_chunks(&self) -> usize {
-        self.chunk_sizes.len()
-    }
-
     /// Rows per chunk, in chunk order.
     pub fn chunk_sizes(&self) -> &[usize] {
         &self.chunk_sizes
@@ -136,138 +130,9 @@ impl ChunkedFrame {
         Ok(frame)
     }
 
-    /// Materializes the given global rows (ascending or not, repeats
-    /// allowed) into an in-memory frame. Categorical dictionaries are
-    /// shared with the chunks.
-    pub fn take_rows(&self, rows: &[usize]) -> Result<DataFrame> {
-        if rows.iter().any(|&r| r >= self.rows) {
-            return Err(TabularError::InvalidArgument(format!(
-                "take_rows: row out of range (rows = {})",
-                self.rows
-            )));
-        }
-        // Global row -> (chunk, local row), resolved once.
-        let mut located: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
-        for &r in rows {
-            let mut k = 0usize;
-            let mut base = 0usize;
-            while k < self.chunk_sizes.len() && base + self.chunk_sizes[k] <= r {
-                base += self.chunk_sizes[k];
-                k += 1;
-            }
-            located.push((k, r - base));
-        }
-        let mut frame = DataFrame::new();
-        for (name, chunks) in self.names.iter().zip(self.columns.iter()) {
-            let parts: Vec<Column> = located
-                .iter()
-                .map(|&(k, local)| chunks[k].take(&[local]))
-                .collect();
-            frame.push(name.clone(), concat_column(&parts))?;
-        }
-        Ok(frame)
-    }
-
     /// Seeded bottom-k sample of this frame's rows; see [`sample_rows`].
     pub fn sample(&self, bound: usize, seed: u64) -> Vec<usize> {
         sample_rows(self.rows, bound, seed)
-    }
-
-    /// Stratified seeded sample: rows are grouped by the numeric view of
-    /// column `stratum_col` (dictionary codes for categorical columns,
-    /// missing values form their own stratum), `bound` slots are
-    /// apportioned to strata by largest remainder, and each stratum is
-    /// sampled with the same global-row-index priorities as [`sample_rows`]
-    /// — so the result is chunk-size and worker-count invariant, and
-    /// equals all rows whenever `rows <= bound`.
-    pub fn stratified_sample(&self, stratum_col: usize, bound: usize, seed: u64) -> Vec<usize> {
-        if self.rows <= bound {
-            return (0..self.rows).collect();
-        }
-        if bound == 0 || stratum_col >= self.columns.len() {
-            return Vec::new();
-        }
-        // Stratum key per row, in row order. Keys are the bit pattern of
-        // the numeric view; missing is a reserved marker.
-        const MISSING: u64 = u64::MAX;
-        let mut keys: Vec<u64> = Vec::with_capacity(self.rows);
-        for chunk in &self.columns[stratum_col] {
-            for i in 0..chunk.len() {
-                keys.push(chunk.as_f64(i).map(f64::to_bits).unwrap_or(MISSING));
-            }
-        }
-        // Strata in first-appearance order (deterministic).
-        let mut strata: Vec<(u64, usize)> = Vec::new();
-        let mut row_stratum: Vec<usize> = Vec::with_capacity(self.rows);
-        for &key in &keys {
-            let idx = match strata.iter().position(|&(k, _)| k == key) {
-                Some(i) => i,
-                None => {
-                    strata.push((key, 0));
-                    strata.len() - 1
-                }
-            };
-            strata[idx].1 += 1;
-            row_stratum.push(idx);
-        }
-        // Largest-remainder apportionment, capped by stratum size.
-        let mut quotas: Vec<usize> = Vec::with_capacity(strata.len());
-        let mut fractions: Vec<(f64, usize)> = Vec::with_capacity(strata.len());
-        let mut assigned = 0usize;
-        for (idx, &(_, count)) in strata.iter().enumerate() {
-            let share = bound as f64 * count as f64 / self.rows as f64;
-            let floor = (share.floor() as usize).min(count);
-            quotas.push(floor);
-            assigned += floor;
-            fractions.push((share - share.floor(), idx));
-        }
-        fractions.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        let mut leftover = bound.saturating_sub(assigned);
-        while leftover > 0 {
-            let mut progressed = false;
-            for &(_, idx) in &fractions {
-                if leftover == 0 {
-                    break;
-                }
-                if quotas[idx] < strata[idx].1 {
-                    quotas[idx] += 1;
-                    leftover -= 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        // Per-stratum bottom-k with the shared global-row priorities.
-        let mut heaps: Vec<BinaryHeap<(u64, usize)>> =
-            strata.iter().map(|_| BinaryHeap::new()).collect();
-        for (r, &s) in row_stratum.iter().enumerate() {
-            let k = quotas[s];
-            if k == 0 {
-                continue;
-            }
-            let key = (row_priority(seed, r as u64), r);
-            let heap = &mut heaps[s];
-            if heap.len() < k {
-                heap.push(key);
-            } else if let Some(&top) = heap.peek() {
-                if key < top {
-                    heap.pop();
-                    heap.push(key);
-                }
-            }
-        }
-        let mut out: Vec<usize> = heaps
-            .into_iter()
-            .flat_map(|h| h.into_iter().map(|(_, r)| r))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// Summary statistics of column `c` with moments accumulated
@@ -639,21 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn stratified_sample_respects_quotas() {
-        let f = sample_frame();
-        let cf = ChunkedFrame::from_frame(&f, 2);
-        // Under the bound: identity.
-        assert_eq!(cf.stratified_sample(1, 10, 0), vec![0, 1, 2, 3, 4]);
-        // Tight bound still returns a valid, deterministic subset.
-        let s = cf.stratified_sample(1, 3, 0);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s, cf.stratified_sample(1, 3, 0));
-        // Chunk size does not change the stratified sample.
-        let cf1 = ChunkedFrame::from_frame(&f, 1);
-        assert_eq!(s, cf1.stratified_sample(1, 3, 0));
-    }
-
-    #[test]
     fn streamed_stats_match_compute_at_any_chunk_size() {
         let f = sample_frame();
         for chunk_rows in [1, 2, 3, 100] {
@@ -665,20 +515,6 @@ mod tests {
                 assert_eq!(streamed, exact, "column {c} at chunk_rows {chunk_rows}");
             }
         }
-    }
-
-    #[test]
-    fn take_rows_shares_dictionaries() {
-        let f = sample_frame();
-        let cf = ChunkedFrame::from_frame(&f, 2);
-        let sub = cf.take_rows(&[4, 0, 2]).unwrap();
-        assert_eq!(sub.num_rows(), 3);
-        assert_eq!(
-            sub.column("city").unwrap().as_string(0).as_deref(),
-            Some("lyon")
-        );
-        assert_eq!(sub.column("x").unwrap().as_f64(1), Some(1.5));
-        assert!(cf.take_rows(&[99]).is_err());
     }
 
     #[test]

@@ -3,25 +3,15 @@
 //! KGpip's mined pipelines almost universally begin with `pandas.read_csv`
 //! (paper §3.4–3.5: the dataset node "is assumed to flow into a read_csv
 //! call"), so the substrate provides an equivalent entry point:
-//! [`read_csv_str`] parses a CSV document into raw string cells and
-//! [`read_frame`] combines it with type inference to produce a typed
-//! [`DataFrame`].
+//! [`read_frame`] parses a CSV document and infers a typed [`DataFrame`]
+//! from its cells. The record scanner and field parser here are shared
+//! with the chunked reader in [`crate::stream`].
 
 use crate::error::TabularError;
 use crate::frame::DataFrame;
 use crate::infer::infer_column;
 use crate::Result;
 use std::borrow::Cow;
-
-/// A parsed CSV document: a header row plus raw string cells.
-/// Empty cells are `None` (missing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawCsv {
-    /// Column names from the header row.
-    pub header: Vec<String>,
-    /// Row-major cells; `cells[r][c]` pairs with `header[c]`.
-    pub cells: Vec<Vec<Option<String>>>,
-}
 
 /// One record located by [`scan_records`]: the byte range of its content
 /// (record terminator excluded) and the 1-based source line its first byte
@@ -293,14 +283,13 @@ pub(crate) fn ragged_row_error(index: usize, expected: usize, found: usize) -> T
     }
 }
 
-/// A fully parsed document with borrowed cells: the zero-copy core shared
-/// by [`read_csv_str`], [`read_frame`] and the chunked reader.
-struct ParsedCsv<'a> {
-    header: Vec<String>,
-    rows: Vec<Vec<Option<Cow<'a, str>>>>,
-}
-
-fn parse_csv(input: &str) -> Result<ParsedCsv<'_>> {
+/// Parses a CSV document with a header row and infers a typed
+/// [`DataFrame`] from it. Supports quoted fields with embedded commas,
+/// newlines, and doubled quotes; `\n`, `\r\n` and bare `\r` line endings
+/// are accepted. An empty unquoted cell is missing, a quoted `""` is a
+/// present empty string. Cells stay borrowed from `input` until typed
+/// decode — no per-cell `String` is allocated for unquoted fields.
+pub fn read_frame(input: &str) -> Result<DataFrame> {
     let spans = scan_records(input)?;
     let mut iter = spans.into_iter();
     let header_span = iter.next().ok_or(TabularError::Empty("csv document"))?;
@@ -313,38 +302,13 @@ fn parse_csv(input: &str) -> Result<ParsedCsv<'_>> {
         }
         rows.push(row);
     }
-    Ok(ParsedCsv { header, rows })
-}
-
-/// Parses a CSV document with a header row. Supports quoted fields with
-/// embedded commas, newlines, and doubled quotes; both `\n` and `\r\n` line
-/// endings are accepted.
-pub fn read_csv_str(input: &str) -> Result<RawCsv> {
-    let parsed = parse_csv(input)?;
-    let cells = parsed
-        .rows
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c.map(Cow::into_owned)).collect())
-        .collect();
-    Ok(RawCsv {
-        header: parsed.header,
-        cells,
-    })
-}
-
-/// Parses a CSV document and infers a typed [`DataFrame`] from it. Cells
-/// stay borrowed from `input` until typed decode — no per-cell `String` is
-/// allocated for unquoted fields.
-pub fn read_frame(input: &str) -> Result<DataFrame> {
-    let parsed = parse_csv(input)?;
-    let ncols = parsed.header.len();
     let mut frame = DataFrame::new();
-    for c in 0..ncols {
-        let values: Vec<Option<&str>> = parsed.rows.iter().map(|row| row[c].as_deref()).collect();
+    for (c, header_name) in header.iter().enumerate() {
+        let values: Vec<Option<&str>> = rows.iter().map(|row| row[c].as_deref()).collect();
         let column = infer_column(&values);
         // Duplicate headers get positional suffixes rather than failing;
         // keep extending until unique (a file may already contain `a.1`).
-        let mut name = parsed.header[c].clone();
+        let mut name = header_name.clone();
         while frame.names().contains(&name) {
             name = format!("{name}.{c}");
         }
@@ -390,54 +354,70 @@ mod tests {
     use super::*;
     use crate::column::ColumnKind;
 
+    /// The error a document must fail with: `(line, message)`.
+    fn csv_error(input: &str) -> (usize, String) {
+        match read_frame(input) {
+            Err(TabularError::Csv { line, message }) => (line, message),
+            other => panic!("{input:?}: expected a CSV error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_simple_document() {
-        let raw = read_csv_str("a,b\n1,2\n3,4\n").unwrap();
-        assert_eq!(raw.header, vec!["a", "b"]);
-        assert_eq!(raw.cells.len(), 2);
-        assert_eq!(raw.cells[1][0].as_deref(), Some("3"));
+        let f = read_frame("a,b\n1,2\n3,4\n").unwrap();
+        assert_eq!(f.names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(f.num_rows(), 2);
+        assert_eq!(f.column("a").unwrap().as_f64(1), Some(3.0));
     }
 
     #[test]
     fn handles_quotes_commas_and_embedded_newlines() {
-        let raw = read_csv_str("t\n\"a, b\"\n\"line1\nline2\"\n\"he said \"\"hi\"\"\"\n").unwrap();
-        assert_eq!(raw.cells[0][0].as_deref(), Some("a, b"));
-        assert_eq!(raw.cells[1][0].as_deref(), Some("line1\nline2"));
-        assert_eq!(raw.cells[2][0].as_deref(), Some("he said \"hi\""));
+        let f = read_frame("t\n\"a, b\"\n\"line1\nline2\"\n\"he said \"\"hi\"\"\"\n").unwrap();
+        let t = f.column("t").unwrap();
+        assert_eq!(f.num_rows(), 3);
+        assert_eq!(t.as_string(0).as_deref(), Some("a, b"));
+        assert_eq!(t.as_string(1).as_deref(), Some("line1\nline2"));
+        assert_eq!(t.as_string(2).as_deref(), Some("he said \"hi\""));
     }
 
     #[test]
     fn empty_unquoted_cell_is_missing_but_quoted_empty_is_not() {
-        let raw = read_csv_str("a,b\n,\"\"\n").unwrap();
-        assert_eq!(raw.cells[0][0], None);
-        assert_eq!(raw.cells[0][1].as_deref(), Some(""));
+        let f = read_frame("a,b\n,\"\"\nx,y\n").unwrap();
+        let (a, b) = (f.column("a").unwrap(), f.column("b").unwrap());
+        assert_eq!(a.as_string(0), None);
+        assert_eq!(a.missing_count(), 1);
+        assert_eq!(b.as_string(0).as_deref(), Some(""));
+        assert_eq!(b.missing_count(), 0);
     }
 
     #[test]
     fn crlf_line_endings() {
-        let raw = read_csv_str("a,b\r\n1,2\r\n").unwrap();
-        assert_eq!(raw.cells.len(), 1);
-        assert_eq!(raw.cells[0][1].as_deref(), Some("2"));
+        let f = read_frame("a,b\r\n1,2\r\n").unwrap();
+        assert_eq!(f.names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(f.num_rows(), 1);
+        assert_eq!(f.column("b").unwrap().as_f64(0), Some(2.0));
     }
 
     #[test]
     fn missing_trailing_newline_is_fine() {
-        let raw = read_csv_str("a\n1").unwrap();
-        assert_eq!(raw.cells.len(), 1);
+        let f = read_frame("a\n1").unwrap();
+        assert_eq!(f.num_rows(), 1);
     }
 
     #[test]
     fn ragged_rows_error_with_line_number() {
-        let err = read_csv_str("a,b\n1\n").unwrap_err();
-        assert!(matches!(err, TabularError::Csv { line: 2, .. }));
+        assert_eq!(
+            csv_error("a,b\n1\n"),
+            (2, "expected 2 fields, found 1".to_string())
+        );
     }
 
     #[test]
     fn unterminated_quote_errors() {
-        assert!(matches!(
-            read_csv_str("a\n\"oops\n"),
-            Err(TabularError::Csv { .. })
-        ));
+        assert_eq!(
+            csv_error("a\n\"oops\n"),
+            (3, "unterminated quoted field".to_string())
+        );
     }
 
     #[test]
@@ -485,23 +465,25 @@ mod tests {
     fn scanner_matches_machine_on_bare_cr_and_blank_lines() {
         // Bare \r ends a record; "\r\n" is one terminator; a lone "\n"
         // yields a single missing field (the legacy machine's behavior).
-        let raw = read_csv_str("a\rx\r\ny\n").unwrap();
-        assert_eq!(raw.header, vec!["a"]);
-        assert_eq!(raw.cells.len(), 2);
-        assert_eq!(raw.cells[0][0].as_deref(), Some("x"));
-        let raw2 = read_csv_str("\n\n").unwrap();
-        assert_eq!(raw2.header, vec!["col0"]);
-        assert_eq!(raw2.cells.len(), 1);
-        assert_eq!(raw2.cells[0][0], None);
+        let f = read_frame("a\rx\r\ny\n").unwrap();
+        assert_eq!(f.names(), &["a".to_string()]);
+        assert_eq!(f.num_rows(), 2);
+        assert_eq!(f.column("a").unwrap().as_string(0).as_deref(), Some("x"));
+        let f2 = read_frame("\n\n").unwrap();
+        assert_eq!(f2.names(), &["col0".to_string()]);
+        assert_eq!(f2.num_rows(), 1);
+        assert_eq!(f2.column("col0").unwrap().missing_count(), 1);
     }
 
     #[test]
     fn text_after_closing_quote_joins_field() {
-        let raw = read_csv_str("a\n\"x\"y\n").unwrap();
-        assert_eq!(raw.cells[0][0].as_deref(), Some("xy"));
+        let f = read_frame("a\n\"x\"y\n").unwrap();
+        assert_eq!(f.column("a").unwrap().as_string(0).as_deref(), Some("xy"));
         // ...but a quote opening after content is still an error.
-        let err = read_csv_str("a\nx\"y\"\n").unwrap_err();
-        assert!(matches!(err, TabularError::Csv { line: 2, .. }));
+        assert_eq!(
+            csv_error("a\nx\"y\"\n"),
+            (2, "quote inside unquoted field".to_string())
+        );
     }
 
     #[test]

@@ -45,21 +45,24 @@ pub fn infer_column(values: &[Option<&str>]) -> Column {
     let mut distinct: Vec<&str> = present.clone();
     distinct.sort_unstable();
     distinct.dedup();
-    let distinct_ratio = distinct.len() as f64 / present.len() as f64;
-    let mean_tokens = present
-        .iter()
-        .map(|s| s.split_whitespace().count())
-        .sum::<usize>() as f64
-        / present.len() as f64;
-
-    let is_text = mean_tokens > TEXT_MEAN_TOKENS
-        || (distinct.len() > CATEGORICAL_MAX_DISTINCT
-            && distinct_ratio > CATEGORICAL_DISTINCT_RATIO);
-    if is_text {
+    let token_sum = present.iter().map(|s| s.split_whitespace().count()).sum();
+    if is_text(distinct.len(), present.len(), token_sum) {
         Column::text(values.iter().map(|v| v.map(str::to_string)))
     } else {
         Column::categorical(values.iter().copied())
     }
+}
+
+/// The text-vs-categorical rule for a non-numeric column with `distinct`
+/// distinct values over `present` (> 0) non-missing cells holding
+/// `token_sum` whitespace tokens in total: text when it reads like prose
+/// or has high cardinality, categorical otherwise. Shared by
+/// [`infer_column`] and the chunked reader so both decide identically.
+pub(crate) fn is_text(distinct: usize, present: usize, token_sum: usize) -> bool {
+    let distinct_ratio = distinct as f64 / present as f64;
+    let mean_tokens = token_sum as f64 / present as f64;
+    mean_tokens > TEXT_MEAN_TOKENS
+        || (distinct > CATEGORICAL_MAX_DISTINCT && distinct_ratio > CATEGORICAL_DISTINCT_RATIO)
 }
 
 /// True for cells that conventionally denote a missing value.

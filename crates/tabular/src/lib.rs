@@ -51,9 +51,7 @@ pub use infer::{infer_column, infer_task};
 pub use parallel::effective_parallelism;
 pub use split::{kfold, stratified_kfold, train_test_split};
 pub use stats::{fnv1a, ColumnStats};
-pub use stream::{
-    read_chunked, read_chunked_with_report, read_frame_chunked, ChunkedReadOptions, IngestReport,
-};
+pub use stream::{read_chunked, read_chunked_with_report, ChunkedReadOptions, IngestReport};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TabularError>;

@@ -27,7 +27,7 @@
 use crate::chunk::ChunkedFrame;
 use crate::column::Column;
 use crate::csv::{header_names, parse_span, ragged_row_error, scan_records, RecordSpan};
-use crate::infer::{is_missing_marker, parse_number};
+use crate::infer::{is_missing_marker, is_text, parse_number};
 use crate::parallel::effective_parallelism;
 use crate::Result;
 use rayon::prelude::*;
@@ -195,9 +195,6 @@ fn accumulate_details(rows: &[Record<'_>], cols: &[usize]) -> Vec<(usize, usize,
 /// Merges chunk accumulators (in chunk order) and takes `infer_column`'s
 /// decision per column, building the shared dictionary for categoricals.
 fn decide(ncols: usize, chunk_accs: &[Vec<ColAcc>]) -> Vec<KindDecision> {
-    const CATEGORICAL_DISTINCT_RATIO: f64 = 0.5;
-    const CATEGORICAL_MAX_DISTINCT: usize = 128;
-    const TEXT_MEAN_TOKENS: f64 = 4.0;
     (0..ncols)
         .map(|c| {
             let mut present = 0usize;
@@ -226,12 +223,7 @@ fn decide(ncols: usize, chunk_accs: &[Vec<ColAcc>]) -> Vec<KindDecision> {
                     }
                 }
             }
-            let distinct_ratio = dictionary.len() as f64 / present as f64;
-            let mean_tokens = token_sum as f64 / present as f64;
-            let is_text = mean_tokens > TEXT_MEAN_TOKENS
-                || (dictionary.len() > CATEGORICAL_MAX_DISTINCT
-                    && distinct_ratio > CATEGORICAL_DISTINCT_RATIO);
-            if is_text {
+            if is_text(dictionary.len(), present, token_sum) {
                 KindDecision::Text
             } else {
                 KindDecision::Categorical {
@@ -451,12 +443,6 @@ pub fn read_chunked_with_report(
     Ok((frame, report))
 }
 
-/// Chunked-parallel drop-in for [`crate::csv::read_frame`]: same
-/// `DataFrame`, parsed in parallel chunks.
-pub fn read_frame_chunked(input: &str, opts: &ChunkedReadOptions) -> Result<crate::DataFrame> {
-    read_chunked(input, opts)?.to_frame()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,7 +463,7 @@ mod tests {
                         parallelism,
                         bounded_memory: bounded,
                     };
-                    let frame = read_frame_chunked(DOC, &opts).unwrap();
+                    let frame = read_chunked(DOC, &opts).unwrap().to_frame().unwrap();
                     assert_eq!(
                         frame.fingerprint(),
                         expected.fingerprint(),
@@ -508,26 +494,32 @@ mod tests {
     fn errors_match_the_in_memory_reader() {
         for bad in ["a,b\n1\n", "a\n\"oops\n", "a\nx\"y\"\n"] {
             let seq = read_frame(bad).unwrap_err().to_string();
-            let chk = read_frame_chunked(bad, &ChunkedReadOptions::default())
+            let chk = read_chunked(bad, &ChunkedReadOptions::default())
                 .unwrap_err()
                 .to_string();
             assert_eq!(seq, chk, "input {bad:?}");
         }
-        assert!(read_frame_chunked("", &ChunkedReadOptions::default()).is_err());
+        assert!(read_chunked("", &ChunkedReadOptions::default()).is_err());
     }
 
     #[test]
     fn duplicate_headers_suffix_like_read_frame() {
         let doc = "a,a.1,a\n1,2,3\n";
         let expected = read_frame(doc).unwrap();
-        let frame = read_frame_chunked(doc, &ChunkedReadOptions::default()).unwrap();
+        let frame = read_chunked(doc, &ChunkedReadOptions::default())
+            .unwrap()
+            .to_frame()
+            .unwrap();
         assert_eq!(frame.names(), expected.names());
     }
 
     #[test]
     fn header_only_document_yields_empty_typed_frame() {
         let expected = read_frame("a,b\n").unwrap();
-        let frame = read_frame_chunked("a,b\n", &ChunkedReadOptions::default()).unwrap();
+        let frame = read_chunked("a,b\n", &ChunkedReadOptions::default())
+            .unwrap()
+            .to_frame()
+            .unwrap();
         assert_eq!(frame.fingerprint(), expected.fingerprint());
         assert_eq!(frame.num_rows(), 0);
     }

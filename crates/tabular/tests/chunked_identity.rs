@@ -9,8 +9,8 @@
 
 use kgpip_tabular::csv::read_frame;
 use kgpip_tabular::{
-    read_chunked_with_report, read_frame_chunked, ChunkedFrame, ChunkedReadOptions, Column,
-    ColumnStats, DataFrame,
+    read_chunked, read_chunked_with_report, ChunkedFrame, ChunkedReadOptions, Column, ColumnStats,
+    DataFrame,
 };
 use proptest::prelude::*;
 
@@ -112,7 +112,7 @@ proptest! {
         for chunk_rows in CHUNK_SIZES {
             for parallelism in [1usize, 2, 4] {
                 let opts = ChunkedReadOptions { chunk_rows, parallelism, bounded_memory: false };
-                let got = read_frame_chunked(&text, &opts).unwrap_err().to_string();
+                let got = read_chunked(&text, &opts).unwrap_err().to_string();
                 prop_assert_eq!(
                     &expected, &got,
                     "chunk_rows={} parallelism={}", chunk_rows, parallelism

@@ -28,9 +28,8 @@ cargo test -p kgpip-nn --test props -q
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
 
-echo "==> chunked-identity suite (chunking changes cost, never results)"
+echo "==> chunked-identity suite (chunked ingest ≡ read_frame, frames and errors, at any chunk size × worker count)"
 cargo test -p kgpip-tabular --test chunked_identity -q
-cargo test -p kgpip-learners --test gbt_chunked -q
 
 echo "==> similarity-tier suite (HNSW determinism; KGVI round-trip; decoder fuzz and allocation bounds; recall gate)"
 cargo test -p kgpip-embeddings --test hnsw -q
