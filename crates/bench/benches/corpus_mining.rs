@@ -1,20 +1,16 @@
-//! Throughput of the parallel, incrementally-cached corpus-mining front
-//! end of `Kgpip::train` — the offline stage that mines the paper's
-//! 11.7K scripts before the generator ever runs.
+//! Throughput of the parallel corpus-mining front end of
+//! `Kgpip::train` — the offline stage that mines the paper's 11.7K
+//! scripts before the generator ever runs.
 //!
 //! Arms:
 //!
-//! * `mine_corpus_cold_p{1,N}` — full mining (fingerprint, probe an
-//!   empty cache, static analysis, assembly) at parallelism 1 vs the
-//!   host's worker count.
-//! * `mine_corpus_warm` — the same corpus against a pre-populated
-//!   `MiningCache`: every script is served by fingerprint lookup, no
-//!   static analysis runs. The acceptance bar is warm ≥ 5× cold.
+//! * `mine_corpus_cold_p{1,N}` — full mining (fingerprint, in-run
+//!   deduplication, static analysis of the distinct sources, assembly)
+//!   at parallelism 1 vs the host's worker count.
 //!
 //! After the criterion arms, instrumented single passes emit
-//! `BENCH_JSON` summary lines (scripts/sec cold p1 vs pN, warm, and the
-//! warm/cold speedup) that `scripts/bench.sh` collects into
-//! `BENCH_mining.json`.
+//! `BENCH_JSON` summary lines (scripts/sec at p1 vs pN) that
+//! `scripts/bench.sh` collects into `BENCH_mining.json`.
 //!
 //! Run `cargo bench --bench corpus_mining -- --bench` for timed
 //! results; the smoke mode (plain `cargo bench`) only checks the
@@ -23,10 +19,11 @@
 // This bench times wall-clock throughput by design.
 #![allow(clippy::disallowed_methods)]
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile, ScriptRecord};
-use kgpip_codegraph::{mine_script, source_fingerprint, MiningCache};
+use kgpip_codegraph::{mine_script, source_fingerprint, MineOutcome};
 use rayon::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -50,41 +47,40 @@ fn corpus(n_datasets: usize, per_dataset: usize) -> Vec<ScriptRecord> {
     )
 }
 
-/// Mines a corpus through a cache the way `Kgpip::train` does: probe by
-/// fingerprint in order, analyze the misses (in parallel when
-/// `workers > 1`), insert in submission order. Returns scripts kept.
-fn mine_corpus(scripts: &[ScriptRecord], cache: &MiningCache, workers: usize) -> usize {
-    let mut to_mine: Vec<&str> = Vec::new();
+/// Mines a corpus the way `Kgpip::train` does: fingerprint in order,
+/// analyze each distinct source once (in parallel when `workers > 1`),
+/// replay the outcome for duplicates. Returns scripts kept.
+fn mine_corpus(scripts: &[ScriptRecord], workers: usize) -> usize {
+    let mut distinct: HashSet<u64> = HashSet::new();
+    let mut to_mine: Vec<(u64, &str)> = Vec::new();
     let mut fingerprints: Vec<u64> = Vec::with_capacity(scripts.len());
-    let mut kept = 0usize;
     for record in scripts {
         let fp = source_fingerprint(&record.source);
         fingerprints.push(fp);
-        if cache.get(fp).is_none() {
-            to_mine.push(record.source.as_str());
+        if distinct.insert(fp) {
+            to_mine.push((fp, record.source.as_str()));
         }
     }
-    let mined: Vec<kgpip_codegraph::MineOutcome> = if workers > 1 && to_mine.len() > 1 {
+    let mined: Vec<MineOutcome> = if workers > 1 && to_mine.len() > 1 {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(workers)
             .build()
             .expect("thread pool construction");
-        pool.install(|| to_mine.par_iter().map(|src| mine_script(src)).collect())
+        pool.install(|| {
+            to_mine
+                .par_iter()
+                .map(|(_, src)| mine_script(src))
+                .collect()
+        })
     } else {
-        to_mine.iter().map(|src| mine_script(src)).collect()
+        to_mine.iter().map(|(_, src)| mine_script(src)).collect()
     };
-    for (src, outcome) in to_mine.iter().zip(mined) {
-        cache.insert(source_fingerprint(src), outcome);
-    }
-    for fp in fingerprints {
-        if matches!(
-            cache.get(fp),
-            Some(kgpip_codegraph::MineOutcome::Pipeline(_))
-        ) {
-            kept += 1;
-        }
-    }
-    kept
+    let outcomes: HashMap<u64, MineOutcome> =
+        to_mine.iter().map(|(fp, _)| *fp).zip(mined).collect();
+    fingerprints
+        .iter()
+        .filter(|fp| matches!(outcomes[fp], MineOutcome::Pipeline(_)))
+        .count()
 }
 
 fn bench_corpus_mining(c: &mut Criterion) {
@@ -94,37 +90,24 @@ fn bench_corpus_mining(c: &mut Criterion) {
 
     for workers in [1usize, WORKERS] {
         group.bench_function(format!("mine_corpus_cold_p{workers}"), |b| {
-            b.iter_batched(
-                MiningCache::default,
-                |cache| mine_corpus(black_box(&scripts), &cache, workers),
-                BatchSize::SmallInput,
-            )
+            b.iter(|| mine_corpus(black_box(&scripts), workers))
         });
     }
-
-    let warm = MiningCache::default();
-    mine_corpus(&scripts, &warm, 1);
-    group.bench_function("mine_corpus_warm", |b| {
-        b.iter(|| mine_corpus(black_box(&scripts), &warm, 1))
-    });
     group.finish();
 
-    // --- Machine-readable summary: scripts/sec cold vs warm ---
-    let time_pass = |cache: &MiningCache, workers: usize| -> f64 {
+    // --- Machine-readable summary: scripts/sec at p1 vs pN ---
+    let time_pass = |workers: usize| -> f64 {
         let started = Instant::now();
-        black_box(mine_corpus(&scripts, cache, workers));
+        black_box(mine_corpus(&scripts, workers));
         started.elapsed().as_secs_f64()
     };
-    let cold_p1 = time_pass(&MiningCache::default(), 1);
-    let cold_pn = time_pass(&MiningCache::default(), WORKERS);
-    let warm_cache = MiningCache::default();
-    mine_corpus(&scripts, &warm_cache, 1);
-    let warm_secs = time_pass(&warm_cache, 1);
     let n = scripts.len() as f64;
     for (id, secs) in [
-        ("mining_summary_cold_p1".to_string(), cold_p1),
-        (format!("mining_summary_cold_p{WORKERS}"), cold_pn),
-        ("mining_summary_warm".to_string(), warm_secs),
+        ("mining_summary_cold_p1".to_string(), time_pass(1)),
+        (
+            format!("mining_summary_cold_p{WORKERS}"),
+            time_pass(WORKERS),
+        ),
     ] {
         println!(
             "BENCH_JSON {{\"id\":{id:?},\"scripts\":{},\"scripts_per_sec\":{:.1}}}",
@@ -132,10 +115,6 @@ fn bench_corpus_mining(c: &mut Criterion) {
             n / secs.max(1e-9),
         );
     }
-    println!(
-        "BENCH_JSON {{\"id\":\"mining_summary_warm_speedup\",\"warm_vs_cold_speedup\":{:.1}}}",
-        cold_p1 / warm_secs.max(1e-9),
-    );
 }
 
 criterion_group!(benches, bench_corpus_mining);

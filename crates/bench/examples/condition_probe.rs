@@ -15,8 +15,9 @@ fn main() {
     let caps = Flaml::new(0).capabilities();
     let names: Vec<String> = model.graph4ml().datasets().to_vec();
     for name in names {
-        let emb = model.embedding_of(&name).unwrap().to_vec();
+        let emb = model.artifact().embedding_of(&name).unwrap().to_vec();
         let sk = model
+            .artifact()
             .predict_with_embedding(&emb, Task::Binary, 3, &caps, 9)
             .expect("k > 0");
         let tops: Vec<&str> = sk.iter().map(|(s, _)| s.estimator.name()).collect();

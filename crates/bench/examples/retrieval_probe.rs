@@ -24,10 +24,11 @@ fn main() {
             &cfg.scale,
             cfg.seed.wrapping_add(entry.id as u64 * 1000),
         );
-        let (name, sim) = model.nearest_dataset(&ds).unwrap();
+        let (name, sim) = model.artifact().nearest_dataset(&ds).unwrap();
         let want = domain_of(entry.name);
         let got = domain_of(&name);
         let (skeletons, _) = model
+            .artifact()
             .predict_skeletons(&ds, 3, &caps, cfg.seed)
             .expect("trained catalog is non-empty and k > 0");
         let shape = shape_of(want);

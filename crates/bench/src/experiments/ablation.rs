@@ -218,6 +218,7 @@ pub fn table3(cfg: &ExperimentConfig) -> String {
         // Filtered model through the full KGpip + AutoSklearn path.
         let mut backend = AutoSklearn::new(cfg.seed);
         let f1 = model
+            .artifact()
             .run(&train, &mut backend, TimeBudget::seconds(cfg.budget_secs))
             .ok()
             .and_then(|r| r.best().refit_score(&train, &test).ok())
@@ -359,9 +360,11 @@ pub fn conditioning_ablation(cfg: &ExperimentConfig, limit: usize) -> String {
     for entry in &entries {
         let ds = generate_dataset(entry, &cfg.scale, cfg.seed.wrapping_add(entry.id as u64));
         let (content, _) = model
+            .artifact()
             .predict_skeletons(&ds, 3, &caps, cfg.seed)
             .expect("trained catalog is non-empty and k > 0");
         let zero = model
+            .artifact()
             .predict_with_embedding(&vec![0.0; 48], ds.task, 3, &caps, cfg.seed)
             .expect("k > 0");
         let prefs = preferred(entry.name);

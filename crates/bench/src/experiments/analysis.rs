@@ -36,10 +36,16 @@ fn run_kgpip_k(
     let budget = TimeBudget::seconds(cfg.budget_secs).with_trial_cap(cfg.trials_per_system);
     let run = if flaml_backend {
         let mut backend = Flaml::new(run_seed);
-        model.run_k(&train, &mut backend, budget, k).ok()?
+        model
+            .artifact()
+            .run_k(&train, &mut backend, budget, k)
+            .ok()?
     } else {
         let mut backend = AutoSklearn::new(run_seed);
-        model.run_k(&train, &mut backend, budget, k).ok()?
+        model
+            .artifact()
+            .run_k(&train, &mut backend, budget, k)
+            .ok()?
     };
     run.best()
         .refit_score(&train, &test)
@@ -177,6 +183,7 @@ pub fn diversity(cfg: &ExperimentConfig, limit: Option<usize>) -> String {
         let lists: Vec<Vec<f64>> = (0..3)
             .map(|run| {
                 let (sk, _) = model
+                    .artifact()
                     .predict_skeletons(&ds, 5, &caps, cfg.seed + 100 + run)
                     .expect("trained catalog is non-empty and k > 0");
                 sk.iter()

@@ -221,10 +221,10 @@ pub fn run_on_dataset(
             let model = model.expect("KGpip systems require a trained model");
             let outcome = if system == SystemKind::KgpipFlaml {
                 let mut engine = Flaml::new(run_seed);
-                model.run(&train, &mut engine, budget)
+                model.artifact().run(&train, &mut engine, budget)
             } else {
                 let mut engine = AutoSklearn::new(run_seed);
-                model.run(&train, &mut engine, budget)
+                model.artifact().run(&train, &mut engine, budget)
             };
             outcome.ok().and_then(|run| {
                 kgpip_summary = Some(KgpipRunSummary {

@@ -57,7 +57,7 @@ pub use filter::{filter_graph, PipelineGraph};
 pub use graph::{CodeGraph, EdgeKind, Label, LabelInterner, NodeId, NodeKind};
 pub use graph4ml::Graph4Ml;
 pub use lint::{lint_code_graph, lint_graph4ml, lint_pipeline_graph, lint_reduction, Violation};
-pub use mining::{mine_script, source_fingerprint, MineOutcome, MiningCache};
+pub use mining::{mine_script, source_fingerprint, MineOutcome};
 pub use parser::parse_with_diagnostics;
 pub use span::Span;
 pub use vocab::{OpVocab, PipelineOp};

@@ -1,35 +1,19 @@
-//! Content-addressed memoization of script mining.
+//! Mining one script, and the fingerprint that deduplicates a corpus.
 //!
 //! Mining a script — `analyze_with_diagnostics` → `filter_graph` →
 //! skeleton check — is a pure function of the script *source*: the
 //! dataset association is resolved before analysis ever runs, so two
-//! byte-identical sources always mine to the same outcome. The
-//! [`MiningCache`] exploits that: it maps a FNV-1a fingerprint of the
-//! source to the complete [`MineOutcome`] (the filtered
-//! [`PipelineGraph`] or the skip reason), so re-training, K-sweeps, and
-//! the Table-3 ablation skip static analysis entirely on warm runs.
-//!
-//! Like `TransformCache` in `kgpip-learners`, the cache is a bounded
-//! stamp-LRU with atomic hit/miss counters, shareable across `train`
-//! calls, and it may only change what mining *costs*, never what it
-//! produces — the determinism suite in `kgpip` proves cold and warm
-//! runs bit-identical. Snapshots serialize via [`MiningCache::to_json`]
-//! so a mined corpus survives process restarts.
+//! byte-identical sources always mine to the same [`MineOutcome`] (the
+//! filtered [`PipelineGraph`] or the skip reason). `Kgpip::train`
+//! exploits that within one corpus: scripts are keyed by
+//! [`source_fingerprint`], each distinct source is mined once, and its
+//! outcome is replayed for every later duplicate.
 
 use crate::analysis::analyze_with_diagnostics;
 use crate::diag::Severity;
 use crate::filter::{filter_graph, PipelineGraph};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Default number of cached script outcomes. Scripts are small and
-/// outcomes are compact pipeline graphs, so the default comfortably
-/// covers the bundled synthetic corpora.
-pub const DEFAULT_MINING_CACHE_CAPACITY: usize = 4096;
-
-/// FNV-1a fingerprint of a script source — the cache key. Mining
+/// FNV-1a fingerprint of a script source — the deduplication key. Mining
 /// depends on nothing but the source bytes, so the fingerprint is the
 /// complete identity of a mining computation.
 pub fn source_fingerprint(source: &str) -> u64 {
@@ -43,7 +27,7 @@ pub fn source_fingerprint(source: &str) -> u64 {
 
 /// The complete result of mining one script: either a filtered pipeline
 /// graph with a valid skeleton, or the reason the script was skipped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MineOutcome {
     /// The script mined to a filtered pipeline graph with a valid
     /// skeleton — it contributes to the Graph4ML.
@@ -57,9 +41,8 @@ pub enum MineOutcome {
 }
 
 /// Mines one script source: recovering static analysis, the §3.4
-/// filter, and the skeleton validity check. Pure in the source — this
-/// is the function the [`MiningCache`] memoizes, and the single code
-/// path `Kgpip::train` uses whether or not a cache is attached.
+/// filter, and the skeleton validity check. Pure in the source, and the
+/// single code path `Kgpip::train` mines through.
 pub fn mine_script(source: &str) -> MineOutcome {
     let (code_graph, diagnostics) = analyze_with_diagnostics(source);
     if diagnostics.iter().any(|d| d.severity == Severity::Error) {
@@ -70,174 +53,6 @@ pub fn mine_script(source: &str) -> MineOutcome {
         return MineOutcome::NoSkeleton;
     }
     MineOutcome::Pipeline(filtered)
-}
-
-struct Inner {
-    map: HashMap<u64, (u64, MineOutcome)>,
-    stamp: u64,
-}
-
-/// A thread-safe, bounded (stamp-LRU) memo of script-mining outcomes,
-/// keyed by [`source_fingerprint`].
-pub struct MiningCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Serialized form of a cache: entries in least-to-most recently used
-/// order, so restoring replays them and reproduces the LRU order.
-#[derive(Serialize, Deserialize)]
-struct Snapshot {
-    capacity: usize,
-    entries: Vec<(u64, MineOutcome)>,
-}
-
-impl MiningCache {
-    /// Creates a cache holding up to `capacity` script outcomes.
-    pub fn new(capacity: usize) -> MiningCache {
-        MiningCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                stamp: 0,
-            }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up a script fingerprint, counting a hit or miss.
-    pub fn get(&self, fingerprint: u64) -> Option<MineOutcome> {
-        let mut inner = self.inner.lock().expect("mining cache poisoned");
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        match inner.map.get_mut(&fingerprint) {
-            Some((used, outcome)) => {
-                *used = stamp;
-                let outcome = outcome.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(outcome)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a mining outcome, evicting the least-recently-used entry
-    /// when over capacity.
-    pub fn insert(&self, fingerprint: u64, outcome: MineOutcome) {
-        let mut inner = self.inner.lock().expect("mining cache poisoned");
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        inner.map.insert(fingerprint, (stamp, outcome));
-        while inner.map.len() > self.capacity {
-            // xlint: allow(nondeterministic-iteration): stamps are unique, so min_by_key has one well-defined answer regardless of visit order; eviction changes cost only, never answers
-            let oldest = inner.map.iter().min_by_key(|(_, (used, _))| *used);
-            let oldest = oldest.map(|(k, _)| *k);
-            let Some(oldest) = oldest else { break };
-            inner.map.remove(&oldest);
-        }
-    }
-
-    /// Mines through the cache: returns the cached outcome when the
-    /// source's fingerprint is present, otherwise mines and stores it.
-    pub fn mine(&self, source: &str) -> MineOutcome {
-        let fingerprint = source_fingerprint(source);
-        if let Some(outcome) = self.get(fingerprint) {
-            return outcome;
-        }
-        let outcome = mine_script(source);
-        self.insert(fingerprint, outcome.clone());
-        outcome
-    }
-
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("mining cache poisoned").map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Serializes the cache contents (entries in LRU order, counters
-    /// excluded — a restored cache starts its statistics fresh).
-    pub fn to_json(&self) -> Result<String, String> {
-        let inner = self.inner.lock().expect("mining cache poisoned");
-        let mut entries: Vec<(u64, u64, MineOutcome)> = inner
-            // xlint: allow(nondeterministic-iteration): entries are re-sorted by their unique stamps immediately below, erasing map order
-            .map
-            .iter()
-            .map(|(k, (used, outcome))| (*used, *k, outcome.clone()))
-            .collect();
-        entries.sort_unstable_by_key(|(used, _, _)| *used);
-        let snapshot = Snapshot {
-            capacity: self.capacity,
-            entries: entries
-                .into_iter()
-                .map(|(_, k, outcome)| (k, outcome))
-                .collect(),
-        };
-        serde_json::to_string(&snapshot).map_err(|e| e.to_string())
-    }
-
-    /// Restores a cache from [`MiningCache::to_json`] output.
-    pub fn from_json(json: &str) -> Result<MiningCache, String> {
-        let snapshot: Snapshot = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        let cache = MiningCache::new(snapshot.capacity);
-        {
-            let mut inner = cache.inner.lock().expect("mining cache poisoned");
-            for (fingerprint, outcome) in snapshot.entries {
-                inner.stamp += 1;
-                let stamp = inner.stamp;
-                inner.map.insert(fingerprint, (stamp, outcome));
-            }
-        }
-        Ok(cache)
-    }
-
-    /// Saves the cache to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        std::fs::write(path, self.to_json()?).map_err(|e| e.to_string())
-    }
-
-    /// Loads a cache from a file produced by [`MiningCache::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<MiningCache, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        MiningCache::from_json(&json)
-    }
-}
-
-impl Default for MiningCache {
-    fn default() -> MiningCache {
-        MiningCache::new(DEFAULT_MINING_CACHE_CAPACITY)
-    }
-}
-
-impl std::fmt::Debug for MiningCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MiningCache")
-            .field("entries", &self.len())
-            .field("capacity", &self.capacity)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -267,46 +82,8 @@ m.fit(df, df)
     }
 
     #[test]
-    fn cache_returns_identical_outcomes() {
-        let cache = MiningCache::new(16);
-        let cold = cache.mine(VALID);
-        let warm = cache.mine(VALID);
-        assert_eq!(cold, warm);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
     fn distinct_sources_have_distinct_fingerprints() {
         assert_ne!(source_fingerprint(VALID), source_fingerprint("x = 1\n"));
         assert_eq!(source_fingerprint(VALID), source_fingerprint(VALID));
-    }
-
-    #[test]
-    fn lru_eviction_keeps_recent_entries() {
-        let cache = MiningCache::new(2);
-        cache.insert(1, MineOutcome::NoSkeleton);
-        cache.insert(2, MineOutcome::Unparsable);
-        assert!(cache.get(1).is_some()); // touch 1 so 2 becomes LRU
-        cache.insert(3, MineOutcome::NoSkeleton);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(2).is_none(), "LRU entry evicted");
-        assert!(cache.get(3).is_some());
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_entries() {
-        let cache = MiningCache::new(8);
-        cache.mine(VALID);
-        cache.insert(42, MineOutcome::Unparsable);
-        let json = cache.to_json().unwrap();
-        let restored = MiningCache::from_json(&json).unwrap();
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.get(42), Some(MineOutcome::Unparsable));
-        assert_eq!(
-            restored.get(source_fingerprint(VALID)),
-            Some(mine_script(VALID))
-        );
     }
 }

@@ -36,7 +36,7 @@
 //! let config = KgpipConfig::default().with_k(5).with_seed(7).with_parallelism(4);
 //! let model = Kgpip::train(&scripts, &tables, config)?;
 //! let mut backend = Flaml::new(0);
-//! let run = model.run(&unseen, &mut backend, TimeBudget::seconds(60.0))?;
+//! let run = model.artifact().run(&unseen, &mut backend, TimeBudget::seconds(60.0))?;
 //! println!("best: {} -> {:.3}", run.best().spec.describe(), run.best_score());
 //! # Ok(()) }
 //! ```
@@ -51,7 +51,6 @@ pub mod snapshot;
 pub mod train;
 
 pub use artifact::TrainedModel;
-pub use kgpip_codegraph::{MineOutcome, MiningCache};
 pub use predict::{KgpipRun, SkeletonResult};
 pub use skeleton::{decode_skeleton, validate_against_capabilities};
 pub use snapshot::Snapshot;
@@ -62,8 +61,8 @@ pub use train::{Kgpip, KgpipConfig, TrainingStats};
 /// primitives every example needs.
 pub mod prelude {
     pub use crate::{
-        Kgpip, KgpipConfig, KgpipError, KgpipRun, MiningCache, SkeletonResult, Snapshot,
-        TrainedModel, TrainingStats,
+        Kgpip, KgpipConfig, KgpipError, KgpipRun, SkeletonResult, Snapshot, TrainedModel,
+        TrainingStats,
     };
     pub use kgpip_hpo::{
         Al, AutoSklearn, BudgetGate, Candidate, Evaluator, Flaml, HpoResult, Optimizer, Skeleton,

@@ -3,8 +3,7 @@
 //!
 //! Every entry point is a method on [`&TrainedModel`](TrainedModel) — the
 //! immutable serving artifact — so one `Arc<TrainedModel>` serves any
-//! number of threads. [`Kgpip`] keeps thin delegations for callers that
-//! hold a full training run. The pipeline is deliberately factored into
+//! number of threads. The pipeline is deliberately factored into
 //! pure stages ([`TrainedModel::embed_table`] →
 //! [`TrainedModel::predict_from_query_embedding`]) so a batching server
 //! can interleave stages across requests and still produce bit-identical
@@ -12,7 +11,6 @@
 
 use crate::artifact::TrainedModel;
 use crate::skeleton::{decode_skeleton, validate_against_capabilities};
-use crate::train::Kgpip;
 use crate::{KgpipError, Result};
 use kgpip_embeddings::{table_embedding, table_embedding_chunked};
 use kgpip_graphgen::effective_parallelism;
@@ -401,65 +399,10 @@ impl TrainedModel {
     }
 }
 
-/// Thin delegations so a full training run answers predictions without
-/// first extracting its artifact.
-impl Kgpip {
-    /// See [`TrainedModel::nearest_dataset`].
-    pub fn nearest_dataset(&self, ds: &Dataset) -> Result<(String, f64)> {
-        self.artifact.nearest_dataset(ds)
-    }
-
-    /// See [`TrainedModel::predict_skeletons`].
-    pub fn predict_skeletons(
-        &self,
-        ds: &Dataset,
-        k: usize,
-        capabilities_json: &str,
-        seed: u64,
-    ) -> Result<(Vec<(Skeleton, f64)>, String)> {
-        self.artifact
-            .predict_skeletons(ds, k, capabilities_json, seed)
-    }
-
-    /// See [`TrainedModel::predict_with_embedding`].
-    pub fn predict_with_embedding(
-        &self,
-        embedding: &[f64],
-        task: Task,
-        k: usize,
-        capabilities_json: &str,
-        seed: u64,
-    ) -> Result<Vec<(Skeleton, f64)>> {
-        self.artifact
-            .predict_with_embedding(embedding, task, k, capabilities_json, seed)
-    }
-
-    /// See [`TrainedModel::run`].
-    pub fn run(
-        &self,
-        train: &Dataset,
-        backend: &mut dyn Optimizer,
-        budget: TimeBudget,
-    ) -> Result<KgpipRun> {
-        self.artifact.run(train, backend, budget)
-    }
-
-    /// See [`TrainedModel::run_k`].
-    pub fn run_k(
-        &self,
-        train: &Dataset,
-        backend: &mut dyn Optimizer,
-        budget: TimeBudget,
-        k: usize,
-    ) -> Result<KgpipRun> {
-        self.artifact.run_k(train, backend, budget, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::KgpipConfig;
+    use crate::train::{Kgpip, KgpipConfig};
     use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
     use kgpip_graphgen::GeneratorConfig;
     use kgpip_hpo::Flaml;
@@ -479,7 +422,7 @@ mod tests {
         .unwrap()
     }
 
-    fn trained_model() -> Kgpip {
+    fn trained_model() -> TrainedModel {
         let profiles = vec![
             DatasetProfile::new("alpha", false),
             DatasetProfile::new("beta", false),
@@ -510,6 +453,7 @@ mod tests {
             },
         )
         .unwrap()
+        .into_artifact()
     }
 
     fn unseen_dataset(n: usize) -> Dataset {
@@ -539,30 +483,23 @@ mod tests {
     }
 
     #[test]
-    fn artifact_predictions_match_the_training_run() {
-        let model = trained_model();
+    fn staged_prediction_matches_the_direct_call() {
+        let artifact = trained_model();
         let ds = unseen_dataset(80);
-        let artifact = model.artifact();
         let caps = {
             use kgpip_hpo::Optimizer as _;
             Flaml::new(0).capabilities()
         };
-        let (via_run, n1) = model.predict_skeletons(&ds, 3, &caps, 7).unwrap();
-        let (via_artifact, n2) = artifact.predict_skeletons(&ds, 3, &caps, 7).unwrap();
-        assert_eq!(n1, n2);
-        assert_eq!(via_run.len(), via_artifact.len());
-        for ((s1, g1), (s2, g2)) in via_run.iter().zip(&via_artifact) {
-            assert_eq!(s1, s2);
-            assert_eq!(g1.to_bits(), g2.to_bits());
-        }
-        // Staged path (embed, then generate) is bit-identical too — the
+        let (direct, n1) = artifact.predict_skeletons(&ds, 3, &caps, 7).unwrap();
+        // Staged path (embed, then generate) is bit-identical — the
         // contract the batching server relies on.
         let query = artifact.embed_table(&ds.features);
-        let (staged, n3) = artifact
+        let (staged, n2) = artifact
             .predict_from_query_embedding(&query, ds.task, 3, &caps, 7)
             .unwrap();
-        assert_eq!(n2, n3);
-        for ((s1, g1), (s2, g2)) in via_artifact.iter().zip(&staged) {
+        assert_eq!(n1, n2);
+        assert_eq!(direct.len(), staged.len());
+        for ((s1, g1), (s2, g2)) in direct.iter().zip(&staged) {
             assert_eq!(s1, s2);
             assert_eq!(g1.to_bits(), g2.to_bits());
         }
@@ -570,8 +507,7 @@ mod tests {
 
     #[test]
     fn chunked_prediction_matches_the_in_memory_path() {
-        let model = trained_model();
-        let artifact = model.artifact();
+        let artifact = trained_model();
         let frame = table_like(1.0, 80);
         let caps = {
             use kgpip_hpo::Optimizer as _;
@@ -612,8 +548,7 @@ mod tests {
 
     #[test]
     fn empty_catalog_is_a_typed_error() {
-        let model = trained_model();
-        let mut artifact = model.into_artifact();
+        let mut artifact = trained_model();
         artifact.index = kgpip_embeddings::VectorIndex::new();
         let ds = unseen_dataset(40);
         let err = artifact.nearest_dataset(&ds).unwrap_err();

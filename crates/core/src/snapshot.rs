@@ -1,10 +1,11 @@
 //! The versioned binary snapshot format for [`TrainedModel`] artifacts.
 //!
-//! JSON persistence (the [`Kgpip::save`] compatibility path) re-parses
-//! every parameter scalar through a text representation — fine for
-//! reproduction runs, wrong for a serving fleet that reloads models behind
-//! traffic. The snapshot format is a flat, little-endian, single-pass
-//! layout:
+//! KGPS is the only format this build writes. The JSON-era model documents
+//! of earlier builds re-parsed every parameter scalar through a text
+//! representation — fine for reproduction runs, wrong for a serving fleet
+//! that reloads models behind traffic; [`TrainedModel::open`] still reads
+//! them, so `kgpip-cli snapshot` can convert them. The snapshot format is
+//! a flat, little-endian, single-pass layout:
 //!
 //! ```text
 //! magic  b"KGPS"                      (4 bytes)
@@ -35,10 +36,12 @@
 //! tolerates each tail's absence, so this build still reads v1 and v2
 //! snapshots; it always writes v3.
 //!
-//! [`Kgpip::save`]: crate::Kgpip::save
+//! Every count in the format is untrusted: reservations are capped by the
+//! bytes left in the section divided by the element's minimum encoded
+//! size, so a forged length prefix costs an error, never an allocation.
 
 use crate::artifact::TrainedModel;
-use crate::train::{Kgpip, KgpipConfig};
+use crate::train::KgpipConfig;
 use crate::{KgpipError, Result};
 use kgpip_codegraph::OpVocab;
 use kgpip_embeddings::VectorIndex;
@@ -112,7 +115,8 @@ impl Snapshot {
                 }
                 TAG_VOCAB => {
                     let n = s.u64()? as usize;
-                    let mut names = Vec::with_capacity(n.min(1 << 16));
+                    // Each name carries at least its 8-byte length prefix.
+                    let mut names = Vec::with_capacity(n.min(s.remaining() / 8));
                     for _ in 0..n {
                         names.push(s.str()?);
                     }
@@ -124,13 +128,16 @@ impl Snapshot {
                     let cfg_json = std::str::from_utf8(s.take(cfg_len)?).map_err(persist)?;
                     let cfg: GeneratorConfig = serde_json::from_str(cfg_json).map_err(persist)?;
                     let count = s.u64()? as usize;
-                    let mut params = Vec::with_capacity(count.min(1 << 16));
+                    // Each tensor carries at least a name prefix and its
+                    // two u32 dimensions.
+                    let mut params = Vec::with_capacity(count.min(s.remaining() / 16));
                     for _ in 0..count {
                         let _name = s.str()?;
                         let rows = s.u32()? as usize;
                         let cols = s.u32()? as usize;
-                        let mut data = Vec::with_capacity((rows * cols).min(1 << 24));
-                        for _ in 0..rows * cols {
+                        let len = rows.saturating_mul(cols);
+                        let mut data = Vec::with_capacity(len.min(s.remaining() / 4));
+                        for _ in 0..len {
                             data.push(f32::from_le_bytes(s.array()?));
                         }
                         params.push(Tensor::from_vec(data, rows, cols).map_err(persist)?);
@@ -143,7 +150,8 @@ impl Snapshot {
                 }
                 TAG_EMBEDDINGS => {
                     let n = s.u64()? as usize;
-                    let mut map = HashMap::with_capacity(n.min(1 << 20));
+                    // Each entry carries at least two 8-byte length prefixes.
+                    let mut map = HashMap::with_capacity(n.min(s.remaining() / 16));
                     for _ in 0..n {
                         let name = s.str()?;
                         let vector = s.f64s()?;
@@ -256,10 +264,8 @@ impl TrainedModel {
     }
 
     /// Opens a model artifact from disk, accepting either a binary
-    /// snapshot (sniffed by magic) or a JSON-era [`Kgpip::save`] file —
-    /// the single loader deployments should use.
-    ///
-    /// [`Kgpip::save`]: crate::Kgpip::save
+    /// snapshot (sniffed by magic) or a JSON-era model document written
+    /// by earlier builds — the single loader deployments should use.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<TrainedModel> {
         let bytes = std::fs::read(path).map_err(persist)?;
         if bytes.get(..4).is_some_and(|magic| magic == Snapshot::MAGIC) {
@@ -267,8 +273,29 @@ impl TrainedModel {
         }
         let json = std::str::from_utf8(&bytes)
             .map_err(|_| persist("file is neither a KGPS snapshot nor UTF-8 JSON"))?;
-        Ok(Kgpip::from_wire_json(json)?.into_artifact())
+        let doc: JsonEraModel = serde_json::from_str(json).map_err(persist)?;
+        Ok(TrainedModel {
+            config: doc.config,
+            embedding_center: doc.embedding_center,
+            vocab: doc.vocab,
+            generator: doc.generator,
+            index: doc.index,
+            embeddings: doc.embeddings,
+        })
     }
+}
+
+/// The artifact fields of a JSON-era model document. Fields are looked up
+/// by name, so the document's train-time `graph4ml` and `stats` keys are
+/// skipped.
+#[derive(serde::Deserialize)]
+struct JsonEraModel {
+    config: KgpipConfig,
+    embedding_center: Vec<f64>,
+    vocab: OpVocab,
+    generator: GraphGenerator,
+    index: VectorIndex,
+    embeddings: HashMap<String, Vec<f64>>,
 }
 
 fn persist(e: impl ToString) -> KgpipError {
@@ -312,6 +339,10 @@ impl<'a> Reader<'a> {
         self.pos == self.bytes.len()
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
@@ -349,7 +380,7 @@ impl<'a> Reader<'a> {
 
     fn f64s(&mut self) -> Result<Vec<f64>> {
         let len = self.u64()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        let mut out = Vec::with_capacity(len.min(self.remaining() / 8));
         for _ in 0..len {
             out.push(f64::from_le_bytes(self.array()?));
         }
@@ -366,5 +397,132 @@ impl<'a> Reader<'a> {
                 self.bytes.len()
             )))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::train::Kgpip;
+    use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
+    use kgpip_codegraph::Graph4Ml;
+    use kgpip_hpo::{Flaml, Optimizer};
+    use kgpip_tabular::{Column, DataFrame, Dataset, Task};
+
+    /// The JSON-era model document as earlier builds wrote it: the six
+    /// artifact fields plus the train-time Graph4ML and stats.
+    #[derive(serde::Serialize)]
+    struct JsonEraWire {
+        config: KgpipConfig,
+        embedding_center: Vec<f64>,
+        vocab: OpVocab,
+        generator: GraphGenerator,
+        index: VectorIndex,
+        embeddings: HashMap<String, Vec<f64>>,
+        graph4ml: Graph4Ml,
+        stats: JsonEraStats,
+    }
+
+    /// The stats block of the JSON-era layout.
+    #[derive(serde::Serialize)]
+    struct JsonEraStats {
+        scripts: usize,
+        valid_pipelines: usize,
+        unparsable: usize,
+        datasets: usize,
+        total_nodes: usize,
+        total_edges: usize,
+        training_secs: f64,
+        epoch_losses: Vec<f32>,
+    }
+
+    fn table(offset: f64, n: usize) -> DataFrame {
+        DataFrame::from_columns(vec![
+            (
+                "f0".to_string(),
+                Column::from_f64((0..n).map(|i| offset + (i % 10) as f64).collect::<Vec<_>>()),
+            ),
+            (
+                "f1".to_string(),
+                Column::from_f64((0..n).map(|i| offset + (i % 7) as f64).collect::<Vec<_>>()),
+            ),
+        ])
+        .unwrap()
+    }
+
+    fn trained() -> Kgpip {
+        let profiles = vec![
+            DatasetProfile::new("alpha", false),
+            DatasetProfile::new("beta", false),
+        ];
+        let scripts = generate_corpus(
+            &profiles,
+            &CorpusConfig {
+                scripts_per_dataset: 6,
+                ..CorpusConfig::default()
+            },
+        );
+        let tables = vec![
+            ("alpha".to_string(), table(0.0, 30)),
+            ("beta".to_string(), table(500.0, 30)),
+        ];
+        let config = KgpipConfig::default().with_generator(GeneratorConfig {
+            hidden: 8,
+            prop_rounds: 1,
+            epochs: 2,
+            ..GeneratorConfig::default()
+        });
+        Kgpip::train(&scripts, &tables, config).unwrap()
+    }
+
+    #[test]
+    fn json_era_document_opens_with_identical_predictions() {
+        let run = trained();
+        let model = run.artifact();
+        let stats = run.stats();
+        let wire = JsonEraWire {
+            config: model.config.clone(),
+            embedding_center: model.embedding_center.clone(),
+            vocab: model.vocab.clone(),
+            generator: model.generator.clone(),
+            index: model.index.clone(),
+            embeddings: model.embeddings.clone(),
+            graph4ml: run.graph4ml().clone(),
+            stats: JsonEraStats {
+                scripts: stats.scripts,
+                valid_pipelines: stats.valid_pipelines,
+                unparsable: stats.unparsable,
+                datasets: stats.datasets,
+                total_nodes: stats.total_nodes,
+                total_edges: stats.total_edges,
+                training_secs: stats.training_secs,
+                epoch_losses: stats.epoch_losses.clone(),
+            },
+        };
+        let path = std::env::temp_dir().join(format!("kgpip_json_era_{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&wire).unwrap()).unwrap();
+        let opened = TrainedModel::open(&path);
+        std::fs::remove_file(&path).ok();
+        let opened = opened.unwrap();
+
+        let caps = Flaml::new(0).capabilities();
+        for offset in [1.0, 250.0, 499.0] {
+            let features = table(offset, 40);
+            let y: Vec<f64> = (0..40).map(|i| f64::from(i % 10 > 4)).collect();
+            let ds = Dataset::new("unseen", features, y, Task::Binary).unwrap();
+            let (a, na) = model.predict_skeletons(&ds, 3, &caps, 7).unwrap();
+            let (b, nb) = opened.predict_skeletons(&ds, 3, &caps, 7).unwrap();
+            assert_eq!(na, nb);
+            assert_eq!(a.len(), b.len());
+            for ((s1, g1), (s2, g2)) in a.iter().zip(&b) {
+                assert_eq!(s1, s2);
+                assert_eq!(g1.to_bits(), g2.to_bits());
+            }
+        }
+        // The decoded artifact re-encodes to the original's snapshot.
+        assert_eq!(
+            opened.snapshot_bytes().unwrap(),
+            model.snapshot_bytes().unwrap()
+        );
     }
 }

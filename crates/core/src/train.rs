@@ -4,16 +4,13 @@
 use crate::artifact::TrainedModel;
 use crate::{KgpipError, Result};
 use kgpip_codegraph::corpus::ScriptRecord;
-use kgpip_codegraph::{
-    mine_script, source_fingerprint, Graph4Ml, MineOutcome, MiningCache, OpVocab,
-};
+use kgpip_codegraph::{mine_script, source_fingerprint, Graph4Ml, MineOutcome, OpVocab};
 use kgpip_embeddings::{table_embeddings, VectorIndex};
 use kgpip_graphgen::model::TypedGraph;
 use kgpip_graphgen::{effective_parallelism, GeneratorConfig, GraphGenerator, TrainExample};
 use kgpip_tabular::DataFrame;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// KGpip system configuration.
 ///
@@ -108,7 +105,7 @@ impl KgpipConfig {
 }
 
 /// Statistics of one training run (reported by the Table-3 ablation).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingStats {
     /// Scripts in the input corpus.
     pub scripts: usize,
@@ -120,7 +117,6 @@ pub struct TrainingStats {
     pub unparsable: usize,
     /// Scripts skipped because they reference a dataset with no table in
     /// the training catalog (previously a silent `continue`).
-    #[serde(default)]
     pub skipped_unknown_dataset: usize,
     /// Datasets with at least one valid pipeline.
     pub datasets: usize,
@@ -129,23 +125,18 @@ pub struct TrainingStats {
     /// Total edges across the filtered training graphs.
     pub total_edges: usize,
     /// Wall-clock seconds spent embedding the training tables.
-    #[serde(default)]
     pub embedding_secs: f64,
     /// Wall-clock seconds spent mining scripts into the Graph4ML
-    /// (fingerprinting, cache probes, static analysis, assembly).
-    #[serde(default)]
+    /// (fingerprinting, deduplication, static analysis, assembly).
     pub mining_secs: f64,
     /// Wall-clock seconds spent training the generator.
     pub training_secs: f64,
-    /// Eligible scripts whose mining outcome was served from the
-    /// [`MiningCache`] — including intra-corpus duplicates, which are
-    /// analyzed once and replayed for every later occurrence.
-    #[serde(default)]
-    pub mining_cache_hits: u64,
-    /// Eligible scripts that actually went through static analysis this
-    /// run (unique sources absent from the cache).
-    #[serde(default)]
-    pub mining_cache_misses: u64,
+    /// Eligible scripts whose source repeats an earlier one in the
+    /// corpus: analyzed once, with the outcome replayed here.
+    pub duplicate_scripts: usize,
+    /// Eligible scripts that went through static analysis (the distinct
+    /// sources).
+    pub analyzed_scripts: usize,
     /// Per-epoch generator losses.
     pub epoch_losses: Vec<f32>,
 }
@@ -154,29 +145,13 @@ pub struct TrainingStats {
 /// [`TrainedModel`]) plus train-time state — the assembled Graph4ML and
 /// the run's [`TrainingStats`] — kept for corpus analyses and ablations.
 ///
-/// Prediction entry points remain available on `Kgpip` as thin
-/// delegations, but the artifact is the canonical home of the online
-/// workflow: call [`Kgpip::artifact`] (or [`Kgpip::into_artifact`]) to
-/// extract it for serving.
+/// The artifact is the only home of the online workflow and the only
+/// thing that persists: call [`Kgpip::artifact`] (or
+/// [`Kgpip::into_artifact`]) to predict, serve, or snapshot.
 pub struct Kgpip {
     pub(crate) artifact: TrainedModel,
     pub(crate) graph4ml: Graph4Ml,
     pub(crate) stats: TrainingStats,
-}
-
-/// The JSON wire layout of the original monolithic `Kgpip` struct, kept
-/// verbatim so models saved by earlier builds keep loading (and new JSON
-/// saves stay readable by them). Binary snapshots do not go through this.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct KgpipWire {
-    config: KgpipConfig,
-    embedding_center: Vec<f64>,
-    vocab: OpVocab,
-    generator: GraphGenerator,
-    index: VectorIndex,
-    embeddings: HashMap<String, Vec<f64>>,
-    graph4ml: Graph4Ml,
-    stats: TrainingStats,
 }
 
 impl Kgpip {
@@ -186,28 +161,12 @@ impl Kgpip {
     ///
     /// Mining and embedding run on `config.parallelism` workers; results
     /// are merged in input order, so the trained model is bit-for-bit
-    /// identical at any worker count. Script analysis is memoized in a
-    /// run-local [`MiningCache`]; use [`Kgpip::train_with_cache`] to
-    /// share (or persist) the cache across training runs.
+    /// identical at any worker count. Byte-identical scripts within the
+    /// corpus are analyzed once.
     pub fn train(
         scripts: &[ScriptRecord],
         tables: &[(String, DataFrame)],
         config: KgpipConfig,
-    ) -> Result<Kgpip> {
-        Kgpip::train_with_cache(scripts, tables, config, &MiningCache::default())
-    }
-
-    /// [`Kgpip::train`] with a caller-owned [`MiningCache`]: script
-    /// analysis outcomes are looked up by source fingerprint before any
-    /// static analysis runs, so re-training, K-sweeps, and ablations over
-    /// the same corpus skip mining entirely. The cache may only change
-    /// what mining costs, never what it produces — warm and cold runs are
-    /// bit-for-bit identical (proven by `tests/mining_determinism.rs`).
-    pub fn train_with_cache(
-        scripts: &[ScriptRecord],
-        tables: &[(String, DataFrame)],
-        config: KgpipConfig,
-        cache: &MiningCache,
     ) -> Result<Kgpip> {
         // Directly-constructed configs can carry `parallelism: 0`,
         // bypassing the builder's clamp; treat that as sequential. The
@@ -236,21 +195,19 @@ impl Kgpip {
 
         // Static analysis + filtering → Graph4ML. Mining an individual
         // script is pure in its source, so the corpus is deduplicated by
-        // source fingerprint, probed against the cache in first-occurrence
-        // order, and only the unique misses are analyzed — on a rayon pool
-        // when `workers > 1`, merged back in submission order. Assembly
-        // then walks the corpus in input order, so the Graph4ML, indices,
-        // and stats are identical to the historical sequential loop.
+        // source fingerprint in first-occurrence order and only the
+        // distinct sources are analyzed — on a rayon pool when
+        // `workers > 1`, merged back in submission order. Assembly then
+        // walks the corpus in input order, so the Graph4ML, indices, and
+        // stats are identical to the historical sequential loop.
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): stage timing feeds TrainingStats only, never a computed value
         let mining_started = std::time::Instant::now();
         let mut skipped_unknown_dataset = 0usize;
         let mut fingerprints: Vec<Option<u64>> = Vec::with_capacity(scripts.len());
-        let mut outcomes: HashMap<u64, MineOutcome> = HashMap::new();
-        let mut pending: HashSet<u64> = HashSet::new();
+        let mut distinct: HashSet<u64> = HashSet::new();
         let mut to_mine: Vec<(u64, &str)> = Vec::new();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
+        let mut duplicate_scripts = 0usize;
         for record in scripts {
             if !embeddings.contains_key(&record.dataset) {
                 skipped_unknown_dataset += 1;
@@ -259,21 +216,11 @@ impl Kgpip {
             }
             let fp = source_fingerprint(&record.source);
             fingerprints.push(Some(fp));
-            if outcomes.contains_key(&fp) || pending.contains(&fp) {
+            if distinct.insert(fp) {
+                to_mine.push((fp, record.source.as_str()));
+            } else {
                 // Intra-corpus duplicate: analyzed once, replayed here.
-                cache_hits += 1;
-                continue;
-            }
-            match cache.get(fp) {
-                Some(outcome) => {
-                    cache_hits += 1;
-                    outcomes.insert(fp, outcome);
-                }
-                None => {
-                    cache_misses += 1;
-                    pending.insert(fp);
-                    to_mine.push((fp, record.source.as_str()));
-                }
+                duplicate_scripts += 1;
             }
         }
         // Mining is lenient: a notebook the analyzer cannot cleanly
@@ -294,10 +241,9 @@ impl Kgpip {
         } else {
             to_mine.iter().map(|(_, src)| mine_script(src)).collect()
         };
-        for ((fp, _), outcome) in to_mine.iter().zip(mined) {
-            cache.insert(*fp, outcome.clone());
-            outcomes.insert(*fp, outcome);
-        }
+        let analyzed_scripts = to_mine.len();
+        let outcomes: HashMap<u64, MineOutcome> =
+            to_mine.iter().map(|(fp, _)| *fp).zip(mined).collect();
         let mut graph4ml = Graph4Ml::new();
         let mut valid_pipelines = 0usize;
         let mut unparsable = 0usize;
@@ -382,8 +328,8 @@ impl Kgpip {
             embedding_secs,
             mining_secs,
             training_secs,
-            mining_cache_hits: cache_hits,
-            mining_cache_misses: cache_misses,
+            duplicate_scripts,
+            analyzed_scripts,
             epoch_losses,
         };
         Ok(Kgpip {
@@ -411,110 +357,14 @@ impl Kgpip {
         self.artifact
     }
 
-    /// Wraps a clone of the serving artifact in an [`Arc`] for lock-free
-    /// sharing across threads.
-    pub fn share(&self) -> Arc<TrainedModel> {
-        self.artifact.share()
-    }
-
     /// Training statistics.
     pub fn stats(&self) -> &TrainingStats {
         &self.stats
     }
 
-    /// The system configuration.
-    pub fn config(&self) -> &KgpipConfig {
-        self.artifact.config()
-    }
-
-    /// Overrides the run-time parallelism of a trained (or loaded) model
-    /// — a deployment knob, not a training artifact (clamped to ≥ 1).
-    /// Applies to skeleton search, trial evaluation, and the generator's
-    /// top-K sampling alike.
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.artifact.set_parallelism(parallelism);
-    }
-
     /// The assembled Graph4ML (for corpus analyses like Figure 9).
     pub fn graph4ml(&self) -> &Graph4Ml {
         &self.graph4ml
-    }
-
-    /// The op vocabulary.
-    pub fn vocab(&self) -> &OpVocab {
-        self.artifact.vocab()
-    }
-
-    /// Content embedding of a training dataset, if known.
-    pub fn embedding_of(&self, dataset: &str) -> Option<&[f64]> {
-        self.artifact.embedding_of(dataset)
-    }
-}
-
-impl Kgpip {
-    /// Serializes the full training run (serving artifact + Graph4ML +
-    /// stats) to the JSON-era wire format.
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn to_json(&self) -> Result<String> {
-        self.wire_json()
-    }
-
-    /// Restores a training run from [`Kgpip::to_json`] output.
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn from_json(json: &str) -> Result<Kgpip> {
-        Kgpip::from_wire_json(json)
-    }
-
-    /// Saves the training run to a JSON file.
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        std::fs::write(path, self.wire_json()?).map_err(|e| KgpipError::Persistence(e.to_string()))
-    }
-
-    /// Loads a training run from a file produced by [`Kgpip::save`].
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Kgpip> {
-        let json =
-            std::fs::read_to_string(path).map_err(|e| KgpipError::Persistence(e.to_string()))?;
-        Kgpip::from_wire_json(&json)
-    }
-
-    /// Non-deprecated implementation shared by the shims above (and the
-    /// CLI's compatibility path).
-    pub(crate) fn wire_json(&self) -> Result<String> {
-        // The vendored serde_derive cannot derive on borrowing structs, so
-        // the deprecated JSON path pays one clone into the owned wire
-        // layout; binary snapshots serialize without copies.
-        let wire = KgpipWire {
-            config: self.artifact.config.clone(),
-            embedding_center: self.artifact.embedding_center.clone(),
-            vocab: self.artifact.vocab.clone(),
-            generator: self.artifact.generator.clone(),
-            index: self.artifact.index.clone(),
-            embeddings: self.artifact.embeddings.clone(),
-            graph4ml: self.graph4ml.clone(),
-            stats: self.stats.clone(),
-        };
-        serde_json::to_string(&wire).map_err(|e| KgpipError::Persistence(e.to_string()))
-    }
-
-    /// Non-deprecated implementation of [`Kgpip::from_json`]; also the
-    /// JSON fallback of [`TrainedModel::open`].
-    pub(crate) fn from_wire_json(json: &str) -> Result<Kgpip> {
-        let wire: KgpipWire =
-            serde_json::from_str(json).map_err(|e| KgpipError::Persistence(e.to_string()))?;
-        Ok(Kgpip {
-            artifact: TrainedModel {
-                config: wire.config,
-                embedding_center: wire.embedding_center,
-                vocab: wire.vocab,
-                generator: wire.generator,
-                index: wire.index,
-                embeddings: wire.embeddings,
-            },
-            graph4ml: wire.graph4ml,
-            stats: wire.stats,
-        })
     }
 }
 
@@ -597,8 +447,8 @@ mod tests {
         assert_eq!(stats.datasets, 2);
         assert!(stats.total_nodes > 0);
         assert_eq!(stats.epoch_losses.len(), 2);
-        assert!(model.embedding_of("alpha").is_some());
-        assert!(model.embedding_of("nope").is_none());
+        assert!(model.artifact().embedding_of("alpha").is_some());
+        assert!(model.artifact().embedding_of("nope").is_none());
     }
 
     #[test]
@@ -622,8 +472,7 @@ mod tests {
         let (scripts, tables) = tiny_setup();
         let model = Kgpip::train(&scripts, &tables, fast_config()).unwrap();
         let borrowed_params = model.artifact().generator.num_parameters();
-        let shared = model.share();
-        assert_eq!(shared.catalog_len(), 2);
+        assert_eq!(model.artifact().catalog_len(), 2);
         let artifact = model.into_artifact();
         assert_eq!(artifact.generator.num_parameters(), borrowed_params);
         assert!(artifact.embedding_of("alpha").is_some());

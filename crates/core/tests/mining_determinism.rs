@@ -1,11 +1,9 @@
-//! Parallel mining and the MiningCache may only change what training
-//! *costs*, never what it produces: the assembled Graph4ML, the stats,
-//! and the generator's training trajectory must be bit-for-bit
-//! identical at any worker count, with a cold or a warm cache, and
-//! whether the cache came from this process or from a serialized
-//! snapshot.
+//! Parallel mining may only change what training *costs*, never what it
+//! produces: the assembled Graph4ML, the stats, and the generator's
+//! training trajectory must be bit-for-bit identical at any worker
+//! count.
 
-use kgpip::{Kgpip, KgpipConfig, MiningCache, TrainingStats};
+use kgpip::{Kgpip, KgpipConfig};
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile, ScriptRecord};
 use kgpip_graphgen::GeneratorConfig;
 use kgpip_tabular::{Column, DataFrame};
@@ -99,49 +97,15 @@ fn parallel_mining_is_bit_identical_across_worker_counts() {
             "parallelism {parallelism} diverged from the sequential path"
         );
         assert_eq!(
-            model.stats().mining_cache_hits,
-            baseline.stats().mining_cache_hits,
-            "cache counters must not depend on worker count"
+            model.stats().duplicate_scripts,
+            baseline.stats().duplicate_scripts,
+            "dedup counters must not depend on worker count"
         );
         assert_eq!(
-            model.stats().mining_cache_misses,
-            baseline.stats().mining_cache_misses
+            model.stats().analyzed_scripts,
+            baseline.stats().analyzed_scripts
         );
     }
-}
-
-#[test]
-fn warm_cache_rerun_is_bit_identical_and_skips_analysis() {
-    let (scripts, tables) = setup();
-    let cache = MiningCache::default();
-    let cold = Kgpip::train_with_cache(&scripts, &tables, config(2), &cache).unwrap();
-    let warm = Kgpip::train_with_cache(&scripts, &tables, config(2), &cache).unwrap();
-    assert_eq!(fingerprint(&cold), fingerprint(&warm));
-
-    let eligible = (cold.stats().scripts - cold.stats().skipped_unknown_dataset) as u64;
-    assert!(cold.stats().mining_cache_misses > 0, "cold run analyzes");
-    assert_eq!(
-        warm.stats().mining_cache_hits,
-        eligible,
-        "warm run serves every eligible script from the cache"
-    );
-    assert_eq!(warm.stats().mining_cache_misses, 0);
-}
-
-#[test]
-fn persisted_cache_stays_warm_across_restore() {
-    let (scripts, tables) = setup();
-    let cache = MiningCache::default();
-    let cold = Kgpip::train_with_cache(&scripts, &tables, config(1), &cache).unwrap();
-    let json = cache.to_json().unwrap();
-    let restored = MiningCache::from_json(&json).unwrap();
-    let warm = Kgpip::train_with_cache(&scripts, &tables, config(4), &restored).unwrap();
-    assert_eq!(fingerprint(&cold), fingerprint(&warm));
-    assert_eq!(
-        warm.stats().mining_cache_misses,
-        0,
-        "a restored snapshot must be as warm as the original cache"
-    );
 }
 
 #[test]
@@ -163,37 +127,10 @@ fn unknown_dataset_scripts_are_counted_not_silently_dropped() {
         "all gamma scripts reference a dataset with no table"
     );
     assert_eq!(stats.datasets, 2);
-    assert!(stats.embedding_secs >= 0.0 && stats.mining_secs >= 0.0);
-}
-
-#[test]
-fn pre_upgrade_stats_json_loads_with_defaulted_fields() {
-    // A TrainingStats serialized before the mining/embedding instrumentation
-    // existed: the new fields must default instead of failing the load.
-    let old = r#"{"scripts":4,"valid_pipelines":3,"unparsable":1,"datasets":2,
-        "total_nodes":10,"total_edges":9,"training_secs":0.5,"epoch_losses":[1.0,0.5]}"#;
-    let stats: TrainingStats = serde_json::from_str(old).unwrap();
-    assert_eq!(stats.scripts, 4);
-    assert_eq!(stats.skipped_unknown_dataset, 0);
-    assert_eq!(stats.mining_cache_hits, 0);
-    assert_eq!(stats.mining_cache_misses, 0);
-    assert_eq!(stats.mining_secs, 0.0);
-    assert_eq!(stats.embedding_secs, 0.0);
-}
-
-#[test]
-#[allow(deprecated)]
-fn model_json_roundtrips_after_label_interning() {
-    // Label interning changed CodeGraph's in-memory representation; the
-    // serialized model (which embeds the Graph4ML built from those
-    // graphs) must round-trip unchanged.
-    let (scripts, tables) = setup();
-    let model = Kgpip::train(&scripts, &tables, config(1)).unwrap();
-    let json = model.to_json().unwrap();
-    let restored = Kgpip::from_json(&json).unwrap();
-    assert_eq!(fingerprint(&model), fingerprint(&restored));
     assert_eq!(
-        serde_json::to_string(restored.graph4ml()).unwrap(),
-        serde_json::to_string(model.graph4ml()).unwrap()
+        stats.duplicate_scripts + stats.analyzed_scripts,
+        stats.scripts - stats.skipped_unknown_dataset,
+        "every eligible script is either analyzed or a replayed duplicate"
     );
+    assert!(stats.embedding_secs >= 0.0 && stats.mining_secs >= 0.0);
 }

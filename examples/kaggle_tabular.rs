@@ -80,7 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = KgpipConfig::default().with_k(3).with_parallelism(4);
     let model = Kgpip::train(&scripts, &setup.tables, config)?;
     let mut backend = Flaml::new(0);
-    let run = model.run(&train, &mut backend, TimeBudget::seconds(budget_secs))?;
+    let run = model
+        .artifact()
+        .run(&train, &mut backend, TimeBudget::seconds(budget_secs))?;
     let kg_score = run.best().refit_score(&train, &test)?;
     println!(
         "KGpip+FLAML:  {} -> test macro-F1 {:.3} (neighbour: {})",

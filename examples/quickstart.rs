@@ -70,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Online phase: nearest dataset -> top-K graphs -> (T-t)/K HPO.
     let mut backend = Flaml::new(0);
-    let run = model.run(&ds, &mut backend, TimeBudget::seconds(5.0))?;
+    let run = model
+        .artifact()
+        .run(&ds, &mut backend, TimeBudget::seconds(5.0))?;
     println!("\nnearest training dataset: {}", run.neighbour);
     println!(
         "generation + validation took {:.3}s (the paper's t)",

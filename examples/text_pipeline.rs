@@ -69,7 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let model = Kgpip::train(&scripts, &setup.tables, KgpipConfig::default().with_k(3))?;
     let mut backend = Flaml::new(0);
-    let run = model.run(&train, &mut backend, TimeBudget::seconds(5.0))?;
+    let run = model
+        .artifact()
+        .run(&train, &mut backend, TimeBudget::seconds(5.0))?;
     let score = run.best().refit_score(&train, &test)?;
     println!(
         "KGpip+FLAML: {} -> test macro-F1 {:.3}",

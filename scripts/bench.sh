@@ -3,7 +3,7 @@
 # perf trajectory is tracked across PRs:
 #   BENCH_graphgen.json — graph-generation kernels
 #   BENCH_hpo.json      — HPO trial throughput (trials/sec, cache hit rate)
-#   BENCH_mining.json   — corpus mining (scripts/sec cold vs warm, p1 vs pN)
+#   BENCH_mining.json   — corpus mining (scripts/sec, p1 vs pN)
 #   BENCH_serve.json    — kgpip-serve (QPS, p50/p99 latency, cache hit rate)
 #   BENCH_embeddings.json — similarity tiers (build secs, insert/sec, QPS,
 #                           recall@10, resident bytes per tier; the

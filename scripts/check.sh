@@ -22,7 +22,7 @@ cargo bench --workspace --no-run
 echo "==> vendored parallel runtime (one persistent pool: order, nesting, panics, no per-call threads)"
 cargo test -p rayon -q
 
-echo "==> determinism suite (parallel engine bit-for-bit reproducibility)"
+echo "==> determinism suite (parallel engine bit-for-bit reproducibility; mining identical at any worker count)"
 cargo test -p kgpip-graphgen --test determinism -q
 cargo test -p kgpip-nn --test props -q
 cargo test -p kgpip-learners --test gbt_determinism -q
@@ -43,8 +43,10 @@ cargo test -p kgpip-embeddings --test pq -q
 echo "==> cache-equivalence suite (trial caches change cost, never results)"
 cargo test -p kgpip-hpo --test cache_equivalence -q
 
-echo "==> artifact suite (snapshot round-trips bit-for-bit; serving is bit-identical to direct prediction)"
+echo "==> artifact suite (snapshot round-trips bit-for-bit; decoder fuzz and allocation bounds; serving is bit-identical to direct prediction)"
 cargo test -p kgpip --test snapshot_roundtrip -q
+cargo test -p kgpip --test snapshot_fuzz -q
+cargo test -p kgpip --test snapshot_alloc -q
 cargo test -p kgpip-serve -q
 
 echo "==> lint-corpus (fixed-seed graph invariant gate)"

@@ -25,11 +25,10 @@
 //! kgpip-cli index stats --index catalog.kgvi
 //! ```
 //!
-//! Model files: `--model` everywhere accepts both the binary snapshot
-//! format (`.kgps`, written by `train`/`snapshot`) and the JSON-era
-//! format — the loader sniffs the file magic. `train` writes a snapshot
-//! unless `--out` ends in `.json`; `snapshot` converts either format to a
-//! snapshot.
+//! Model files: `train` always writes the binary snapshot format
+//! (KGPS), whatever `--out` is named. `--model` everywhere also accepts
+//! the JSON-era model documents of earlier builds — the loader sniffs the
+//! file magic — and `snapshot` converts either format to a snapshot.
 //!
 //! `serve` starts the batched prediction service and reads requests from
 //! stdin, one CSV path per line; each line is answered with the top-K
@@ -184,14 +183,7 @@ fn cmd_train(flag: &impl Fn(&str) -> Option<String>) -> CliResult {
         "trained: {}/{} scripts usable, {} datasets, {:.1}s generator training",
         stats.valid_pipelines, stats.scripts, stats.datasets, stats.training_secs
     );
-    if out.ends_with(".json") {
-        // JSON-era compatibility output (keeps the full training run,
-        // Graph4ML and stats included).
-        #[allow(deprecated)]
-        model.save(&out)?;
-    } else {
-        model.artifact().snapshot(&out)?;
-    }
+    model.artifact().snapshot(&out)?;
     eprintln!("model written to {out}");
     Ok(())
 }
@@ -749,7 +741,7 @@ fn cmd_demo(flag: &impl Fn(&str) -> Option<String>) -> CliResult {
         .expect("catalog entry");
     let ds = kgpip_benchdata::generate_dataset(entry, &ScaleConfig::default(), 7);
     let mut backend = Flaml::new(0);
-    let run = model.run(
+    let run = model.artifact().run(
         &ds,
         &mut backend,
         TimeBudget::seconds(budget).with_trial_cap(60),

@@ -4,7 +4,7 @@
 //! spawning a subprocess. The `.kgvi` catalog commands, whose only
 //! consumer is the CLI, are driven through the built `kgpip-cli` binary.
 
-use kgpip::{Kgpip, KgpipConfig};
+use kgpip::{Kgpip, KgpipConfig, TrainedModel};
 use kgpip_benchdata::{training_setup, ScaleConfig};
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, ScriptRecord};
 use kgpip_graphgen::GeneratorConfig;
@@ -86,11 +86,9 @@ fn csv_on_disk_roundtrip_feeds_training_and_prediction() {
         }),
     )
     .unwrap();
-    let model_path = scratch_dir("model").join("model.json");
-    #[allow(deprecated)]
-    model.save(&model_path).unwrap();
-    #[allow(deprecated)]
-    let model = Kgpip::load(&model_path).unwrap();
+    let model_path = scratch_dir("model").join("model.kgps");
+    model.artifact().snapshot(&model_path).unwrap();
+    let model = TrainedModel::open(&model_path).unwrap();
 
     // An "unseen" CSV with a target column, as a user would provide.
     let mut csv_text = String::from("f0,f1,label\n");

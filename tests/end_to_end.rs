@@ -74,6 +74,7 @@ fn budget_split_is_respected_end_to_end() {
     let started = std::time::Instant::now();
     let mut backend = Flaml::new(0);
     let run = model
+        .artifact()
         .run(&train, &mut backend, TimeBudget::seconds(total))
         .unwrap();
     let elapsed = started.elapsed().as_secs_f64();
@@ -83,7 +84,7 @@ fn budget_split_is_respected_end_to_end() {
         elapsed < total * 3.0 + 2.0,
         "run took {elapsed:.1}s for a {total:.1}s budget"
     );
-    assert!(run.results.len() <= model.config().top_k);
+    assert!(run.results.len() <= model.artifact().config().top_k);
 }
 
 #[test]
@@ -96,7 +97,10 @@ fn capability_document_gates_skeletons() {
     // knn or the fallback.
     let narrow = Flaml::with_estimators(0, vec![kgpip_learners::EstimatorKind::Knn]);
     let caps = narrow.capabilities();
-    let (skeletons, _) = model.predict_skeletons(&ds, 3, &caps, 0).unwrap();
+    let (skeletons, _) = model
+        .artifact()
+        .predict_skeletons(&ds, 3, &caps, 0)
+        .unwrap();
     for (s, _) in &skeletons {
         assert!(
             s.estimator == kgpip_learners::EstimatorKind::Knn
@@ -107,7 +111,10 @@ fn capability_document_gates_skeletons() {
     }
     // The full document admits everything the generator emits.
     let full = AutoSklearn::new(0).capabilities();
-    let (skeletons, _) = model.predict_skeletons(&ds, 3, &full, 0).unwrap();
+    let (skeletons, _) = model
+        .artifact()
+        .predict_skeletons(&ds, 3, &full, 0)
+        .unwrap();
     assert!(!skeletons.is_empty());
 }
 
@@ -119,8 +126,14 @@ fn deterministic_reproduction_across_identical_configs() {
     let entry = benchmark().iter().find(|e| e.name == "quake").unwrap();
     let ds = generate_dataset(entry, &cfg.scale, 3);
     let caps = Flaml::new(0).capabilities();
-    let (sa, na) = model_a.predict_skeletons(&ds, 3, &caps, 7).unwrap();
-    let (sb, nb) = model_b.predict_skeletons(&ds, 3, &caps, 7).unwrap();
+    let (sa, na) = model_a
+        .artifact()
+        .predict_skeletons(&ds, 3, &caps, 7)
+        .unwrap();
+    let (sb, nb) = model_b
+        .artifact()
+        .predict_skeletons(&ds, 3, &caps, 7)
+        .unwrap();
     assert_eq!(na, nb, "nearest neighbour must be deterministic");
     let names = |v: &[(kgpip_hpo::Skeleton, f64)]| {
         v.iter()
