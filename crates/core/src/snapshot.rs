@@ -178,8 +178,10 @@ impl Snapshot {
                 current.len()
             )));
         }
+        let config = config.ok_or_else(|| persist("snapshot is missing the config section"))?;
+        check_temperature(&config)?;
         let model = TrainedModel {
-            config: config.ok_or_else(|| persist("snapshot is missing the config section"))?,
+            config,
             embedding_center: center
                 .ok_or_else(|| persist("snapshot is missing the conditioning-center section"))?,
             vocab,
@@ -274,6 +276,7 @@ impl TrainedModel {
         let json = std::str::from_utf8(&bytes)
             .map_err(|_| persist("file is neither a KGPS snapshot nor UTF-8 JSON"))?;
         let doc: JsonEraModel = serde_json::from_str(json).map_err(persist)?;
+        check_temperature(&doc.config)?;
         Ok(TrainedModel {
             config: doc.config,
             embedding_center: doc.embedding_center,
@@ -296,6 +299,20 @@ struct JsonEraModel {
     generator: GraphGenerator,
     index: VectorIndex,
     embeddings: HashMap<String, Vec<f64>>,
+}
+
+/// Rejects a sampling temperature generation cannot use. At `0` the
+/// softmax divides `0/0` for the top class, every draw picks STOP, and the
+/// model would open cleanly yet serve only the fallback skeleton.
+fn check_temperature(config: &KgpipConfig) -> Result<()> {
+    let t = config.temperature;
+    if t.is_finite() && t > 0.0 {
+        Ok(())
+    } else {
+        Err(persist(format!(
+            "sampling temperature {t} is not a finite positive number"
+        )))
+    }
 }
 
 fn persist(e: impl ToString) -> KgpipError {
@@ -475,12 +492,10 @@ mod tests {
         Kgpip::train(&scripts, &tables, config).unwrap()
     }
 
-    #[test]
-    fn json_era_document_opens_with_identical_predictions() {
-        let run = trained();
+    fn json_era_wire(run: &Kgpip) -> JsonEraWire {
         let model = run.artifact();
         let stats = run.stats();
-        let wire = JsonEraWire {
+        JsonEraWire {
             config: model.config.clone(),
             embedding_center: model.embedding_center.clone(),
             vocab: model.vocab.clone(),
@@ -498,12 +513,24 @@ mod tests {
                 training_secs: stats.training_secs,
                 epoch_losses: stats.epoch_losses.clone(),
             },
-        };
-        let path = std::env::temp_dir().join(format!("kgpip_json_era_{}.json", std::process::id()));
-        std::fs::write(&path, serde_json::to_string(&wire).unwrap()).unwrap();
+        }
+    }
+
+    /// Writes `wire` as a JSON-era document and opens it.
+    fn open_json_era(wire: &JsonEraWire, tag: &str) -> Result<TrainedModel> {
+        let path =
+            std::env::temp_dir().join(format!("kgpip_json_era_{tag}_{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(wire).unwrap()).unwrap();
         let opened = TrainedModel::open(&path);
         std::fs::remove_file(&path).ok();
-        let opened = opened.unwrap();
+        opened
+    }
+
+    #[test]
+    fn json_era_document_opens_with_identical_predictions() {
+        let run = trained();
+        let model = run.artifact();
+        let opened = open_json_era(&json_era_wire(&run), "ok").unwrap();
 
         let caps = Flaml::new(0).capabilities();
         for offset in [1.0, 250.0, 499.0] {
@@ -524,5 +551,39 @@ mod tests {
             opened.snapshot_bytes().unwrap(),
             model.snapshot_bytes().unwrap()
         );
+    }
+
+    /// A temperature sampling cannot use is a persistence error in both
+    /// formats, not a model that opens and serves only the fallback.
+    #[test]
+    fn unusable_temperature_is_rejected_by_both_decoders() {
+        let run = trained();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut model = run.artifact().clone();
+            model.config.temperature = bad;
+            let bytes = model.snapshot_bytes().unwrap();
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&bytes),
+                    Err(KgpipError::Persistence(_))
+                ),
+                "KGPS snapshot with temperature {bad} must not open"
+            );
+            // JSON has no NaN or infinity; the JSON-era document can only
+            // carry a finite bad temperature.
+            if bad.is_finite() {
+                let mut wire = json_era_wire(&run);
+                wire.config.temperature = bad;
+                assert!(
+                    matches!(
+                        open_json_era(&wire, "bad_temperature"),
+                        Err(KgpipError::Persistence(_))
+                    ),
+                    "JSON-era document with temperature {bad} must not open"
+                );
+            }
+        }
+        let bytes = run.artifact().snapshot_bytes().unwrap();
+        assert!(Snapshot::from_bytes(&bytes).is_ok());
     }
 }

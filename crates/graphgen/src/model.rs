@@ -280,9 +280,20 @@ impl GraphGenerator {
         graph: &TypedGraph,
         ds_input: TensorRef,
     ) -> kgpip_nn::Result<TensorRef> {
+        let ds_base = self.ds_proj.forward(tape, ds_input)?;
+        self.propagate(tape, graph, ds_base)
+    }
+
+    /// The propagation half of [`GraphGenerator::node_states`], from the
+    /// already projected dataset embedding `ds_base`.
+    fn propagate(
+        &self,
+        tape: &mut Tape,
+        graph: &TypedGraph,
+        ds_base: TensorRef,
+    ) -> kgpip_nn::Result<TensorRef> {
         let n = graph.types.len();
         let hdim = self.config.hidden;
-        let ds_base = self.ds_proj.forward(tape, ds_input)?;
         let h0 = if n == 1 {
             ds_base
         } else {
@@ -319,6 +330,71 @@ impl GraphGenerator {
         Ok(tape.tanh(p))
     }
 
+    /// Everything the decision heads read about one graph state, computed
+    /// once: node states `h`, the readout `hg` and the projected dataset
+    /// embedding `ds`.
+    fn shared_state(
+        &self,
+        tape: &mut Tape,
+        graph: &TypedGraph,
+        ds_input: TensorRef,
+    ) -> kgpip_nn::Result<SharedState> {
+        let ds = self.ds_proj.forward(tape, ds_input)?;
+        let h = self.propagate(tape, graph, ds)?;
+        let hg = self.graph_state(tape, h)?;
+        Ok(SharedState { h, hg, ds })
+    }
+
+    /// Add-node head: 1×(vocab + 1) logits, the last class being STOP.
+    fn addnode_head(
+        &self,
+        tape: &mut Tape,
+        hg: TensorRef,
+        ds: TensorRef,
+    ) -> kgpip_nn::Result<TensorRef> {
+        // Condition the decision directly on the dataset embedding (the
+        // conditional-generation modification of §3.5): without this the
+        // dataset signal must survive propagation + sum pooling, and in
+        // practice the head collapses to the corpus-global mode.
+        let joint = tape.concat_cols(hg, ds)?;
+        self.head_addnode.forward(tape, joint)
+    }
+
+    /// Add-edge head: a 1×1 logit from the readout, the newest node's
+    /// state `ht` and the dataset embedding.
+    fn addedge_head(
+        &self,
+        tape: &mut Tape,
+        hg: TensorRef,
+        ht: TensorRef,
+        ds: TensorRef,
+    ) -> kgpip_nn::Result<TensorRef> {
+        let pair = tape.concat_cols(hg, ht)?;
+        let joint = tape.concat_cols(pair, ds)?;
+        self.head_addedge.forward(tape, joint)
+    }
+
+    /// Pick-source head: 1×(n−1) logits over candidate source nodes for
+    /// an edge into the newest node.
+    fn pick_head(
+        &self,
+        tape: &mut Tape,
+        h: TensorRef,
+        newest: usize,
+    ) -> kgpip_nn::Result<TensorRef> {
+        let candidates: Vec<usize> = (0..newest).collect();
+        let hu = tape.gather_rows(h, &candidates)?;
+        let ht = tape.gather_rows(h, &vec![newest; newest])?;
+        let joint = tape.concat_cols(hu, ht)?;
+        let scores = self.head_pick.forward(tape, joint)?;
+        tape.reshape(scores, 1, newest)
+    }
+
+    // The teacher-forced decisions below each recompute the node states of
+    // their partial graph. Their tape-op order fixes the order in which
+    // `backward` accumulates gradients, so it is part of the training
+    // numerics: change it only with a change meant to move trained weights.
+
     fn addnode_logits(
         &self,
         tape: &mut Tape,
@@ -327,13 +403,8 @@ impl GraphGenerator {
     ) -> kgpip_nn::Result<TensorRef> {
         let h = self.node_states(tape, graph, ds_input)?;
         let hg = self.graph_state(tape, h)?;
-        // Condition the decision directly on the dataset embedding (the
-        // conditional-generation modification of §3.5): without this the
-        // dataset signal must survive propagation + sum pooling, and in
-        // practice the head collapses to the corpus-global mode.
         let ds = self.ds_proj.forward(tape, ds_input)?;
-        let joint = tape.concat_cols(hg, ds)?;
-        self.head_addnode.forward(tape, joint)
+        self.addnode_head(tape, hg, ds)
     }
 
     fn addedge_logit(
@@ -347,13 +418,9 @@ impl GraphGenerator {
         let newest = graph.types.len() - 1;
         let ht = tape.gather_rows(h, &[newest])?;
         let ds = self.ds_proj.forward(tape, ds_input)?;
-        let pair = tape.concat_cols(hg, ht)?;
-        let joint = tape.concat_cols(pair, ds)?;
-        self.head_addedge.forward(tape, joint)
+        self.addedge_head(tape, hg, ht, ds)
     }
 
-    /// 1×(n−1) logits over candidate source nodes for an edge into the
-    /// newest node.
     fn pick_logits(
         &self,
         tape: &mut Tape,
@@ -361,13 +428,7 @@ impl GraphGenerator {
         ds_input: TensorRef,
     ) -> kgpip_nn::Result<TensorRef> {
         let h = self.node_states(tape, graph, ds_input)?;
-        let newest = graph.types.len() - 1;
-        let candidates: Vec<usize> = (0..newest).collect();
-        let hu = tape.gather_rows(h, &candidates)?;
-        let ht = tape.gather_rows(h, &vec![newest; newest])?;
-        let joint = tape.concat_cols(hu, ht)?;
-        let scores = self.head_pick.forward(tape, joint)?;
-        tape.reshape(scores, 1, newest)
+        self.pick_head(tape, h, graph.types.len() - 1)
     }
 
     fn ds_tensor(&self, embedding: &[f64]) -> Tensor {
@@ -547,10 +608,19 @@ impl GraphGenerator {
         self.generate_with_tape(&mut tape, &ds, prefix, temperature, rng)
     }
 
-    /// The autoregressive sampling loop. Every add-node / add-edge /
-    /// pick-source decision resets `tape` and reuses its buffer pool, so
-    /// one generation run performs a bounded number of heap allocations
-    /// regardless of decision count.
+    /// The autoregressive sampling loop, one forward pass per graph
+    /// state. `tape` is reset and the shared state `(h, hg, ds)`
+    /// recomputed only when a decision needs it after a node or an edge
+    /// was pushed; every add-node, add-edge and pick-source decision on
+    /// that graph reads it, so a declined add-edge and the add-node after
+    /// it share one pass, as do an accepted add-edge and its pick. Resets
+    /// reuse the tape's buffer pool, so one generation run performs a
+    /// bounded number of heap allocations regardless of decision count.
+    ///
+    /// Each head value is bit-identical to its teacher-forced counterpart
+    /// on the same partial graph (same kernels, same inputs), so graphs,
+    /// scores and RNG draws match a loop that recomputes the state per
+    /// decision — the `#[cfg(test)]` reference `generate_reference`.
     fn generate_with_tape<'s>(
         &'s self,
         tape: &mut Tape<'s>,
@@ -559,46 +629,42 @@ impl GraphGenerator {
         temperature: f64,
         rng: &mut StdRng,
     ) -> GeneratedGraph {
+        const SHAPES: &str = "generation shapes are internally consistent";
         let mut graph = prefix.clone();
         let mut log_prob = 0.0f64;
         let stop_class = self.config.vocab_size;
+        let fresh = |tape: &mut Tape<'s>, graph: &TypedGraph| {
+            tape.reset();
+            let ds = tape.input_from(ds_tensor);
+            self.shared_state(tape, graph, ds).expect(SHAPES)
+        };
+        // The state of `graph`; `None` once a push has made it stale.
+        let mut shared: Option<SharedState> = None;
         while graph.types.len() < self.config.max_nodes {
             // Decide the next node type (or stop).
-            let (choice, lp) = {
-                tape.reset();
-                let ds = tape.input_from(ds_tensor);
-                let logits = self
-                    .addnode_logits(tape, &graph, ds)
-                    .expect("generation shapes are internally consistent");
-                sample_softmax(tape.value(logits).row(0), temperature, &mut [], rng)
-            };
+            let st = *shared.get_or_insert_with(|| fresh(tape, &graph));
+            let logits = self.addnode_head(tape, st.hg, st.ds).expect(SHAPES);
+            let (choice, lp) = sample_softmax(tape.value(logits).row(0), temperature, &mut [], rng);
             log_prob += lp;
             if choice == stop_class {
                 break;
             }
             graph.types.push(choice);
+            shared = None;
             let newest = graph.types.len() - 1;
             // Edge loop for the new node.
             let mut edges_added = 0usize;
             while edges_added < self.config.max_edges_per_node {
-                let (add, lp) = {
-                    tape.reset();
-                    let ds = tape.input_from(ds_tensor);
-                    let logit = self
-                        .addedge_logit(tape, &graph, ds)
-                        .expect("generation shapes are internally consistent");
-                    let p = sigmoid(tape.value(logit).get(0, 0) as f64 / temperature);
-                    let add = rng.gen::<f64>() < p;
-                    (
-                        add,
-                        if add {
-                            p.max(1e-12).ln()
-                        } else {
-                            (1.0 - p).max(1e-12).ln()
-                        },
-                    )
+                let st = *shared.get_or_insert_with(|| fresh(tape, &graph));
+                let ht = tape.gather_rows(st.h, &[newest]).expect(SHAPES);
+                let logit = self.addedge_head(tape, st.hg, ht, st.ds).expect(SHAPES);
+                let p = sigmoid(tape.value(logit).get(0, 0) as f64 / temperature);
+                let add = rng.gen::<f64>() < p;
+                log_prob += if add {
+                    p.max(1e-12).ln()
+                } else {
+                    (1.0 - p).max(1e-12).ln()
                 };
-                log_prob += lp;
                 if !add {
                     break;
                 }
@@ -609,16 +675,12 @@ impl GraphGenerator {
                     .filter(|(_, v)| *v == newest)
                     .map(|(u, _)| *u)
                     .collect();
-                let (source, lp) = {
-                    tape.reset();
-                    let ds = tape.input_from(ds_tensor);
-                    let logits = self
-                        .pick_logits(tape, &graph, ds)
-                        .expect("generation shapes are internally consistent");
-                    sample_softmax(tape.value(logits).row(0), temperature, &mut masked, rng)
-                };
+                let logits = self.pick_head(tape, st.h, newest).expect(SHAPES);
+                let (source, lp) =
+                    sample_softmax(tape.value(logits).row(0), temperature, &mut masked, rng);
                 log_prob += lp;
                 graph.edges.push((source, newest));
+                shared = None;
                 edges_added += 1;
                 if graph.edges.iter().filter(|(_, v)| *v == newest).count() >= newest {
                     break; // connected to every earlier node already
@@ -686,6 +748,15 @@ impl GraphGenerator {
     }
 }
 
+/// Tape refs to the state every decision head reads for one graph: node
+/// states, graph readout and projected dataset embedding.
+#[derive(Clone, Copy)]
+struct SharedState {
+    h: TensorRef,
+    hg: TensorRef,
+    ds: TensorRef,
+}
+
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
@@ -743,6 +814,150 @@ fn sample_softmax(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    impl GraphGenerator {
+        /// The decision loop as it was before generation shared one forward
+        /// pass per graph state: every decision resets the tape and scores
+        /// through the teacher-forced functions, recomputing the node
+        /// states. Kept only as the identity oracle for
+        /// [`GraphGenerator::generate_with_tape`].
+        fn generate_reference(
+            &self,
+            ds_tensor: &Tensor,
+            prefix: &TypedGraph,
+            temperature: f64,
+            rng: &mut StdRng,
+        ) -> GeneratedGraph {
+            let mut tape = Tape::new(&self.store);
+            let tape = &mut tape;
+            let mut graph = prefix.clone();
+            let mut log_prob = 0.0f64;
+            let stop_class = self.config.vocab_size;
+            while graph.types.len() < self.config.max_nodes {
+                let (choice, lp) = {
+                    tape.reset();
+                    let ds = tape.input_from(ds_tensor);
+                    let logits = self.addnode_logits(tape, &graph, ds).unwrap();
+                    sample_softmax(tape.value(logits).row(0), temperature, &mut [], rng)
+                };
+                log_prob += lp;
+                if choice == stop_class {
+                    break;
+                }
+                graph.types.push(choice);
+                let newest = graph.types.len() - 1;
+                let mut edges_added = 0usize;
+                while edges_added < self.config.max_edges_per_node {
+                    let (add, lp) = {
+                        tape.reset();
+                        let ds = tape.input_from(ds_tensor);
+                        let logit = self.addedge_logit(tape, &graph, ds).unwrap();
+                        let p = sigmoid(tape.value(logit).get(0, 0) as f64 / temperature);
+                        let add = rng.gen::<f64>() < p;
+                        (
+                            add,
+                            if add {
+                                p.max(1e-12).ln()
+                            } else {
+                                (1.0 - p).max(1e-12).ln()
+                            },
+                        )
+                    };
+                    log_prob += lp;
+                    if !add {
+                        break;
+                    }
+                    let mut masked: Vec<usize> = graph
+                        .edges
+                        .iter()
+                        .filter(|(_, v)| *v == newest)
+                        .map(|(u, _)| *u)
+                        .collect();
+                    let (source, lp) = {
+                        tape.reset();
+                        let ds = tape.input_from(ds_tensor);
+                        let logits = self.pick_logits(tape, &graph, ds).unwrap();
+                        sample_softmax(tape.value(logits).row(0), temperature, &mut masked, rng)
+                    };
+                    log_prob += lp;
+                    graph.edges.push((source, newest));
+                    edges_added += 1;
+                    if graph.edges.iter().filter(|(_, v)| *v == newest).count() >= newest {
+                        break;
+                    }
+                }
+            }
+            GeneratedGraph { graph, log_prob }
+        }
+    }
+
+    /// Generators trained on [`corpus`], one per propagation-round count,
+    /// trained once per test process.
+    fn trained_generator(prop_rounds: usize) -> &'static GraphGenerator {
+        static TRAINED: OnceLock<Vec<GraphGenerator>> = OnceLock::new();
+        let trained = TRAINED.get_or_init(|| {
+            let examples = corpus(&OpVocab::new());
+            [1, 2]
+                .into_iter()
+                .map(|rounds| {
+                    let mut generator = GraphGenerator::new(GeneratorConfig {
+                        prop_rounds: rounds,
+                        epochs: 8,
+                        ..small_config()
+                    });
+                    generator.train(&examples);
+                    generator
+                })
+                .collect()
+        });
+        &trained[prop_rounds - 1]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass loop is bit-identical to the per-decision reference:
+        /// same graph, same `log_prob` bits, same next RNG draw, for three
+        /// consecutive generations sharing one tape and one RNG stream.
+        #[test]
+        fn one_pass_generation_matches_reference_loop(
+            trained in proptest::bool::ANY,
+            temperature in 0.5f64..2.0,
+            max_nodes in 3usize..=12,
+            max_edges_per_node in 1usize..=3,
+            prop_rounds in 1usize..=2,
+            init_seed in 0u64..1000,
+            rng_seed in 0u64..u64::MAX,
+            embedding in proptest::collection::vec(-1.0f64..1.0, 48),
+        ) {
+            let mut generator = if trained {
+                trained_generator(prop_rounds).clone()
+            } else {
+                GraphGenerator::new(GeneratorConfig {
+                    prop_rounds,
+                    seed: init_seed,
+                    ..small_config()
+                })
+            };
+            generator.config.max_nodes = max_nodes;
+            generator.config.max_edges_per_node = max_edges_per_node;
+            let prefix = TypedGraph::conditioning_prefix(&OpVocab::new());
+            let ds = generator.ds_tensor(&embedding);
+            let mut tape = Tape::new(&generator.store);
+            let mut rng_fast = StdRng::seed_from_u64(rng_seed);
+            let mut rng_ref = StdRng::seed_from_u64(rng_seed);
+            for _ in 0..3 {
+                let fast =
+                    generator.generate_with_tape(&mut tape, &ds, &prefix, temperature, &mut rng_fast);
+                let reference = generator.generate_reference(&ds, &prefix, temperature, &mut rng_ref);
+                prop_assert_eq!(&fast.graph, &reference.graph);
+                prop_assert_eq!(fast.log_prob.to_bits(), reference.log_prob.to_bits());
+            }
+            prop_assert_eq!(rng_fast.gen::<u64>(), rng_ref.gen::<u64>());
+        }
+    }
 
     /// A tiny deterministic corpus: dataset A always uses
     /// [read_csv -> standard_scaler -> xgboost], dataset B always uses

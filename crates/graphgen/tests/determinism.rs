@@ -61,12 +61,47 @@ fn state_fingerprint(generator: &mut GraphGenerator) -> String {
     serde_json::to_string(generator).expect("generator serializes")
 }
 
+/// 64-bit FNV-1a digest, so a fingerprint can be pinned as one constant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+// Outputs of `corpus` under `config(1)`, pinned. They hold across commits,
+// not only across worker counts: a refactor that moves a trained weight, a
+// loss bit or a sampled score fails here instead of passing silently.
+// Re-record only with a change that is meant to alter what the generator
+// computes.
+
+/// `fnv1a(state_fingerprint(..))` of the generator trained on `corpus`.
+const TRAINED_STATE_FNV: u64 = 0x91dc_66a8_86ae_9b33;
+/// `f32::to_bits` of each epoch's mean loss.
+const EPOCH_LOSS_BITS: [u32; 4] = [1068914870, 1065972442, 1060797723, 1056853605];
+/// One ranked candidate: `(types, edges, log_prob.to_bits())`.
+type Pinned<'a> = (&'a [usize], &'a [(usize, usize)], u64);
+/// `generate_top_k(emb_a, prefix, 3, 1.2, 42)` on the trained generator,
+/// in rank order.
+const TOP_K: &[Pinned] = &[
+    (&[0, 1], &[(0, 1)], 13831441484053642692),
+    (&[0, 1, 13], &[(0, 1), (1, 2)], 13836776275530888072),
+    (
+        &[0, 1, 1, 13],
+        &[(0, 1), (1, 2), (2, 3)],
+        13840469643943963388,
+    ),
+];
+
 #[test]
 fn train_is_bitwise_identical_at_any_worker_count() {
     let vocab = OpVocab::new();
     let examples = corpus(&vocab);
     let mut sequential = GraphGenerator::new(config(1));
     let losses_seq = sequential.train(&examples);
+    let loss_bits: Vec<u32> = losses_seq.iter().map(|l| l.to_bits()).collect();
+    let state_fnv = fnv1a(state_fingerprint(&mut sequential).as_bytes());
+    assert_eq!(loss_bits, EPOCH_LOSS_BITS, "epoch losses moved");
+    assert_eq!(state_fnv, TRAINED_STATE_FNV, "trained parameters moved");
     for workers in [2, 4] {
         let mut parallel = GraphGenerator::new(config(workers));
         let losses_par = parallel.train(&examples);
@@ -114,7 +149,17 @@ fn generate_top_k_is_identical_at_any_worker_count() {
     let mut emb = vec![0.0; 48];
     emb[0] = 1.0;
     let sequential = generator.generate_top_k(&emb, &prefix, 3, 1.2, 42);
-    assert!(!sequential.is_empty());
+    let pinned: Vec<Pinned> = sequential
+        .iter()
+        .map(|g| {
+            (
+                g.graph.types.as_slice(),
+                g.graph.edges.as_slice(),
+                g.log_prob.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(pinned, TOP_K, "sampled graphs or scores moved");
     for workers in [2, 3, 8] {
         generator.set_parallelism(workers);
         let parallel = generator.generate_top_k(&emb, &prefix, 3, 1.2, 42);

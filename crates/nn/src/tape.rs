@@ -7,20 +7,25 @@
 //!
 //! # Allocation reuse
 //!
-//! Every intermediate tensor is backed by a buffer drawn from the tape's
-//! internal [`BufferPool`]. [`Tape::reset`] clears the recorded program and
-//! recycles all value buffers back into the pool, so a caller running many
-//! forward passes in a row (the autoregressive generation loop, the
-//! per-example training loop) reuses the same heap blocks instead of
-//! re-allocating hundreds of tensors per step. Pool state never affects
-//! numerics: a recycled buffer is always zero-filled or fully overwritten
-//! before it becomes visible, so a reset tape is bit-for-bit equivalent to
-//! a freshly constructed one.
+//! Parameter leaves are not copied: [`Tape::param`] records a borrow of
+//! the tensor inside the [`ParamStore`] the tape reads from, so a weight
+//! used dozens of times per pass costs no copy at all. Every intermediate
+//! tensor is backed by a buffer drawn from the tape's internal
+//! [`BufferPool`]. [`Tape::reset`] clears the recorded program and
+//! recycles all intermediate buffers back into the pool, so a caller
+//! running many forward passes in a row (the autoregressive generation
+//! loop, the per-example training loop) reuses the same heap blocks
+//! instead of re-allocating hundreds of tensors per step. Neither affects
+//! numerics: a leaf's value and gradient do not depend on whether it was
+//! copied, and a recycled buffer is always zero-filled or fully
+//! overwritten before it becomes visible, so a reset tape is bit-for-bit
+//! equivalent to a freshly constructed one.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use crate::{NnError, Result};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 /// A recycling pool of `f32` backing buffers for tape intermediates.
 ///
@@ -123,11 +128,29 @@ enum Op {
     },
 }
 
+/// A recorded value: an intermediate the tape owns (in a pooled buffer),
+/// or a parameter leaf borrowed from the store.
+enum Value<'a> {
+    Owned(Tensor),
+    Param(&'a Tensor),
+}
+
+impl Deref for Value<'_> {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Param(t) => t,
+        }
+    }
+}
+
 /// The autodiff tape. Create one per forward pass, or keep one around and
 /// [`Tape::reset`] it between passes to reuse allocations.
 pub struct Tape<'a> {
     store: &'a ParamStore,
-    values: Vec<Tensor>,
+    values: Vec<Value<'a>>,
     ops: Vec<Op>,
     pool: BufferPool,
 }
@@ -153,8 +176,10 @@ impl<'a> Tape<'a> {
     /// into the pool. All outstanding [`TensorRef`]s are invalidated; the
     /// next forward pass reuses the recycled allocations.
     pub fn reset(&mut self) {
-        for t in self.values.drain(..) {
-            self.pool.give(t.into_vec());
+        for v in self.values.drain(..) {
+            if let Value::Owned(t) = v {
+                self.pool.give(t.into_vec());
+            }
         }
         for op in self.ops.drain(..) {
             match op {
@@ -174,6 +199,10 @@ impl<'a> Tape<'a> {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> TensorRef {
+        self.record(Value::Owned(value), op)
+    }
+
+    fn record(&mut self, value: Value<'a>, op: Op) -> TensorRef {
         self.values.push(value);
         self.ops.push(op);
         TensorRef(self.values.len() - 1)
@@ -207,13 +236,11 @@ impl<'a> Tape<'a> {
         &self.values[r.0]
     }
 
-    /// Registers a parameter as a tape leaf (its value is copied).
+    /// Registers a parameter as a tape leaf. The leaf borrows the tensor
+    /// in the store; nothing is copied.
     pub fn param(&mut self, id: ParamId) -> TensorRef {
-        let mut buf = self.pool.take_empty(self.store.value(id).len());
-        let src = self.store.value(id);
-        buf.extend_from_slice(src.as_slice());
-        let v = Tensor::from_vec(buf, src.rows(), src.cols()).expect("pooled buffer sized");
-        self.push(v, Op::Leaf(Some(id)))
+        let store = self.store;
+        self.record(Value::Param(store.value(id)), Op::Leaf(Some(id)))
     }
 
     /// Registers a constant input (no gradient). The tensor is adopted as

@@ -22,8 +22,9 @@ cargo bench --workspace --no-run
 echo "==> vendored parallel runtime (one persistent pool: order, nesting, panics, no per-call threads)"
 cargo test -p rayon -q
 
-echo "==> determinism suite (parallel engine bit-for-bit reproducibility; mining identical at any worker count)"
+echo "==> determinism suite (parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; mining identical at any worker count)"
 cargo test -p kgpip-graphgen --test determinism -q
+cargo test -p kgpip-graphgen --lib -q
 cargo test -p kgpip-nn --test props -q
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
