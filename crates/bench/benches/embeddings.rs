@@ -6,16 +6,11 @@
 //! (`KGPIP_BENCH_EMBED_N` overrides the size, up to 1M) and measures
 //! every tier the index can run: exact-scan ground truth and the HNSW
 //! graph — build time, incremental-insert throughput, queries/sec,
-//! recall@10 against the exact scan, and resident bytes per tier. The
-//! `pq_tiers` arms measure the product-quantized storage layer under the
-//! graph tier: codebook-fit time, online encode throughput, reranked and
-//! raw (rerank = 1) recall, QPS, and code-matrix vs `f64`-block bytes.
+//! recall@10 against the exact scan, and resident bytes per tier.
 //! After the criterion arms it emits `BENCH_JSON` summary lines which
 //! `scripts/bench.sh` folds into `BENCH_embeddings.json`; the acceptance
 //! bars live in the `tier_hnsw` line (`recall_at_10 ≥ 0.95`,
-//! `speedup_vs_exact ≥ 10`) and the `tier_hnsw_pq` line (reranked
-//! `recall_at_10 ≥ 0.95`, `pq_bytes` ≤ 1/8 of `vector_bytes`,
-//! `qps_vs_hnsw ≥ 0.8`).
+//! `speedup_vs_exact ≥ 10`).
 //!
 //! Run `cargo bench --bench embeddings -- --bench` for the full-size
 //! pass; smoke mode (plain `cargo test`) shrinks the catalog so the
@@ -28,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kgpip_benchdata::generate::{synthesize, SynthSpec};
 use kgpip_benchdata::{recall_at_k, synthetic_embeddings};
 use kgpip_embeddings::tsne::{tsne, TsneConfig};
-use kgpip_embeddings::{table_embedding, HnswConfig, PqConfig, VectorIndex};
+use kgpip_embeddings::{table_embedding, HnswConfig, VectorIndex};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -169,46 +164,12 @@ fn bench_similarity_tiers(c: &mut Criterion) {
     hnsw.build_hnsw(HnswConfig::default());
     let hnsw_numbers = measure_tier(&hnsw, probes, &truth, started.elapsed().as_secs_f64());
 
-    // Product-quantized storage layer under the graph tier: the same
-    // graph, compact codes, an exact re-rank. At 32 dims the m = 16
-    // geometry (2-dim subspaces) holds reranked recall@10 at 1.0 on the
-    // clustered catalog where m = 8 plateaus near 0.82 — still 16×
-    // smaller than the f64 block. Fit once at the production rerank,
-    // once at rerank = 1 to show the window's contribution.
-    let pq_config = PqConfig {
-        m: 16,
-        rerank: 4,
-        seed: 0,
-    };
-    let mut pq = hnsw.clone();
-    let started = Instant::now();
-    pq.quantize(pq_config)
-        .expect("uniform-dim catalog quantizes");
-    let pq_numbers = measure_tier(&pq, probes, &truth, started.elapsed().as_secs_f64());
-    let pq_bytes = pq.stats().pq_bytes;
-    let vector_bytes = pq.stats().vector_bytes;
-    let mut pq_raw = hnsw.clone();
-    pq_raw
-        .quantize(PqConfig {
-            rerank: 1,
-            ..pq_config
-        })
-        .expect("uniform-dim catalog quantizes");
-    let pq_raw_numbers = measure_tier(&pq_raw, probes, &truth, 0.0);
-
-    // ...then extend them incrementally (register never retrains; on the
-    // quantized index each insert also encodes against the frozen
-    // codebooks).
+    // ...then extend it incrementally (register never rebuilds).
     let started = Instant::now();
     for (i, v) in tail.iter().enumerate() {
         hnsw.register(format!("r{i}"), v.clone());
     }
     let inserts_per_sec = tail.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
-    let started = Instant::now();
-    for (i, v) in tail.iter().enumerate() {
-        pq.register(format!("r{i}"), v.clone());
-    }
-    let encodes_per_sec = tail.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
 
     // Criterion arms: per-query latency on the built indexes.
     let mut group = c.benchmark_group("similarity_tiers");
@@ -219,12 +180,6 @@ fn bench_similarity_tiers(c: &mut Criterion) {
     });
     group.bench_function(format!("hnsw_top10_of_{n}"), |b| {
         b.iter(|| hnsw.search(black_box(query), TIER_K))
-    });
-    group.finish();
-    let mut group = c.benchmark_group("pq_tiers");
-    group.sample_size(10);
-    group.bench_function(format!("hnsw_pq_top10_of_{n}"), |b| {
-        b.iter(|| pq.search(black_box(query), TIER_K))
     });
     group.finish();
 
@@ -246,30 +201,8 @@ fn bench_similarity_tiers(c: &mut Criterion) {
         hnsw_numbers.resident_bytes,
     );
     println!(
-        "BENCH_JSON {{\"id\":\"tier_hnsw_pq\",\"n\":{n},\"dim\":{dim},\"m\":{},\"rerank\":{},\
-         \"build_secs\":{:.2},\"qps\":{:.1},\"recall_at_10\":{:.4},\
-         \"raw_recall_at_10\":{:.4},\"speedup_vs_exact\":{:.1},\"qps_vs_hnsw\":{:.2},\
-         \"resident_bytes\":{},\"pq_bytes\":{pq_bytes},\"vector_bytes\":{vector_bytes},\
-         \"bytes_per_vector\":{:.2}}}",
-        pq_config.m,
-        pq_config.rerank,
-        pq_numbers.build_secs,
-        pq_numbers.qps,
-        pq_numbers.recall,
-        pq_raw_numbers.recall,
-        pq_numbers.qps / exact_qps.max(1e-9),
-        pq_numbers.qps / hnsw_numbers.qps.max(1e-9),
-        pq_numbers.resident_bytes,
-        pq_bytes as f64 / n.max(1) as f64,
-    );
-    println!(
         "BENCH_JSON {{\"id\":\"hnsw_incremental_insert\",\"n\":{n},\"dim\":{dim},\
          \"inserts\":{},\"inserts_per_sec\":{inserts_per_sec:.1}}}",
-        tail.len()
-    );
-    println!(
-        "BENCH_JSON {{\"id\":\"pq_incremental_encode\",\"n\":{n},\"dim\":{dim},\
-         \"inserts\":{},\"inserts_per_sec\":{encodes_per_sec:.1}}}",
         tail.len()
     );
 }

@@ -19,7 +19,7 @@
 use crate::train::KgpipConfig;
 use crate::{KgpipError, Result};
 use kgpip_codegraph::OpVocab;
-use kgpip_embeddings::{table_embedding, HnswConfig, PqConfig, VectorIndex};
+use kgpip_embeddings::{table_embedding, HnswConfig, VectorIndex};
 use kgpip_graphgen::GraphGenerator;
 use kgpip_tabular::DataFrame;
 use std::collections::HashMap;
@@ -121,19 +121,6 @@ impl TrainedModel {
     /// online and want graph-tier lookups before the auto-tune threshold.
     pub fn build_hnsw_index(&mut self, config: HnswConfig) {
         self.index.build_hnsw(config);
-    }
-
-    /// Quantizes the similarity catalog's vector store
-    /// ([`VectorIndex::quantize`]): tier scans switch to compact PQ codes
-    /// with an exact re-rank, answers stay exact-ordered, and subsequent
-    /// [`TrainedModel::register_dataset`] calls encode new vectors
-    /// against the frozen codebooks. The manual override for deployments
-    /// below the auto-tune threshold; `auto_tune` applies it
-    /// automatically at catalog scale.
-    pub fn quantize_index(&mut self, config: PqConfig) -> Result<()> {
-        self.index
-            .quantize(config)
-            .map_err(KgpipError::InconsistentArtifact)
     }
 
     /// Overrides the run-time parallelism — a deployment knob, not a

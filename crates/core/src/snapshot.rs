@@ -32,7 +32,8 @@
 //!
 //! Version history: v2 extended the tag-5 index payload with an optional
 //! trailing HNSW graph block; v3 appended an optional product-quantized
-//! store (codebooks + code matrix) after it. `VectorIndex::from_bytes`
+//! store (codebooks + code matrix) after it. v3's PQ tail is now always
+//! absent on write and skipped on read. `VectorIndex::from_bytes`
 //! tolerates each tail's absence, so this build still reads v1 and v2
 //! snapshots; it always writes v3.
 //!
@@ -72,8 +73,8 @@ impl Snapshot {
     /// The snapshot format version this build writes.
     pub const FORMAT_VERSION: u32 = 3;
     /// The oldest snapshot format version this build still reads (v1
-    /// lacks the HNSW tail in the index section and v2 lacks the PQ tail
-    /// after it; the index decoder tolerates both absences).
+    /// lacks the HNSW tail in the index section and v2 lacks the retired
+    /// PQ tail after it; the index decoder tolerates both absences).
     pub const MIN_READ_VERSION: u32 = 1;
 
     /// Parses a snapshot from bytes produced by
@@ -268,6 +269,12 @@ impl TrainedModel {
     /// Opens a model artifact from disk, accepting either a binary
     /// snapshot (sniffed by magic) or a JSON-era model document written
     /// by earlier builds — the single loader deployments should use.
+    ///
+    /// A JSON-era document passes the checks the KGPS reader applies: its
+    /// index decodes through the same name/vector/graph agreement check
+    /// as `VectorIndex::from_bytes`, and its generator is rebuilt from
+    /// the config and the parameter tensors by
+    /// [`GraphGenerator::from_params`], never trusted field by field.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<TrainedModel> {
         let bytes = std::fs::read(path).map_err(persist)?;
         if bytes.get(..4).is_some_and(|magic| magic == Snapshot::MAGIC) {
@@ -281,7 +288,7 @@ impl TrainedModel {
             config: doc.config,
             embedding_center: doc.embedding_center,
             vocab: doc.vocab,
-            generator: doc.generator,
+            generator: doc.generator.rebuild()?,
             index: doc.index,
             embeddings: doc.embeddings,
         })
@@ -296,9 +303,60 @@ struct JsonEraModel {
     config: KgpipConfig,
     embedding_center: Vec<f64>,
     vocab: OpVocab,
-    generator: GraphGenerator,
+    generator: JsonEraGenerator,
     index: VectorIndex,
     embeddings: HashMap<String, Vec<f64>>,
+}
+
+/// The keys of a JSON-era generator the decoder reads. Its parameter
+/// handles and gradients are not read: [`JsonEraGenerator::rebuild`]
+/// re-derives them from the config.
+#[derive(serde::Deserialize)]
+struct JsonEraGenerator {
+    config: GeneratorConfig,
+    store: JsonEraParams,
+}
+
+/// Parameter values and names in registration order.
+#[derive(serde::Deserialize)]
+struct JsonEraParams {
+    values: Vec<JsonEraTensor>,
+    names: Vec<String>,
+}
+
+/// A row-major tensor as JSON-era documents carry it.
+#[derive(serde::Deserialize)]
+struct JsonEraTensor {
+    data: Vec<f32>,
+    rows: usize,
+    cols: usize,
+}
+
+impl JsonEraGenerator {
+    /// Rebuilds the generator the way the KGPS reader does — shape-checked
+    /// tensors through [`GraphGenerator::from_params`] — and requires the
+    /// stored names to be the ones the config registers.
+    fn rebuild(self) -> Result<GraphGenerator> {
+        let params = self
+            .store
+            .values
+            .into_iter()
+            .map(|t| Tensor::from_vec(t.data, t.rows, t.cols).map_err(persist))
+            .collect::<Result<Vec<_>>>()?;
+        let generator = GraphGenerator::from_params(self.config, params).map_err(persist)?;
+        if !generator
+            .params()
+            .map(|(name, _)| name)
+            .eq(self.store.names.iter().map(String::as_str))
+        {
+            return Err(persist(format!(
+                "generator lists {} parameter names that differ from the {} its config registers",
+                self.store.names.len(),
+                generator.params().count()
+            )));
+        }
+        Ok(generator)
+    }
 }
 
 /// Rejects a sampling temperature generation cannot use. At `0` the
@@ -434,10 +492,19 @@ mod tests {
         embedding_center: Vec<f64>,
         vocab: OpVocab,
         generator: GraphGenerator,
-        index: VectorIndex,
+        index: Raw,
         embeddings: HashMap<String, Vec<f64>>,
         graph4ml: Graph4Ml,
         stats: JsonEraStats,
+    }
+
+    /// A JSON tree written as is.
+    struct Raw(serde::Value);
+
+    impl serde::Serialize for Raw {
+        fn to_value(&self) -> serde::Value {
+            self.0.clone()
+        }
     }
 
     /// The stats block of the JSON-era layout.
@@ -495,12 +562,19 @@ mod tests {
     fn json_era_wire(run: &Kgpip) -> JsonEraWire {
         let model = run.artifact();
         let stats = run.stats();
+        // Earlier builds' index also carried product-quantization state
+        // and a build worker count; this build no longer writes either.
+        let serde::Value::Obj(mut index) = serde::Serialize::to_value(&model.index) else {
+            panic!("an index serializes to an object");
+        };
+        index.push(("pq".into(), serde::Value::Null));
+        index.push(("parallelism".into(), serde::Value::Num(serde::Number::U(0))));
         JsonEraWire {
             config: model.config.clone(),
             embedding_center: model.embedding_center.clone(),
             vocab: model.vocab.clone(),
             generator: model.generator.clone(),
-            index: model.index.clone(),
+            index: Raw(serde::Value::Obj(index)),
             embeddings: model.embeddings.clone(),
             graph4ml: run.graph4ml().clone(),
             stats: JsonEraStats {
@@ -585,5 +659,68 @@ mod tests {
         }
         let bytes = run.artifact().snapshot_bytes().unwrap();
         assert!(Snapshot::from_bytes(&bytes).is_ok());
+    }
+
+    /// Pushes `extra` onto the array at `path` inside `doc`'s JSON tree.
+    fn push_at(run: &Kgpip, path: &[&str], extra: serde::Value) -> serde::Value {
+        let mut doc = serde::Serialize::to_value(&json_era_wire(run));
+        let mut at = &mut doc;
+        for key in path {
+            let serde::Value::Obj(fields) = at else {
+                panic!("`{key}` is not inside an object");
+            };
+            at = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        let serde::Value::Arr(items) = at else {
+            panic!("{path:?} is not an array");
+        };
+        items.push(extra);
+        doc
+    }
+
+    /// Writes a JSON tree as a JSON-era document and opens it.
+    fn open_json_value(doc: &serde::Value, tag: &str) -> Result<TrainedModel> {
+        let path =
+            std::env::temp_dir().join(format!("kgpip_json_era_{tag}_{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&Raw(doc.clone())).unwrap()).unwrap();
+        let opened = TrainedModel::open(&path);
+        std::fs::remove_file(&path).ok();
+        opened
+    }
+
+    /// An index naming more datasets than it holds vectors would answer
+    /// nearest-dataset lookups with a name that has no vector, and
+    /// re-encode to a snapshot nothing can read.
+    #[test]
+    fn json_era_index_with_an_extra_name_is_a_persistence_error() {
+        let run = trained();
+        let doc = push_at(&run, &["index", "names"], serde::Value::Str("ghost".into()));
+        assert!(matches!(
+            open_json_value(&doc, "extra_index_name"),
+            Err(KgpipError::Persistence(_))
+        ));
+    }
+
+    /// A generator whose parameter names disagree with its config would
+    /// open and then panic when re-encoded.
+    #[test]
+    fn json_era_generator_with_an_extra_param_name_is_a_persistence_error() {
+        let run = trained();
+        let doc = push_at(
+            &run,
+            &["generator", "store", "names"],
+            serde::Value::Str("ghost".into()),
+        );
+        assert!(matches!(
+            open_json_value(&doc, "extra_param_name"),
+            Err(KgpipError::Persistence(_))
+        ));
+        // A parameter tensor the config does not register is refused too.
+        let extra = serde::Serialize::to_value(&Tensor::zeros(1, 1));
+        let doc = push_at(&run, &["generator", "store", "values"], extra);
+        assert!(matches!(
+            open_json_value(&doc, "extra_param_value"),
+            Err(KgpipError::Persistence(_))
+        ));
     }
 }

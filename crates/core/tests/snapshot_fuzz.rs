@@ -2,16 +2,17 @@
 //! `scripts/check.sh`.
 //!
 //! Starting from valid `snapshot_bytes()` of an exact-tier artifact and
-//! an HNSW+PQ one, each case applies random byte flips, a truncation, or
-//! an inflated 8-byte length prefix; a JSON-era model document gets flips
-//! and truncations. `Snapshot::from_bytes` and `TrainedModel::open` must
+//! an HNSW-tier one whose index section carries a legacy
+//! product-quantization block (as files of earlier builds do), each case
+//! applies random byte flips, a truncation, or an inflated 8-byte length
+//! prefix; a JSON-era model document gets flips and truncations. `Snapshot::from_bytes` and `TrainedModel::open` must
 //! return `Ok` or a typed `KgpipError::Persistence` — never panic — and
 //! any model that decodes must answer a nearest-dataset query without
 //! panicking.
 
 use kgpip::{Kgpip, KgpipConfig, KgpipError, Snapshot, TrainedModel};
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
-use kgpip_embeddings::{HnswConfig, PqConfig};
+use kgpip_embeddings::{HnswConfig, VectorIndex};
 use kgpip_graphgen::GeneratorConfig;
 use kgpip_tabular::{Column, DataFrame};
 use proptest::prelude::*;
@@ -33,9 +34,17 @@ fn table(offset: f64) -> DataFrame {
     .unwrap()
 }
 
+/// An index section written by the last build with product quantization
+/// (see `crates/embeddings/tests/legacy_pq.rs`).
+const LEGACY_INDEX: &[u8] = include_bytes!("../../embeddings/tests/fixtures/legacy_pq.index");
+
 struct Fixtures {
-    /// `snapshot_bytes()` of the exact-tier and the HNSW+PQ artifact.
+    /// `snapshot_bytes()` of the exact-tier artifact, and the HNSW-tier
+    /// artifact's with the legacy PQ block spliced into its index section.
     snapshots: [Vec<u8>; 2],
+    /// `snapshot_bytes()` of the HNSW-tier artifact: what the spliced
+    /// snapshot re-encodes to.
+    tiered: Vec<u8>,
     /// A JSON-era model document of the exact-tier artifact.
     json_era: String,
     /// Query width: the artifacts' embedding dimension.
@@ -77,22 +86,43 @@ fn fixtures() -> &'static Fixtures {
                 .unwrap();
         }
         tiered.build_hnsw_index(HnswConfig::default());
-        tiered
-            .quantize_index(PqConfig {
-                m: 4,
-                rerank: 2,
-                seed: 0,
-            })
-            .unwrap();
+        let tiered = tiered.snapshot_bytes().unwrap();
         Fixtures {
-            snapshots: [
-                exact.snapshot_bytes().unwrap(),
-                tiered.snapshot_bytes().unwrap(),
-            ],
+            snapshots: [exact.snapshot_bytes().unwrap(), with_legacy_pq(&tiered)],
+            tiered,
             json_era: json_era_document(&run),
             dim: exact.embedding_center().len(),
         }
     })
+}
+
+/// Rewrites a snapshot so its index section ends with the legacy
+/// fixture's PQ block (`1 · u64 len · payload`) instead of the absent
+/// slot `0`.
+fn with_legacy_pq(snapshot: &[u8]) -> Vec<u8> {
+    let slot = VectorIndex::from_bytes(LEGACY_INDEX)
+        .unwrap()
+        .to_bytes()
+        .len()
+        - 1;
+    let pq_block = &LEGACY_INDEX[slot..];
+    assert_eq!(pq_block[0], 1, "the fixture carries a PQ block");
+    let mut out = snapshot[..8].to_vec();
+    let mut pos = 8;
+    while pos < snapshot.len() {
+        let tag = u32::from_le_bytes(snapshot[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(snapshot[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        let mut payload = snapshot[pos + 12..pos + 12 + len].to_vec();
+        if tag == 5 {
+            assert_eq!(payload.pop(), Some(0), "PQ slot absent");
+            payload.extend_from_slice(pq_block);
+        }
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        pos += 12 + len;
+    }
+    out
 }
 
 /// Renders a training run in the JSON-era document layout, train-time
@@ -217,14 +247,16 @@ proptest! {
 }
 
 /// The fuzz cases start from valid inputs: every unmutated payload
-/// decodes and re-encodes to the same snapshot bytes.
+/// decodes and re-encodes to the snapshot this build writes — the legacy
+/// PQ block dropped.
 #[test]
 fn unmutated_payloads_decode() {
     let f = fixtures();
-    for bytes in &f.snapshots {
+    for (bytes, written) in f.snapshots.iter().zip([&f.snapshots[0], &f.tiered]) {
         let model = Snapshot::from_bytes(bytes).unwrap().model;
-        assert_eq!(&model.snapshot_bytes().unwrap(), bytes);
+        assert_eq!(&model.snapshot_bytes().unwrap(), written);
     }
+    assert_ne!(f.snapshots[1], f.tiered);
     let path = std::env::temp_dir().join(format!(
         "kgpip_snapshot_fuzz_{}_unmutated.json",
         std::process::id()

@@ -238,37 +238,6 @@ fn reader_accepts_version_1_snapshots() {
 }
 
 #[test]
-fn quantized_artifacts_snapshot_roundtrip() {
-    use kgpip_embeddings::PqConfig;
-    let mut artifact = trained_artifact();
-    // Tiny catalog, tiny geometry — the round-trip mechanics are what's
-    // under test, not recall.
-    artifact
-        .quantize_index(PqConfig {
-            m: 4,
-            rerank: 8,
-            seed: 0,
-        })
-        .unwrap();
-    assert!(artifact.index().is_quantized());
-    let bytes = artifact.snapshot_bytes().unwrap();
-    let snapshot = Snapshot::from_bytes(&bytes).unwrap();
-    assert_eq!(snapshot.version, Snapshot::FORMAT_VERSION);
-    assert!(snapshot.model.index().is_quantized());
-    assert_eq!(
-        snapshot.model.snapshot_bytes().unwrap(),
-        bytes,
-        "quantized snapshots must round-trip bit-for-bit"
-    );
-    // The quantized catalog answers nearest-dataset lookups identically:
-    // with rerank × k covering the 3-entry catalog, answers are exact.
-    let frame = table_like(900.0, 28);
-    let direct = artifact.register_dataset("delta", &frame).unwrap();
-    let (name, _) = artifact.nearest_by_embedding(&direct).unwrap();
-    assert_eq!(name, "delta", "registered vector is served from codes");
-}
-
-#[test]
 fn register_dataset_grows_the_catalog_online() {
     let mut artifact = trained_artifact();
     let before = artifact.catalog_len();

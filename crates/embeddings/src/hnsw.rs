@@ -27,8 +27,7 @@
 //!   bit-identical to rebuilding from scratch with the same order.
 //!
 //! The graph stores adjacency only; vectors stay in the owning
-//! [`VectorIndex`], abstracted behind [`VectorSource`] so the same search
-//! code walks full-precision vectors and product-quantized codes.
+//! [`VectorIndex`], whose full-precision block every operation borrows.
 //!
 //! [`VectorIndex`]: crate::VectorIndex
 
@@ -66,39 +65,19 @@ impl Default for HnswConfig {
     }
 }
 
-/// Read-only access to the vectors an [`Hnsw`] graph indexes. Implemented
-/// by [`SliceSource`] over full-precision vectors, scoring with
-/// [`cosine`], and by the product-quantized store's search-only ADC view
-/// (`crate::pq::AdcSource`), scoring codes.
-pub trait VectorSource {
-    /// Number of stored vectors.
-    fn count(&self) -> usize;
-    /// Cosine similarity between stored vector `i` and an external query.
-    /// Out-of-range `i` returns `0.0` (never panics: this runs on the
-    /// serving path).
-    fn similarity(&self, i: usize, query: &[f64]) -> f64;
-    /// Cosine similarity between two stored vectors (used by neighbor
-    /// selection and pruning). Out-of-range indices return `0.0`.
-    fn pair_similarity(&self, i: usize, j: usize) -> f64;
+/// Cosine similarity between stored vector `i` and an external query.
+/// Out-of-range `i` returns `0.0` (never panics: this runs on the serving
+/// path).
+fn similarity(vectors: &[Vec<f64>], i: usize, query: &[f64]) -> f64 {
+    vectors.get(i).map_or(0.0, |v| cosine(query, v))
 }
 
-/// [`VectorSource`] over a borrowed slice of owned vectors.
-pub struct SliceSource<'a>(pub &'a [Vec<f64>]);
-
-impl VectorSource for SliceSource<'_> {
-    fn count(&self) -> usize {
-        self.0.len()
-    }
-
-    fn similarity(&self, i: usize, query: &[f64]) -> f64 {
-        self.0.get(i).map_or(0.0, |v| cosine(query, v))
-    }
-
-    fn pair_similarity(&self, i: usize, j: usize) -> f64 {
-        match (self.0.get(i), self.0.get(j)) {
-            (Some(a), Some(b)) => cosine(b, a),
-            _ => 0.0,
-        }
+/// Cosine similarity between two stored vectors (used by neighbor
+/// selection and pruning). Out-of-range indices return `0.0`.
+fn pair_similarity(vectors: &[Vec<f64>], i: usize, j: usize) -> f64 {
+    match (vectors.get(i), vectors.get(j)) {
+        (Some(a), Some(b)) => cosine(b, a),
+        _ => 0.0,
     }
 }
 
@@ -198,13 +177,13 @@ impl Hnsw {
         }
     }
 
-    /// Builds a graph over `source` by inserting `0..source.count()` in
+    /// Builds a graph over `vectors` by inserting `0..vectors.len()` in
     /// order — the canonical build is literally repeated insertion, which
     /// is what makes online registration bit-identical to a rebuild.
-    pub fn build(config: HnswConfig, source: &impl VectorSource) -> Hnsw {
+    pub fn build(config: HnswConfig, vectors: &[Vec<f64>]) -> Hnsw {
         let mut hnsw = Hnsw::new(config);
-        for _ in 0..source.count() {
-            hnsw.insert(source);
+        for _ in 0..vectors.len() {
+            hnsw.insert(vectors);
         }
         hnsw
     }
@@ -240,10 +219,10 @@ impl Hnsw {
     }
 
     /// Inserts the next node. The new node's id is the current
-    /// [`Hnsw::len`], and `source` must already hold its vector at that
+    /// [`Hnsw::len`], and `vectors` must already hold its vector at that
     /// index (callers push the vector first, then insert). Returns the
     /// assigned id.
-    pub fn insert(&mut self, source: &impl VectorSource) -> usize {
+    pub fn insert(&mut self, vectors: &[Vec<f64>]) -> usize {
         let id = self.nodes.len();
         let level = assigned_level(self.config.seed, id as u64, self.config.m);
         self.nodes.push(HnswNode {
@@ -254,7 +233,7 @@ impl Hnsw {
             return id;
         };
         let entry_level = self.node_level(entry);
-        let sim = |x: usize| source.pair_similarity(x, id);
+        let sim = |x: usize| pair_similarity(vectors, x, id);
 
         // Greedy descent through the layers above the new node's level.
         let mut cur = entry;
@@ -268,7 +247,7 @@ impl Hnsw {
         for l in (0..=level.min(entry_level)).rev() {
             let candidates =
                 self.search_layer(&eps, l, self.config.ef_construction, &sim, &mut visited);
-            let selected = self.select_neighbors(&candidates, self.config.m, source);
+            let selected = self.select_neighbors(&candidates, self.config.m, vectors);
             if let Some(node) = self.nodes.get_mut(id) {
                 if let Some(list) = node.levels.get_mut(l) {
                     *list = selected.clone();
@@ -276,7 +255,7 @@ impl Hnsw {
             }
             let allowed = self.allowed_links(l);
             for n in selected {
-                self.link(n, id as u32, l, allowed, source);
+                self.link(n, id as u32, l, allowed, vectors);
             }
             eps = candidates.iter().map(|c| c.id).collect();
         }
@@ -288,16 +267,15 @@ impl Hnsw {
 
     /// Approximate top-k by cosine similarity: `(id, score)` pairs in
     /// `(score desc, id asc)` order. `ef` is raised to `max(ef_search,
-    /// k)`; scores are whatever `source` computes (exact [`cosine`] for
-    /// a [`SliceSource`]).
-    pub fn search(&self, query: &[f64], k: usize, source: &impl VectorSource) -> Vec<(usize, f64)> {
+    /// k)`; scores are exact [`cosine`] against `vectors`.
+    pub fn search(&self, query: &[f64], k: usize, vectors: &[Vec<f64>]) -> Vec<(usize, f64)> {
         let Some(entry) = self.entry else {
             return Vec::new();
         };
         if k == 0 {
             return Vec::new();
         }
-        let sim = |x: usize| source.similarity(x, query);
+        let sim = |x: usize| similarity(vectors, x, query);
         let mut cur = entry;
         for l in (1..=self.node_level(entry)).rev() {
             cur = self.greedy_closest(cur, l, &sim);
@@ -325,10 +303,10 @@ impl Hnsw {
     }
 
     /// Max links a node may keep at `level` (the standard `2m` on the
-    /// dense bottom layer).
+    /// dense bottom layer). Saturating: a decoded graph's `m` is untrusted.
     fn allowed_links(&self, level: usize) -> usize {
         if level == 0 {
-            self.config.m * 2
+            self.config.m.saturating_mul(2)
         } else {
             self.config.m
         }
@@ -427,13 +405,10 @@ impl Hnsw {
     /// raw proximity on clustered data), then fill remaining slots from
     /// the rejects in order. Input must be `(score desc, id asc)` sorted;
     /// output order is the selection order, which is deterministic.
-    fn select_neighbors(
-        &self,
-        candidates: &[Scored],
-        m: usize,
-        source: &impl VectorSource,
-    ) -> Vec<u32> {
-        let mut selected: Vec<Scored> = Vec::with_capacity(m);
+    fn select_neighbors(&self, candidates: &[Scored], m: usize, vectors: &[Vec<f64>]) -> Vec<u32> {
+        // Never more than the candidates: a decoded graph's `m` is
+        // untrusted and must not size the reservation.
+        let mut selected: Vec<Scored> = Vec::with_capacity(m.min(candidates.len()));
         let mut rejected: Vec<u32> = Vec::new();
         for &c in candidates {
             if selected.len() >= m {
@@ -441,7 +416,7 @@ impl Hnsw {
             }
             let diverse = selected
                 .iter()
-                .all(|s| c.score > source.pair_similarity(c.id as usize, s.id as usize));
+                .all(|s| c.score > pair_similarity(vectors, c.id as usize, s.id as usize));
             if diverse {
                 selected.push(c);
             } else {
@@ -460,14 +435,7 @@ impl Hnsw {
 
     /// Adds `from → to` at `level`, re-selecting `from`'s list with the
     /// same heuristic when it overflows `allowed`.
-    fn link(
-        &mut self,
-        from: u32,
-        to: u32,
-        level: usize,
-        allowed: usize,
-        source: &impl VectorSource,
-    ) {
+    fn link(&mut self, from: u32, to: u32, level: usize, allowed: usize, vectors: &[Vec<f64>]) {
         let Some(list) = self
             .nodes
             .get_mut(from as usize)
@@ -486,12 +454,12 @@ impl Hnsw {
         let mut scored: Vec<Scored> = current
             .into_iter()
             .map(|x| Scored {
-                score: source.pair_similarity(x as usize, from as usize),
+                score: pair_similarity(vectors, x as usize, from as usize),
                 id: x,
             })
             .collect();
         scored.sort_by(|a, b| b.cmp(a));
-        let kept = self.select_neighbors(&scored, allowed, source);
+        let kept = self.select_neighbors(&scored, allowed, vectors);
         if let Some(list) = self
             .nodes
             .get_mut(from as usize)
@@ -625,10 +593,10 @@ mod tests {
         let vecs = vectors(1, 4);
         let mut h = Hnsw::new(HnswConfig::default());
         assert!(h.is_empty());
-        assert!(h.search(&vecs[0], 3, &SliceSource(&vecs)).is_empty());
-        h.insert(&SliceSource(&vecs));
+        assert!(h.search(&vecs[0], 3, &vecs).is_empty());
+        h.insert(&vecs);
         assert_eq!(h.len(), 1);
-        let hits = h.search(&vecs[0], 3, &SliceSource(&vecs));
+        let hits = h.search(&vecs[0], 3, &vecs);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 0);
     }
@@ -636,10 +604,9 @@ mod tests {
     #[test]
     fn finds_exact_neighbors_on_small_catalog() {
         let vecs = vectors(60, 8);
-        let source = SliceSource(&vecs);
-        let h = Hnsw::build(HnswConfig::default(), &source);
+        let h = Hnsw::build(HnswConfig::default(), &vecs);
         for (q, query) in vecs.iter().enumerate().take(10) {
-            let hits = h.search(query, 1, &source);
+            let hits = h.search(query, 1, &vecs);
             assert_eq!(hits[0].0, q, "self-query must find itself");
             assert!((hits[0].1 - 1.0).abs() < 1e-9);
         }
@@ -648,16 +615,15 @@ mod tests {
     #[test]
     fn build_is_deterministic() {
         let vecs = vectors(200, 6);
-        let source = SliceSource(&vecs);
-        let a = Hnsw::build(HnswConfig::default(), &source);
-        let b = Hnsw::build(HnswConfig::default(), &source);
+        let a = Hnsw::build(HnswConfig::default(), &vecs);
+        let b = Hnsw::build(HnswConfig::default(), &vecs);
         assert_eq!(a.to_bytes(), b.to_bytes());
         let c = Hnsw::build(
             HnswConfig {
                 seed: 5,
                 ..HnswConfig::default()
             },
-            &source,
+            &vecs,
         );
         assert_ne!(a.to_bytes(), c.to_bytes(), "seed changes the graph");
     }
@@ -665,18 +631,17 @@ mod tests {
     #[test]
     fn byte_roundtrip_is_bitwise() {
         let vecs = vectors(120, 5);
-        let source = SliceSource(&vecs);
-        let h = Hnsw::build(HnswConfig::default(), &source);
+        let h = Hnsw::build(HnswConfig::default(), &vecs);
         let restored = Hnsw::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(restored.to_bytes(), h.to_bytes());
         let q = &vecs[17];
-        assert_eq!(h.search(q, 5, &source), restored.search(q, 5, &source));
+        assert_eq!(h.search(q, 5, &vecs), restored.search(q, 5, &vecs));
     }
 
     #[test]
     fn from_bytes_rejects_malformed() {
         let vecs = vectors(10, 3);
-        let h = Hnsw::build(HnswConfig::default(), &SliceSource(&vecs));
+        let h = Hnsw::build(HnswConfig::default(), &vecs);
         let bytes = h.to_bytes();
         assert!(Hnsw::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let mut trailing = bytes.clone();

@@ -3,15 +3,13 @@
 //! Two tiers, auto-selected by catalog size ([`VectorIndex::auto_tune`]):
 //! exact cosine top-k for small catalogs, and a deterministic HNSW graph
 //! ([`crate::hnsw`], FAISS's `IndexHNSWFlat`) for the 100K–1M-vector
-//! catalogs where a per-query linear scan stops being cheap. Product
-//! quantization ([`crate::pq`]) is a storage option under either tier.
-//! [`VectorIndex::search`] is the one routine that dispatches on tier;
-//! [`VectorIndex::register`] grows the catalog online without rebuilding
-//! whichever tier is active.
+//! catalogs where a per-query linear scan stops being cheap. Both tiers
+//! read the one full-precision vector block. [`VectorIndex::search`] is
+//! the one routine that dispatches on tier; [`VectorIndex::register`]
+//! grows the catalog online without rebuilding whichever tier is active.
 
 use crate::column::cosine;
-use crate::hnsw::{Hnsw, HnswConfig, SliceSource};
-use crate::pq::{AdcSource, Pq, PqConfig};
+use crate::hnsw::{Hnsw, HnswConfig};
 
 /// Which search structure a [`VectorIndex`] currently answers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,15 +29,12 @@ impl std::fmt::Display for IndexTier {
     }
 }
 
-/// Resident byte accounting for a vector index, per storage component —
-/// so the PQ memory win is a tracked number, not a claim. Reported by
-/// `kgpip-cli index stats` and the embeddings bench.
+/// Resident byte accounting for a vector index, per storage component.
+/// Reported by `kgpip-cli index stats` and the embeddings bench.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
     /// The active search tier.
     pub tier: IndexTier,
-    /// True when a product-quantized store backs the tier's scans.
-    pub quantized: bool,
     /// Catalog size.
     pub count: usize,
     /// Embedding dimensionality (of the first vector; 0 when empty).
@@ -49,50 +44,43 @@ pub struct IndexStats {
     /// Bytes of the HNSW adjacency (serialized size — the graph stores
     /// no vectors).
     pub hnsw_bytes: usize,
-    /// Bytes of the PQ state (code matrix + codebooks) — the block a
-    /// quantized scan actually reads.
-    pub pq_bytes: usize,
 }
 
 impl IndexStats {
     /// Total resident bytes across all components.
     pub fn resident_bytes(&self) -> usize {
-        self.vector_bytes + self.hnsw_bytes + self.pq_bytes
-    }
-
-    /// Bytes the active tier's candidate scan touches per full pass: the
-    /// code matrix when quantized, the `f64` block otherwise.
-    pub fn scan_bytes(&self) -> usize {
-        if self.quantized {
-            self.pq_bytes
-        } else {
-            self.vector_bytes
-        }
+        self.vector_bytes + self.hnsw_bytes
     }
 }
 
 /// A named-vector index with exact and HNSW-approximate top-k search.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct VectorIndex {
     pub(crate) names: Vec<String>,
     pub(crate) vectors: Vec<Vec<f64>>,
     /// HNSW state: the layered proximity graph (adjacency only; vectors
     /// stay in `vectors`). Absent in pre-HNSW serialized indexes.
-    #[serde(default)]
     pub(crate) hnsw: Option<Hnsw>,
-    /// Product-quantization state: per-subspace codebooks plus the `u8`
-    /// code matrix. A storage/scoring layer under the tiers, not a tier —
-    /// when present, the tier's candidate scan reads codes and the top
-    /// `rerank × k` candidates are re-ranked with exact cosine. Absent in
-    /// pre-PQ serialized indexes.
-    #[serde(default)]
-    pub(crate) pq: Option<Pq>,
-    /// Requested worker count for PQ codebook training and encoding
-    /// (clamped through `effective_parallelism`; 0 means sequential).
-    /// Ephemeral build-time state — any value produces bit-identical
-    /// results, so round-tripping it is harmless.
-    #[serde(default)]
-    pub(crate) parallelism: usize,
+}
+
+/// Decodes the JSON-era document layout through the same agreement check
+/// as the binary decoders ([`VectorIndex::from_bytes`]). Fields are looked
+/// up by name, so the keys of retired state (`ivf`, `pq`, `parallelism`)
+/// are skipped, and a document written before the HNSW tier has no `hnsw`
+/// key.
+impl serde::Deserialize for VectorIndex {
+    fn from_value(v: &serde::Value) -> Result<VectorIndex, serde::DeError> {
+        let hnsw = match v.field_opt("hnsw")? {
+            Some(graph) => serde::Deserialize::from_value(graph)?,
+            None => None,
+        };
+        VectorIndex::from_parts(
+            serde::Deserialize::from_value(v.field("names")?)?,
+            serde::Deserialize::from_value(v.field("vectors")?)?,
+            hnsw,
+        )
+        .map_err(serde::DeError)
+    }
 }
 
 impl VectorIndex {
@@ -101,56 +89,30 @@ impl VectorIndex {
     /// Below this, an exact scan is both fast and trivially correct.
     pub const HNSW_AUTO_THRESHOLD: usize = 4096;
 
-    /// Catalog size at which [`VectorIndex::auto_tune`] additionally
-    /// quantizes the vector store ([`PqConfig::default`]): below this the
-    /// full-`f64` block fits comfortably in cache and PQ's codebook
-    /// training isn't worth the build time; at and above it the compact
-    /// code matrix keeps beam scans cache-resident.
-    pub const PQ_AUTO_THRESHOLD: usize = 100_000;
-
     /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Adds a named vector at build time. Invalidates any built HNSW
-    /// graph or quantized store — callers retune once after bulk adds.
-    /// For online growth that *extends* the current tier instead, use
+    /// graph — callers retune once after bulk adds. For online growth
+    /// that *extends* the current tier instead, use
     /// [`VectorIndex::register`].
     pub fn add(&mut self, name: impl Into<String>, vector: Vec<f64>) {
         self.names.push(name.into());
         self.vectors.push(vector);
         self.hnsw = None;
-        self.pq = None;
-    }
-
-    /// Sets the requested worker count for PQ codebook training and
-    /// encoding (clamped through `effective_parallelism`; 0 or 1 means
-    /// sequential). Parallelism changes build *cost* only — results are
-    /// bit-identical at any setting.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers;
-    }
-
-    /// The requested build worker count (0 means sequential).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Registers a named vector online, extending whichever tier is
     /// active instead of invalidating it: HNSW gets an incremental
     /// [`Hnsw::insert`] (bit-identical to a from-scratch rebuild with the
-    /// same order) and the exact tier just appends. A quantized store
-    /// encodes the new vector against the frozen codebooks — no retrain.
+    /// same order) and the exact tier just appends.
     pub fn register(&mut self, name: impl Into<String>, vector: Vec<f64>) {
         self.names.push(name.into());
         self.vectors.push(vector);
-        if let Some(mut hnsw) = self.hnsw.take() {
-            hnsw.insert(&SliceSource(&self.vectors));
-            self.hnsw = Some(hnsw);
-        }
-        if let (Some(pq), Some(v)) = (&mut self.pq, self.vectors.last()) {
-            pq.append(v);
+        if let Some(hnsw) = &mut self.hnsw {
+            hnsw.insert(&self.vectors);
         }
     }
 
@@ -213,7 +175,7 @@ impl VectorIndex {
     /// Builds (or rebuilds) the HNSW graph over the current catalog by
     /// inserting vectors in id order; it becomes the active tier.
     pub fn build_hnsw(&mut self, config: HnswConfig) {
-        self.hnsw = Some(Hnsw::build(config, &SliceSource(&self.vectors)));
+        self.hnsw = Some(Hnsw::build(config, &self.vectors));
     }
 
     /// Selects and builds the search tier for the current catalog size:
@@ -221,14 +183,8 @@ impl VectorIndex {
     /// at or above it a default-parameter HNSW graph seeded with `seed`
     /// is built. Returns the chosen tier; a graph the policy does not
     /// pick is dropped so [`VectorIndex::tier`] always reflects it.
-    ///
-    /// Orthogonally, catalogs of [`VectorIndex::PQ_AUTO_THRESHOLD`] or
-    /// more vectors also get a product-quantized vector store
-    /// ([`PqConfig::default`] geometry, this `seed`) so the tier's scans
-    /// read compact codes; smaller catalogs drop any quantization.
     pub fn auto_tune(&mut self, seed: u64) -> IndexTier {
-        let n = self.vectors.len();
-        if n >= Self::HNSW_AUTO_THRESHOLD {
+        if self.vectors.len() >= Self::HNSW_AUTO_THRESHOLD {
             self.build_hnsw(HnswConfig {
                 seed,
                 ..HnswConfig::default()
@@ -236,100 +192,30 @@ impl VectorIndex {
         } else {
             self.hnsw = None;
         }
-        self.pq = None;
-        if n >= Self::PQ_AUTO_THRESHOLD {
-            // Mixed-dimension catalogs cannot quantize (the flat codebook
-            // layout needs one geometry); they keep full vectors.
-            let _ = self.quantize(PqConfig {
-                seed,
-                ..PqConfig::default()
-            });
-        }
         self.tier()
-    }
-
-    /// Quantizes the vector store: trains per-subspace codebooks over the
-    /// current catalog and encodes every vector into the `u8` code
-    /// matrix. The active tier is unchanged — its scans switch to ADC
-    /// over codes with an exact re-rank ([`VectorIndex::search`]).
-    /// Full-precision vectors are retained for the re-rank, graph
-    /// maintenance, and mapped export.
-    pub fn quantize(&mut self, config: PqConfig) -> Result<(), String> {
-        self.pq = Some(Pq::fit(&self.vectors, &config, self.parallelism)?);
-        Ok(())
-    }
-
-    /// Drops any product-quantized store; scans return to full precision.
-    pub fn dequantize(&mut self) {
-        self.pq = None;
-    }
-
-    /// True when a product-quantized store is active.
-    pub fn is_quantized(&self) -> bool {
-        self.pq.is_some()
-    }
-
-    /// The product-quantized store, when trained — for stats reporting
-    /// and mapped-file export.
-    pub fn pq(&self) -> Option<&Pq> {
-        self.pq.as_ref()
     }
 
     /// Resident byte accounting per storage component.
     pub fn stats(&self) -> IndexStats {
         IndexStats {
             tier: self.tier(),
-            quantized: self.pq.is_some(),
             count: self.vectors.len(),
             dim: self.vectors.first().map_or(0, Vec::len),
             vector_bytes: self.vectors.iter().map(|v| v.len() * 8).sum(),
             hnsw_bytes: self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len()),
-            pq_bytes: self.pq.as_ref().map_or(0, Pq::resident_bytes),
         }
     }
 
     /// Top-k through the active tier — the serve-path entry point and the
     /// only routine that dispatches on tier. Results are `(name,
-    /// similarity)` in `(score desc, id asc)` order for every tier.
-    ///
-    /// Unquantized, the HNSW tier walks the graph over full-precision
-    /// vectors and the exact tier is [`VectorIndex::top_k`]. Quantized,
-    /// the tier's candidate scan (HNSW beam or full scan) scores PQ codes
-    /// through one per-query ADC table, then the top `rerank × k`
-    /// candidates are re-scored with exact [`cosine`] over the retained
-    /// full-precision vectors — compression changes what a query costs,
-    /// never what it returns. Whenever the rerank window covers the
-    /// candidate pool the answer is bit-identical to the unquantized
-    /// index, and the reported similarities are always exact.
-    ///
-    /// [`cosine`]: crate::column::cosine
+    /// similarity)` in `(score desc, id asc)` order for every tier: the
+    /// HNSW tier walks the graph over the full-precision vectors, and the
+    /// exact tier is [`VectorIndex::top_k`].
     pub fn search(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let Some(pq) = &self.pq else {
-            return match &self.hnsw {
-                Some(hnsw) => self.named(hnsw.search(query, k, &SliceSource(&self.vectors))),
-                None => self.top_k(query, k),
-            };
-        };
-        let table = pq.adc_table(query);
-        let fetch = k.saturating_mul(pq.rerank());
-        let candidates = match &self.hnsw {
-            // The beam descends over codes: `AdcSource::similarity` reads
-            // the prebuilt table, never the f64 block. The graph itself
-            // was built over full-precision vectors, so it is the same
-            // graph an unquantized index searches.
-            Some(hnsw) => hnsw.search(query, fetch, &AdcSource { pq, table: &table }),
-            None => {
-                let scored = (0..self.vectors.len())
-                    .map(|i| (i, pq.score(&table, i)))
-                    .collect();
-                best_k(scored, fetch)
-            }
-        };
-        let reranked = candidates
-            .into_iter()
-            .map(|(i, _)| (i, self.vectors.get(i).map_or(0.0, |v| cosine(query, v))))
-            .collect();
-        self.named(best_k(reranked, k))
+        match &self.hnsw {
+            Some(hnsw) => self.named(hnsw.search(query, k, &self.vectors)),
+            None => self.top_k(query, k),
+        }
     }
 
     /// Resolves `(id, score)` hits to `(name, score)`.
@@ -339,10 +225,10 @@ impl VectorIndex {
             .collect()
     }
 
-    /// Serializes the index (names, vectors, and any HNSW graph and PQ
-    /// store) to a self-contained little-endian binary payload — the
-    /// section format used inside KGpip model snapshots. Round-trips
-    /// bit-for-bit through [`VectorIndex::from_bytes`].
+    /// Serializes the index (names, vectors, and any HNSW graph) to a
+    /// self-contained little-endian binary payload — the section format
+    /// used inside KGpip model snapshots. Round-trips bit-for-bit through
+    /// [`VectorIndex::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         write_u64(&mut out, self.names.len() as u64);
@@ -362,15 +248,8 @@ impl VectorIndex {
                 out.extend_from_slice(&payload);
             }
         }
-        match &self.pq {
-            None => out.push(0),
-            Some(pq) => {
-                out.push(1);
-                let payload = pq.to_bytes();
-                write_u64(&mut out, payload.len() as u64);
-                out.extend_from_slice(&payload);
-            }
-        }
+        // The slot of retired product quantization, likewise always absent.
+        out.push(0);
         out
     }
 
@@ -380,9 +259,10 @@ impl VectorIndex {
     /// writers: payloads written before the HNSW tier existed end right
     /// after the IVF slot (those load with `hnsw = None`), payloads
     /// written before product quantization end right after the HNSW
-    /// block (those load with `pq = None`), and a present IVF block from
-    /// the retired IVF tier is bounds-checked and dropped — so old
-    /// snapshots keep opening, answering through the exact scan.
+    /// block, and a present block from the retired IVF tier or the
+    /// retired product-quantized store is bounds-checked and dropped — so
+    /// old snapshots keep opening, answering through their HNSW or exact
+    /// tier.
     pub fn from_bytes(bytes: &[u8]) -> Result<VectorIndex, String> {
         let mut r = Reader::new(bytes);
         let n = r.u64()? as usize;
@@ -414,46 +294,55 @@ impl VectorIndex {
                 0 => None,
                 1 => {
                     let len = r.u64()? as usize;
-                    let graph = Hnsw::from_bytes(r.take(len)?)?;
-                    if graph.len() != names.len() {
-                        return Err(format!(
-                            "HNSW graph indexes {} nodes but catalog holds {}",
-                            graph.len(),
-                            names.len()
-                        ));
-                    }
-                    Some(graph)
+                    Some(Hnsw::from_bytes(r.take(len)?)?)
                 }
                 tag => return Err(format!("unknown HNSW tag {tag}")),
             }
         };
-        let pq = if r.at_end() {
-            None
-        } else {
+        if !r.at_end() {
             match r.u8()? {
-                0 => None,
+                0 => {}
                 1 => {
+                    // A length-prefixed product-quantization block.
                     let len = r.u64()? as usize;
-                    let pq = Pq::from_bytes(r.take(len)?)?;
-                    if pq.len() != names.len() {
-                        return Err(format!(
-                            "PQ code matrix holds {} rows but catalog holds {}",
-                            pq.len(),
-                            names.len()
-                        ));
-                    }
-                    Some(pq)
+                    r.take(len)?;
                 }
                 tag => return Err(format!("unknown PQ tag {tag}")),
             }
-        };
+        }
         r.expect_end("index")?;
+        VectorIndex::from_parts(names, vectors, hnsw)
+    }
+
+    /// Assembles a decoded index after checking that its parts agree: one
+    /// name per vector, and a graph (when present) indexing exactly the
+    /// catalog. Every decoder (binary, `KGVI`, JSON-era) builds through
+    /// here, so a decoded index is as sound as one built in memory.
+    pub(crate) fn from_parts(
+        names: Vec<String>,
+        vectors: Vec<Vec<f64>>,
+        hnsw: Option<Hnsw>,
+    ) -> Result<VectorIndex, String> {
+        if names.len() != vectors.len() {
+            return Err(format!(
+                "index lists {} names for {} vectors",
+                names.len(),
+                vectors.len()
+            ));
+        }
+        if let Some(graph) = &hnsw {
+            if graph.len() != vectors.len() {
+                return Err(format!(
+                    "HNSW graph indexes {} nodes but catalog holds {}",
+                    graph.len(),
+                    vectors.len()
+                ));
+            }
+        }
         Ok(VectorIndex {
             names,
             vectors,
             hnsw,
-            pq,
-            parallelism: 0,
         })
     }
 }
@@ -487,8 +376,8 @@ pub(crate) fn write_f64s(out: &mut Vec<u8>, xs: &[f64]) {
 }
 
 /// Bounds-checked little-endian cursor shared by the binary decoders in
-/// this crate ([`VectorIndex::from_bytes`], `Hnsw::from_bytes`, the PQ
-/// decoders, and the `KGVI` decoder). Decoders size every reservation by
+/// this crate ([`VectorIndex::from_bytes`], `Hnsw::from_bytes`, and the
+/// `KGVI` decoder). Decoders size every reservation by
 /// [`Reader::remaining`], never by a length prefix alone, so a corrupt
 /// prefix cannot allocate more than the payload could hold.
 pub(crate) struct Reader<'a> {
@@ -638,7 +527,6 @@ mod tests {
             "at threshold builds the graph"
         );
         assert_eq!(idx.tier(), IndexTier::Hnsw);
-        assert!(!idx.is_quantized(), "PQ waits for its own threshold");
     }
 
     #[test]
@@ -798,51 +686,86 @@ mod tests {
         // snapshot format; it must load with no graph, not error.
         let legacy = VectorIndex::from_bytes(&bytes[..bytes.len() - 2]).unwrap();
         assert!(!legacy.has_hnsw());
-        assert!(!legacy.is_quantized());
         assert_eq!(legacy.len(), 1);
         // A payload ending right after the HNSW block is the pre-PQ
-        // format; it must load unquantized.
+        // format; it must load too.
         let pre_pq = VectorIndex::from_bytes(&bytes[..bytes.len() - 1]).unwrap();
-        assert!(!pre_pq.is_quantized());
         assert_eq!(pre_pq.len(), 1);
+        assert_eq!(pre_pq.to_bytes(), bytes);
     }
 
+    /// Payloads written while product quantization existed may carry a
+    /// PQ block after the HNSW slot. It is bounds-checked and dropped;
+    /// any tag other than absent (0) or present (1) is still an error.
     #[test]
-    fn quantized_search_with_covering_rerank_matches_exact_bitwise() {
+    fn legacy_pq_block_is_skipped_with_a_bounds_check() {
         let mut idx = VectorIndex::new();
-        for i in 0..90 {
-            let v: Vec<f64> = (0..8).map(|d| ((i * 8 + d) as f64 * 0.43).sin()).collect();
-            idx.add(format!("v{i}"), v);
-        }
-        // rerank × k covers the whole catalog, so the exact re-rank sees
-        // every id the exact scan sees — bit-identity is guaranteed, not
-        // merely empirical.
-        idx.quantize(PqConfig {
-            m: 4,
-            rerank: 30,
-            seed: 1,
-        })
-        .unwrap();
-        let q: Vec<f64> = (0..8).map(|d| (d as f64 * 0.9).cos()).collect();
-        assert_bitwise_eq(&idx.top_k(&q, 5), &idx.search(&q, 5));
-    }
-
-    #[test]
-    fn quantized_byte_roundtrip_is_bitwise() {
-        let mut idx = VectorIndex::new();
-        for i in 0..60 {
-            let v: Vec<f64> = (0..6).map(|d| ((i * 6 + d) as f64 * 0.29).sin()).collect();
+        for i in 0..10 {
+            let v: Vec<f64> = (0..4).map(|d| ((i * 4 + d) as f64 * 0.29).sin()).collect();
             idx.add(format!("v{i}"), v);
         }
         idx.build_hnsw(HnswConfig::default());
-        idx.quantize(PqConfig::default()).unwrap();
-        let restored = VectorIndex::from_bytes(&idx.to_bytes()).unwrap();
-        assert!(restored.is_quantized());
+        let bytes = idx.to_bytes();
+        assert_eq!(bytes.last(), Some(&0), "PQ slot absent");
+        let mut legacy = bytes[..bytes.len() - 1].to_vec();
+        legacy.push(1);
+        write_u64(&mut legacy, 5);
+        legacy.extend_from_slice(b"codes");
+        let restored = VectorIndex::from_bytes(&legacy).unwrap();
+        assert_eq!(restored.to_bytes(), bytes, "the PQ block is dropped");
+        let q = unit(1, 4);
+        assert_bitwise_eq(&restored.search(&q, 4), &idx.search(&q, 4));
+        assert!(VectorIndex::from_bytes(&legacy[..legacy.len() - 1]).is_err());
+        let mut inflated = legacy.clone();
+        let at = bytes.len();
+        inflated[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(VectorIndex::from_bytes(&inflated).is_err());
+        let mut bad_tag = bytes.clone();
+        if let Some(last) = bad_tag.last_mut() {
+            *last = 2;
+        }
+        assert!(VectorIndex::from_bytes(&bad_tag).is_err());
+    }
+
+    /// The JSON-era decoder holds names, vectors and graph to the same
+    /// agreement as the binary one, and ignores retired keys.
+    #[test]
+    fn json_era_index_is_checked_and_skips_retired_keys() {
+        let mut idx = VectorIndex::new();
+        for i in 0..6 {
+            idx.add(format!("v{i}"), unit(i % 3, 3));
+        }
+        idx.build_hnsw(HnswConfig::default());
+        let serde::Value::Obj(mut fields) = serde::Serialize::to_value(&idx) else {
+            panic!("an index serializes to an object");
+        };
+        fields.push(("pq".into(), serde::Value::Null));
+        fields.push(("parallelism".into(), serde::Value::Num(serde::Number::U(0))));
+        let decode = |fields: &[(String, serde::Value)]| {
+            <VectorIndex as serde::Deserialize>::from_value(&serde::Value::Obj(fields.to_vec()))
+        };
+        let restored = decode(&fields).unwrap();
         assert_eq!(restored.to_bytes(), idx.to_bytes());
-        let q = unit(2, 6);
-        let a = idx.search(&q, 5);
-        let b = restored.search(&q, 5);
-        assert_eq!(a, b);
+        let mut extra_name = fields.clone();
+        if let Some((_, serde::Value::Arr(names))) =
+            extra_name.iter_mut().find(|(k, _)| k == "names")
+        {
+            names.push(serde::Value::Str("ghost".into()));
+        }
+        assert!(decode(&extra_name).is_err(), "7 names for 6 vectors");
+        let mut small = VectorIndex::new();
+        small.add("a", unit(0, 3));
+        small.build_hnsw(HnswConfig::default());
+        let mut foreign_graph = fields.clone();
+        if let (Some(slot), serde::Value::Obj(small_fields)) = (
+            foreign_graph.iter_mut().find(|(k, _)| k == "hnsw"),
+            serde::Serialize::to_value(&small),
+        ) {
+            if let Some((_, graph)) = small_fields.into_iter().find(|(k, _)| k == "hnsw") {
+                slot.1 = graph;
+            }
+        }
+        assert!(decode(&foreign_graph).is_err(), "1-node graph, 6 vectors");
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!   character n-grams for strings) — the KGLac substitute,
 //! * [`table_embedding`] — mean-pooled, L2-normalized table vectors,
 //! * [`index::VectorIndex`] — tiered top-k cosine search (exact scan or
-//!   deterministic HNSW graph) — the FAISS substitute,
+//!   deterministic HNSW graph, both over one full-precision vector
+//!   block) — the FAISS substitute,
 //! * [`hnsw`] — the deterministic HNSW graph layer itself,
 //! * [`mapped`] — the standalone `KGVI` catalog file, which decodes into
 //!   an ordinary [`index::VectorIndex`],
-//! * [`pq`] — product quantization: compressed `u8` code storage with
-//!   ADC scoring under the tiers and an exact re-rank on top,
 //! * [`tsne`] — exact t-SNE for the Figure-10 qualitative analysis.
 
 #![forbid(unsafe_code)]
@@ -28,13 +27,11 @@ pub mod column;
 pub mod hnsw;
 pub mod index;
 pub mod mapped;
-pub mod pq;
 pub mod table;
 pub mod tsne;
 
 pub use column::{column_embedding, column_embedding_parts, EMBED_DIM};
-pub use hnsw::{Hnsw, HnswConfig, SliceSource, VectorSource};
+pub use hnsw::{Hnsw, HnswConfig};
 pub use index::{IndexStats, IndexTier, VectorIndex};
-pub use pq::{Pq, PqConfig};
 pub use table::{table_embedding, table_embedding_chunked, table_embeddings};
 pub use tsne::tsne;

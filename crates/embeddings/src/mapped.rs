@@ -19,9 +19,8 @@
 //!   tag 2 vectors: count × dim f64, catalog order
 //!   tag 3 names:   u64 count · (count+1) × u64 offsets · UTF-8 blob
 //!   tag 4 hnsw:    Hnsw::to_bytes payload (optional section)
-//!   tag 5 pq book: PqCodebook::to_bytes payload (optional section)
-//!   tag 6 pq codes: count × m u8 code matrix (requires tag 5 and vice
-//!                   versa)
+//!   tag 5, 6:      retired; written by earlier builds, skipped (the
+//!                  product-quantization codebooks and code matrix)
 //! ```
 //!
 //! Unknown tags are skipped, mirroring the snapshot reader's
@@ -31,7 +30,6 @@
 
 use crate::hnsw::Hnsw;
 use crate::index::{write_u32, write_u64, Reader, VectorIndex};
-use crate::pq::{Pq, PqCodebook};
 use std::path::Path;
 
 /// File magic, the mapped-catalog sibling of the `KGPS` snapshot magic.
@@ -44,8 +42,6 @@ const TAG_HEADER: u32 = 1;
 const TAG_VECTORS: u32 = 2;
 const TAG_NAMES: u32 = 3;
 const TAG_HNSW: u32 = 4;
-const TAG_PQ_BOOK: u32 = 5;
-const TAG_PQ_CODES: u32 = 6;
 
 fn section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
     write_u32(out, tag);
@@ -54,12 +50,10 @@ fn section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
 }
 
 impl VectorIndex {
-    /// Serializes the catalog (plus any built HNSW graph and any
-    /// product-quantized store) to the `KGVI` mapped format.
-    /// Deterministic: the same index always produces the same bytes.
-    /// Fails when vectors have mixed dimensionality, which the flat
-    /// layout cannot represent. PQ rides as two tagged sections that
-    /// pre-PQ readers skip.
+    /// Serializes the catalog (plus any built HNSW graph) to the `KGVI`
+    /// mapped format. Deterministic: the same index always produces the
+    /// same bytes. Fails when vectors have mixed dimensionality, which the
+    /// flat layout cannot represent.
     pub fn to_mapped_bytes(&self) -> Result<Vec<u8>, String> {
         let dim = self.vectors.first().map_or(0, Vec::len);
         if self.vectors.iter().any(|v| v.len() != dim) {
@@ -94,10 +88,6 @@ impl VectorIndex {
         if let Some(hnsw) = self.hnsw() {
             section(&mut out, TAG_HNSW, &hnsw.to_bytes());
         }
-        if let Some(pq) = self.pq() {
-            section(&mut out, TAG_PQ_BOOK, &pq.book().to_bytes());
-            section(&mut out, TAG_PQ_CODES, pq.codes());
-        }
         Ok(out)
     }
 
@@ -117,11 +107,11 @@ impl VectorIndex {
     }
 
     /// Decodes a `KGVI` payload into an owned index holding the same
-    /// catalog, graph, and quantized store that
-    /// [`VectorIndex::to_mapped_bytes`] wrote: re-encoding reproduces the
-    /// payload (less any unknown sections) and `search` answers
-    /// bit-identically. Strict: a bad magic or version, a missing
-    /// section, or sections that disagree with the header all fail.
+    /// catalog and graph that [`VectorIndex::to_mapped_bytes`] wrote:
+    /// re-encoding reproduces the payload (less any unknown sections) and
+    /// `search` answers bit-identically. Strict: a bad magic or version, a
+    /// missing section, or sections that disagree with the header all
+    /// fail.
     pub fn from_mapped_bytes(bytes: &[u8]) -> Result<VectorIndex, String> {
         let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC {
@@ -137,8 +127,6 @@ impl VectorIndex {
         let mut vector_block: Option<&[u8]> = None;
         let mut name_block: Option<&[u8]> = None;
         let mut hnsw: Option<Hnsw> = None;
-        let mut book: Option<PqCodebook> = None;
-        let mut codes: Option<&[u8]> = None;
         while !r.at_end() {
             let tag = r.u32()?;
             let len = r.u64()? as usize;
@@ -154,9 +142,9 @@ impl VectorIndex {
                 TAG_VECTORS => vector_block = Some(payload),
                 TAG_NAMES => name_block = Some(payload),
                 TAG_HNSW => hnsw = Some(Hnsw::from_bytes(payload)?),
-                TAG_PQ_BOOK => book = Some(PqCodebook::from_bytes(payload)?),
-                TAG_PQ_CODES => codes = Some(payload),
-                _ => {} // Forward compatibility: skip unknown sections.
+                // Unknown sections — a newer writer's, or the retired PQ
+                // tags 5 and 6 of an older one — are skipped.
+                _ => {}
             }
         }
         let (count, dim) = header.ok_or("KGVI missing header section")?;
@@ -178,45 +166,7 @@ impl VectorIndex {
         for _ in 0..count {
             vectors.push((0..dim).map(|_| v.f64()).collect::<Result<Vec<f64>, _>>()?);
         }
-        if let Some(graph) = &hnsw {
-            if graph.len() != count {
-                return Err(format!(
-                    "KGVI HNSW graph indexes {} nodes but catalog holds {count}",
-                    graph.len()
-                ));
-            }
-        }
-        let pq = match (book, codes) {
-            (None, None) => None,
-            (Some(book), Some(codes)) => {
-                if book.dim() != dim {
-                    return Err(format!(
-                        "KGVI PQ codebooks cover dim {} but catalog is dim {dim}",
-                        book.dim()
-                    ));
-                }
-                if count.checked_mul(book.m()) != Some(codes.len()) {
-                    return Err(format!(
-                        "KGVI PQ code section holds {} bytes for {count} vectors of {} codes",
-                        codes.len(),
-                        book.m()
-                    ));
-                }
-                Some(Pq::from_parts(book, codes.to_vec())?)
-            }
-            _ => {
-                return Err(
-                    "KGVI PQ sections must appear in pairs (codebooks + code matrix)".into(),
-                )
-            }
-        };
-        Ok(VectorIndex {
-            names,
-            vectors,
-            hnsw,
-            pq,
-            parallelism: 0,
-        })
+        VectorIndex::from_parts(names, vectors, hnsw)
     }
 }
 
@@ -262,7 +212,6 @@ fn decode_names(block: &[u8], count: usize) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
     use crate::hnsw::HnswConfig;
-    use crate::pq::PqConfig;
 
     fn catalog(n: usize, dim: usize) -> VectorIndex {
         let mut idx = VectorIndex::new();
@@ -291,27 +240,19 @@ mod tests {
         out
     }
 
-    /// Exact, HNSW, PQ-only, and HNSW+PQ catalogs survive `to_mapped_bytes
-    /// → from_mapped_bytes` with identical names, vector bits, tier, and
+    /// Exact and HNSW catalogs survive `to_mapped_bytes →
+    /// from_mapped_bytes` with identical names, vector bits, tier, and
     /// re-encoded bytes, and answer `search` bit-identically.
     #[test]
     fn kgvi_roundtrip_is_byte_and_answer_identical() {
-        let pq = PqConfig {
-            m: 4,
-            rerank: 4,
-            seed: 0,
-        };
-        for (graph, quantized) in [(false, false), (true, false), (false, true), (true, true)] {
+        for graph in [false, true] {
             let mut idx = catalog(120, 8);
             if graph {
                 idx.build_hnsw(HnswConfig::default());
             }
-            if quantized {
-                idx.quantize(pq).unwrap();
-            }
             let bytes = idx.to_mapped_bytes().unwrap();
             let decoded = VectorIndex::from_mapped_bytes(&bytes).unwrap();
-            let what = format!("graph={graph} pq={quantized}");
+            let what = format!("graph={graph}");
             assert_eq!(decoded.to_mapped_bytes().unwrap(), bytes, "{what}");
             assert_eq!(decoded.to_bytes(), idx.to_bytes(), "{what}");
             assert_eq!(decoded.stats(), idx.stats(), "{what}");
@@ -370,27 +311,6 @@ mod tests {
         section(&mut bytes, 99, b"future data");
         let decoded = VectorIndex::from_mapped_bytes(&bytes).unwrap();
         assert_eq!(decoded.len(), 4);
-    }
-
-    #[test]
-    fn pq_sections_must_pair() {
-        let mut idx = catalog(20, 6);
-        idx.quantize(PqConfig {
-            m: 3,
-            rerank: 2,
-            seed: 0,
-        })
-        .unwrap();
-        let full = idx.to_mapped_bytes().unwrap();
-        // A book without its matrix must be rejected, not half-loaded.
-        let stripped = filter_sections(&full, |tag| tag != TAG_PQ_CODES);
-        assert!(VectorIndex::from_mapped_bytes(&stripped).is_err());
-        // Dropping both PQ sections is the pre-PQ file: loads, answers
-        // full-precision.
-        let pre_pq = filter_sections(&full, |tag| tag != TAG_PQ_CODES && tag != TAG_PQ_BOOK);
-        let decoded = VectorIndex::from_mapped_bytes(&pre_pq).unwrap();
-        assert!(!decoded.is_quantized());
-        assert_eq!(decoded.len(), 20);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * a graph catalog survives a `KGVI` file round-trip through disk:
 //!   same bytes on re-export, bit-identical answers.
 
-use kgpip_embeddings::{Hnsw, HnswConfig, SliceSource, VectorIndex};
+use kgpip_embeddings::{Hnsw, HnswConfig, VectorIndex};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -66,14 +66,14 @@ proptest! {
         let mut store: Vec<Vec<f64>> = Vec::new();
         for v in vecs.iter().take(split) {
             store.push(v.clone());
-            grown.insert(&SliceSource(&store));
+            grown.insert(&store);
         }
         for v in vecs.iter().skip(split) {
             store.push(v.clone());
-            grown.insert(&SliceSource(&store));
+            grown.insert(&store);
         }
 
-        let scratch = Hnsw::build(config, &SliceSource(&vecs));
+        let scratch = Hnsw::build(config, &vecs);
         prop_assert_eq!(grown.to_bytes(), scratch.to_bytes());
     }
 }

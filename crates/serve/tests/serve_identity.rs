@@ -328,75 +328,6 @@ fn register_dataset_grows_the_served_catalog() {
     assert_eq!(stats.swaps, 0, "registration is not a hot-swap");
 }
 
-/// A quantized artifact serves bit-identically to its unquantized twin
-/// (rerank covers the tiny catalog, so answers are exact), and online
-/// registration encodes against the frozen codebooks — same epoch-bump
-/// contract as the unquantized path, no codebook retrain.
-#[test]
-fn quantized_models_serve_and_register_identically() {
-    use kgpip_embeddings::PqConfig;
-    let plain = trained_artifact(0);
-    let mut quantized = plain.clone();
-    quantized
-        .quantize_index(PqConfig {
-            m: 4,
-            rerank: 8,
-            seed: 0,
-        })
-        .unwrap();
-    assert!(quantized.index().is_quantized());
-    let caps = Flaml::new(0).capabilities();
-    let tables = query_tables();
-    let direct: Vec<_> = tables
-        .iter()
-        .map(|t| plain.predict_table(t, Task::Binary, 3, &caps, 5).unwrap())
-        .collect();
-
-    let server = ServeHandle::start(
-        quantized.share(),
-        ServeConfig::default()
-            .with_workers(2)
-            .with_max_batch(4)
-            .with_cache_capacity(16),
-    );
-    for (i, t) in tables.iter().enumerate() {
-        let response = server
-            .predict(ServeRequest {
-                table: t.clone(),
-                task: Task::Binary,
-                k: 3,
-                seed: 5,
-            })
-            .unwrap();
-        let context = format!("quantized table={i}");
-        assert_bit_identical(&response.skeletons, &direct[i].0, &context);
-        assert_eq!(response.neighbour, direct[i].1, "{context}");
-    }
-
-    // Online registration on the quantized catalog: the new dataset is
-    // encoded against the frozen codebooks and immediately retrievable.
-    let book_before = quantized.index().pq().unwrap().book().to_bytes();
-    let novel = table_like(9000.0, 26);
-    let epoch = server.register_dataset("novel", &novel).unwrap();
-    assert_eq!(epoch, 1);
-    let after = server
-        .predict(ServeRequest {
-            table: novel.clone(),
-            task: Task::Binary,
-            k: 2,
-            seed: 3,
-        })
-        .unwrap();
-    assert_eq!(after.model_epoch, 1);
-    assert_eq!(after.neighbour, "novel");
-    assert_eq!(
-        quantized.index().pq().unwrap().book().to_bytes(),
-        book_before,
-        "registration must not retrain codebooks"
-    );
-    server.shutdown();
-}
-
 /// Dropping the handle closes the queue but drains every request that
 /// was already submitted — no request is silently lost.
 #[test]

@@ -82,18 +82,13 @@ impl WorkspaceConfig {
             compute("crates/xlint"),
         ];
         // kgpip-embeddings: compute rules plus the serve-path panic rule
-        // on the similarity tiers a serving process runs — the HNSW
-        // graph and the product-quantized store its scans read — and on
-        // the `KGVI` catalog decoder. A malformed index file or a query
+        // on the similarity tier a serving process runs — the HNSW graph
+        // — and on the `KGVI` catalog decoder. A malformed index file or a query
         // of any shape must surface as a Result or an empty answer, never
         // a panic in a worker.
         let mut embeddings = compute("crates/embeddings");
         embeddings.rules.push("panic-in-serve-path".to_string());
-        embeddings.panic_files = vec![
-            "src/hnsw.rs".to_string(),
-            "src/mapped.rs".to_string(),
-            "src/pq.rs".to_string(),
-        ];
+        embeddings.panic_files = vec!["src/hnsw.rs".to_string(), "src/mapped.rs".to_string()];
         crates.push(embeddings);
         // kgpip-core: compute rules plus the serve-path panic rule on the
         // artifact read/predict path (training may still assert).
@@ -199,7 +194,6 @@ mod tests {
         assert!(embeddings.parsed_rules().contains(&Rule::PanicInServePath));
         assert!(embeddings.panic_file_in_scope("src/hnsw.rs"));
         assert!(embeddings.panic_file_in_scope("src/mapped.rs"));
-        assert!(embeddings.panic_file_in_scope("src/pq.rs"));
         assert!(!embeddings.panic_file_in_scope("src/tsne.rs"));
     }
 

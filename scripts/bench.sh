@@ -6,12 +6,10 @@
 #   BENCH_mining.json   — corpus mining (scripts/sec, p1 vs pN)
 #   BENCH_serve.json    — kgpip-serve (QPS, p50/p99 latency, cache hit rate)
 #   BENCH_embeddings.json — similarity tiers (build secs, insert/sec, QPS,
-#                           recall@10, resident bytes per tier; the
-#                           tier_hnsw_pq / pq_incremental_encode rows
-#                           cover the product-quantized store: fit secs,
-#                           encode/sec, reranked vs raw recall, code vs
-#                           f64 bytes; KGPIP_BENCH_EMBED_N sizes the
-#                           catalog, default 100K)
+#                           recall@10, resident bytes per tier for the
+#                           exact scan and the HNSW graph;
+#                           KGPIP_BENCH_EMBED_N sizes the catalog,
+#                           default 100K)
 #   BENCH_tabular.json  — chunked tabular engine (ingest rows/sec vs
 #                         read_frame at p1/p2/p4 + bounded mode with its
 #                         resident-chunk cap, GBT chunk-fit vs dense fit,

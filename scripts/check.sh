@@ -32,14 +32,12 @@ cargo test -p kgpip --test mining_determinism -q
 echo "==> chunked-identity suite (chunked ingest ≡ read_frame, frames and errors, at any chunk size × worker count)"
 cargo test -p kgpip-tabular --test chunked_identity -q
 
-echo "==> similarity-tier suite (HNSW determinism; KGVI round-trip; decoder fuzz and allocation bounds; recall gate)"
+echo "==> similarity-tier suite (HNSW determinism; KGVI round-trip; legacy PQ-sectioned files open and encode as before; decoder fuzz and allocation bounds; recall gate)"
 cargo test -p kgpip-embeddings --test hnsw -q
+cargo test -p kgpip-embeddings --test legacy_pq -q
 cargo test -p kgpip-embeddings --test decode_fuzz -q
 cargo test -p kgpip-embeddings --test decode_alloc -q
 cargo test -p kgpip-benchdata --test recall -q
-
-echo "==> product-quantization suite (rerank ≡ exact; codebooks bit-stable across workers; .kgvi PQ round-trip)"
-cargo test -p kgpip-embeddings --test pq -q
 
 echo "==> cache-equivalence suite (trial caches change cost, never results)"
 cargo test -p kgpip-hpo --test cache_equivalence -q

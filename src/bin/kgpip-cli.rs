@@ -19,7 +19,6 @@
 //! kgpip-cli xlint   [--json] [--config rules.json] [--root DIR]
 //! kgpip-cli index build --out catalog.kgvi (--model model.kgps | --n 100000)
 //!                   [--dim 32] [--clusters 64] [--seed 0] [--tier auto|exact|hnsw]
-//!                   [--pq m=8,rerank=4]
 //! kgpip-cli index query --index catalog.kgvi [--k 10] [--queries 200]
 //!                   [--seed 1] [--recall]
 //! kgpip-cli index stats --index catalog.kgvi
@@ -59,10 +58,9 @@
 //! decode into the same `VectorIndex` a trained model searches.
 //! `build` exports a model's catalog (`--model`) or a seeded synthetic
 //! one (`--n/--dim/--clusters`); `--tier auto` builds the HNSW graph
-//! once the catalog crosses the auto-tune threshold.
-//! `--pq m=8,rerank=4` product-quantizes the vector store before export:
-//! tier scans read compact codes with an exact top-`rerank × k` re-rank,
-//! so answers stay exact-ordered while resident bytes shrink.
+//! once the catalog crosses the auto-tune threshold. Both tiers search
+//! the one full-precision vector block; files written by earlier builds
+//! with product-quantization sections open on their HNSW or exact tier.
 //! `query` measures queries/sec over seeded synthetic probes and, with
 //! `--recall`, scores the graph tier's recall@K against the exact scan.
 //! `stats` prints the catalog's shape, tier, and per-component resident
@@ -583,17 +581,12 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
                     ..HnswConfig::default()
                 });
             }
-            if let Some(spec) = flag("--pq") {
-                let config = parse_pq_spec(&spec, seed)?;
-                index.quantize(config).map_err(|e| format!("--pq: {e}"))?;
-            }
             index.write_mapped(&out)?;
             let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
             eprintln!(
-                "index written to {out}: {} vectors, tier {}{}, {bytes} bytes, {:.2}s",
+                "index written to {out}: {} vectors, tier {}, {bytes} bytes, {:.2}s",
                 index.len(),
                 if want_hnsw { "hnsw" } else { "exact" },
-                if index.is_quantized() { "+pq" } else { "" },
                 started.elapsed().as_secs_f64()
             );
             Ok(())
@@ -619,11 +612,10 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
             }
             let elapsed = started.elapsed().as_secs_f64();
             println!(
-                "{} probes x top-{k} over {} vectors (tier {}{}): {:.0} queries/sec ({retrieved} results)",
+                "{} probes x top-{k} over {} vectors (tier {}): {:.0} queries/sec ({retrieved} results)",
                 probes.len(),
                 index.len(),
                 index.tier(),
-                if index.is_quantized() { "+pq" } else { "" },
                 probes.len() as f64 / elapsed.max(1e-9),
             );
             if args.iter().any(|a| a == "--recall") {
@@ -660,55 +652,15 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
                 None => println!("  tier: exact (no graph section)"),
             }
             println!(
-                "  resident: {} bytes total — vectors {}, hnsw {}, pq {}",
+                "  resident: {} bytes total — vectors {}, hnsw {}",
                 stats.resident_bytes(),
                 stats.vector_bytes,
-                stats.hnsw_bytes,
-                stats.pq_bytes
+                stats.hnsw_bytes
             );
-            if let Some(book) = index.pq().map(|pq| pq.book()) {
-                println!(
-                    "  pq: m={}, ksub={}, rerank={}, seed={} — tier scans read {} bytes (vs {} full-precision)",
-                    book.m(),
-                    book.ksub(),
-                    book.rerank(),
-                    book.seed(),
-                    stats.scan_bytes(),
-                    stats.vector_bytes
-                );
-            }
             Ok(())
         }
         _ => Err("usage: kgpip-cli index <build|query|stats> [flags]".into()),
     }
-}
-
-/// Parses a `--pq m=8,rerank=4` geometry spec. Both keys are optional
-/// (defaults from [`kgpip_embeddings::PqConfig`]); the codebook seed is
-/// the build's `--seed`.
-fn parse_pq_spec(
-    spec: &str,
-    seed: u64,
-) -> Result<kgpip_embeddings::PqConfig, Box<dyn std::error::Error>> {
-    let mut config = kgpip_embeddings::PqConfig {
-        seed,
-        ..kgpip_embeddings::PqConfig::default()
-    };
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("--pq: expected key=value, got `{part}`"))?;
-        let parsed: usize = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("--pq {key}: {e}"))?;
-        match key.trim() {
-            "m" => config.m = parsed,
-            "rerank" => config.rerank = parsed,
-            other => return Err(format!("--pq: unknown key `{other}` (m|rerank)").into()),
-        }
-    }
-    Ok(config)
 }
 
 /// End-to-end demo on synthetic data; no files needed.

@@ -131,24 +131,13 @@ fn kgpip_cli(args: &[&str]) -> String {
 }
 
 #[test]
-fn index_build_query_stats_roundtrip_a_quantized_graph_catalog() {
+fn index_build_query_stats_roundtrip_a_graph_catalog() {
     let dir = std::env::temp_dir().join("kgpip_cli_index_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("catalog.kgvi");
     let path = path.to_str().unwrap();
     kgpip_cli(&[
-        "index",
-        "build",
-        "--n",
-        "300",
-        "--dim",
-        "16",
-        "--tier",
-        "hnsw",
-        "--pq",
-        "m=4,rerank=4",
-        "--out",
-        path,
+        "index", "build", "--n", "300", "--dim", "16", "--tier", "hnsw", "--out", path,
     ]);
     let query = kgpip_cli(&[
         "index",
@@ -161,11 +150,20 @@ fn index_build_query_stats_roundtrip_a_quantized_graph_catalog() {
         "20",
         "--recall",
     ]);
-    assert!(query.contains("tier hnsw+pq"), "{query}");
+    assert!(query.contains("(tier hnsw)"), "{query}");
     assert!(query.contains("recall@5 vs exact scan"), "{query}");
     let stats = kgpip_cli(&["index", "stats", "--index", path]);
     assert!(stats.contains("300 vectors x 16 dims"), "{stats}");
     assert!(stats.contains("tier: hnsw"), "{stats}");
-    assert!(stats.contains("pq: m=4"), "{stats}");
+    assert!(stats.contains("resident:"), "{stats}");
+    // A catalog written by an earlier build with product-quantization
+    // sections opens on its HNSW tier.
+    let legacy = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/embeddings/tests/fixtures/legacy_pq.kgvi"
+    );
+    let stats = kgpip_cli(&["index", "stats", "--index", legacy]);
+    assert!(stats.contains("48 vectors x 8 dims"), "{stats}");
+    assert!(stats.contains("tier: hnsw"), "{stats}");
     std::fs::remove_dir_all(&dir).ok();
 }
