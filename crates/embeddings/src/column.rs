@@ -24,25 +24,42 @@ const KIND_OFFSET: usize = 44;
 /// Embeds a single column from its content.
 pub fn column_embedding(column: &Column) -> [f64; EMBED_DIM] {
     let stats = ColumnStats::compute(column);
-    let strings = (0..column.len()).filter_map(|r| column.as_string(r));
+    let strings = (0..column.len()).filter_map(|r| str_view(column, r));
     column_embedding_parts(column.kind(), &stats, strings)
+}
+
+/// The string view of row `r` of a categorical or text column, borrowed
+/// (the dictionary label or the cell); `None` for missing cells and for
+/// numeric columns, whose strings the embedding never reads.
+pub(crate) fn str_view(column: &Column, r: usize) -> Option<&str> {
+    match column {
+        Column::Numeric(_) => None,
+        Column::Categorical { codes, dictionary } => codes
+            .get(r)
+            .copied()
+            .flatten()
+            .and_then(|code| dictionary.get(code as usize))
+            .map(String::as_str),
+        Column::Text(values) => values.get(r).and_then(Option::as_deref),
+    }
 }
 
 /// Embeds a column from precomputed summary statistics plus a row-order
 /// iterator over its present string views. This is the shared core of
 /// [`column_embedding`] and the chunk-streaming sampled variant: the
 /// numeric sketch reads only `stats`, the trigram sketch folds over
-/// `strings` in the order given. Feeding it `ColumnStats::compute` and the
-/// full row-order string sequence reproduces [`column_embedding`] to the
-/// bit; a chunked caller passes streamed stats and a bounded sample of
-/// string views instead.
+/// `strings` in the order given (numeric columns never read them).
+/// Feeding it `ColumnStats::compute` and the full row-order string
+/// sequence reproduces [`column_embedding`] to the bit; a chunked caller
+/// passes streamed stats and a bounded sample of string views instead.
 pub fn column_embedding_parts<I>(
     kind: ColumnKind,
     stats: &ColumnStats,
     strings: I,
 ) -> [f64; EMBED_DIM]
 where
-    I: IntoIterator<Item = String>,
+    I: IntoIterator,
+    I::Item: AsRef<str>,
 {
     let mut v = [0.0f64; EMBED_DIM];
 
@@ -68,8 +85,18 @@ where
     // --- hashed character trigrams over string values ---
     if kind != ColumnKind::Numeric {
         let mut count = 0usize;
+        // One lowercase buffer reused across values. ASCII lowercases
+        // byte by byte, which is what `to_lowercase` does to ASCII.
+        let mut lowered = String::new();
         for s in strings {
-            let lowered = s.to_lowercase();
+            let s = s.as_ref();
+            lowered.clear();
+            if s.is_ascii() {
+                lowered.push_str(s);
+                lowered.make_ascii_lowercase();
+            } else {
+                lowered.push_str(&s.to_lowercase());
+            }
             let bytes = lowered.as_bytes();
             if bytes.len() < 3 {
                 let h = fnv1a(bytes);

@@ -1,6 +1,6 @@
 //! Table-level embeddings via column pooling.
 
-use crate::column::{column_embedding, column_embedding_parts, EMBED_DIM};
+use crate::column::{column_embedding, column_embedding_parts, str_view, EMBED_DIM};
 use kgpip_tabular::{effective_parallelism, ChunkedFrame, Column, ColumnKind, DataFrame};
 use rayon::prelude::*;
 
@@ -53,7 +53,11 @@ pub fn table_embedding_chunked(frame: &ChunkedFrame, sample_bound: usize, seed: 
             .map(Column::kind)
             .unwrap_or(ColumnKind::Numeric);
         let stats = frame.column_stats_sampled(c, &sample);
-        let strings = sampled_strings(chunks, &sample);
+        let strings = if kind == ColumnKind::Numeric {
+            Vec::new()
+        } else {
+            sampled_strings(chunks, &sample)
+        };
         let e = column_embedding_parts(kind, &stats, strings);
         for (p, x) in pooled.iter_mut().zip(e.iter()) {
             *p += x;
@@ -72,10 +76,10 @@ pub fn table_embedding_chunked(frame: &ChunkedFrame, sample_bound: usize, seed: 
     pooled
 }
 
-/// Collects the present string views of the sampled rows, visiting the
-/// ascending sample through the chunks with a single cursor — the same
-/// row order `column_embedding` scans, restricted to the sample.
-fn sampled_strings(chunks: &[Column], sample: &[usize]) -> Vec<String> {
+/// Collects the present string views of the sampled rows, borrowed from
+/// the chunks, visiting the ascending sample with a single cursor — the
+/// same row order `column_embedding` scans, restricted to the sample.
+fn sampled_strings<'c>(chunks: &'c [Column], sample: &[usize]) -> Vec<&'c str> {
     let mut out = Vec::new();
     let mut cursor = sample.iter().peekable();
     let mut base = 0usize;
@@ -85,7 +89,7 @@ fn sampled_strings(chunks: &[Column], sample: &[usize]) -> Vec<String> {
             if r < base || r >= base + len {
                 break;
             }
-            if let Some(s) = c.as_string(r - base) {
+            if let Some(s) = str_view(c, r - base) {
                 out.push(s);
             }
             cursor.next();

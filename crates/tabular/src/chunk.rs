@@ -24,7 +24,7 @@
 
 use crate::column::{Column, ColumnKind};
 use crate::frame::DataFrame;
-use crate::stats::ColumnStats;
+use crate::stats::{mean_tokens, ColumnStats};
 use crate::Result;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
@@ -381,26 +381,16 @@ fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> Co
         (mean, std, skew, kurt, quantiles)
     };
 
-    // String-view token/char sums are exact integer folds (order-free).
-    let mut token_sum = 0usize;
-    let mut char_sum = 0usize;
-    let mut string_count = 0usize;
-    for c in chunks {
-        for i in 0..c.len() {
-            if let Some(s) = c.as_string(i) {
-                token_sum += s.split_whitespace().count();
-                char_sum += s.chars().count();
-                string_count += 1;
-            }
-        }
-    }
-    let mean_tokens = if string_count > 0 && kind == ColumnKind::Text {
-        token_sum as f64 / string_count as f64
-    } else {
-        0.0
-    };
-    let mean_chars = if string_count > 0 {
-        char_sum as f64 / string_count as f64
+    let mean_tokens = if kind == ColumnKind::Text {
+        mean_tokens(
+            chunks
+                .iter()
+                .flat_map(|c| match c {
+                    Column::Text(values) => values.as_slice(),
+                    _ => &[],
+                })
+                .flatten(),
+        )
     } else {
         0.0
     };
@@ -418,7 +408,6 @@ fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> Co
         kurtosis,
         quantiles,
         mean_tokens,
-        mean_chars,
     }
 }
 

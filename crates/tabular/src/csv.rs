@@ -6,6 +6,16 @@
 //! [`read_frame`] parses a CSV document and infers a typed [`DataFrame`]
 //! from its cells. The record scanner and field parser here are shared
 //! with the chunked reader in [`crate::stream`].
+//!
+//! Both scan bytes, not chars. Every structural byte (`"`, `,`, `\r`,
+//! `\n`) is ASCII, and in UTF-8 an ASCII byte never occurs inside a
+//! multi-byte character (continuation and lead bytes all have the high
+//! bit set). So a byte scan finds exactly the boundaries a char scan
+//! finds, and every offset it slices at is a char boundary. An unquoted
+//! run is taken as one slice up to the next `,` or `"`; a quoted run up to
+//! the next `"` (counting the `\n`s it holds for error lines). No cell
+//! allocates unless its content is non-contiguous in the source (doubled
+//! quotes, text resuming after a closing quote).
 
 use crate::error::TabularError;
 use crate::frame::DataFrame;
@@ -26,6 +36,46 @@ pub(crate) struct RecordSpan {
     pub line: usize,
 }
 
+/// Offset of the first byte at or after `from` that `stop` accepts, or
+/// `bytes.len()` when there is none.
+fn find_from(bytes: &[u8], from: usize, stop: impl Fn(u8) -> bool) -> usize {
+    bytes
+        .get(from..)
+        .and_then(|rest| rest.iter().position(|&x| stop(x)))
+        .map_or(bytes.len(), |p| from + p)
+}
+
+/// Number of `\n` bytes in `bytes[from..to]`.
+fn count_newlines(bytes: &[u8], from: usize, to: usize) -> usize {
+    bytes
+        .get(from..to)
+        .map_or(0, |run| run.iter().filter(|&&b| b == b'\n').count())
+}
+
+fn quote_in_unquoted(line: usize) -> TabularError {
+    TabularError::Csv {
+        line,
+        message: "quote inside unquoted field".into(),
+    }
+}
+
+fn unterminated(line: usize) -> TabularError {
+    TabularError::Csv {
+        line,
+        message: "unterminated quoted field".into(),
+    }
+}
+
+/// `text[start..end]`, or a typed error should the range not fall on char
+/// boundaries. The scanners only slice at ASCII structural bytes and at
+/// the ends of `text`, so this never fails on their offsets.
+fn slice(text: &str, start: usize, end: usize, line: usize) -> Result<&str> {
+    text.get(start..end).ok_or_else(|| TabularError::Csv {
+        line,
+        message: "field boundary inside a character".into(),
+    })
+}
+
 /// Locates record boundaries without materializing any field: a quote-aware
 /// scan that ends records at unquoted `\n`, `\r\n`, or bare `\r`. All
 /// structural errors the field parser could hit (a quote opening inside a
@@ -35,9 +85,9 @@ pub(crate) struct RecordSpan {
 /// chunked reader parallelizes over: spans are cheap to compute
 /// sequentially and parse independently.
 pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
+    let bytes = input.as_bytes();
     let mut spans = Vec::new();
-    let mut in_quotes = false;
-    // Any content char accumulated in the current field (quoted or not).
+    // Any content byte accumulated in the current field (quoted or not).
     let mut field_has_content = false;
     let mut field_was_quoted = false;
     // A `,` has finished at least one field in the current record.
@@ -45,88 +95,67 @@ pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
     let mut record_start = 0usize;
     let mut record_line = 1usize;
     let mut line = 1usize;
-    let mut chars = input.char_indices().peekable();
-    while let Some((i, ch)) = chars.next() {
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek().map(|&(_, c)| c) == Some('"') {
-                        chars.next();
+    let mut i = 0usize;
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b'"' => {
+                if field_has_content {
+                    return Err(quote_in_unquoted(line));
+                }
+                field_was_quoted = true;
+                // Inside quotes: runs up to the next `"`; a doubled `""`
+                // is an escaped quote and stays inside.
+                let mut at = i + 1;
+                loop {
+                    let close = find_from(bytes, at, |x| x == b'"');
+                    line += count_newlines(bytes, at, close);
+                    if close > at {
                         field_has_content = true;
+                    }
+                    if close == bytes.len() {
+                        return Err(unterminated(line));
+                    }
+                    if bytes.get(close + 1) == Some(&b'"') {
+                        field_has_content = true;
+                        at = close + 2;
                     } else {
-                        in_quotes = false;
+                        i = close + 1;
+                        break;
                     }
                 }
-                '\n' => {
-                    field_has_content = true;
-                    line += 1;
-                }
-                _ => field_has_content = true,
             }
-            continue;
-        }
-        match ch {
-            '"' => {
-                if field_has_content {
-                    return Err(TabularError::Csv {
-                        line,
-                        message: "quote inside unquoted field".into(),
-                    });
-                }
-                in_quotes = true;
-                field_was_quoted = true;
-            }
-            ',' => {
+            b',' => {
                 record_has_fields = true;
                 field_has_content = false;
                 field_was_quoted = false;
+                i += 1;
             }
-            '\r' => {
-                // Consumed as part of \r\n (the following \n ends the
-                // record and excludes this byte); a bare \r is a newline.
-                if chars.peek().map(|&(_, c)| c) == Some('\n') {
-                    continue;
+            b'\r' | b'\n' => {
+                // "\r\n" is one terminator whose \r is excluded from the
+                // record; a bare \r is a newline of its own.
+                let end = i;
+                if b == b'\r' && bytes.get(i + 1) == Some(&b'\n') {
+                    i += 1;
                 }
-                spans.push(RecordSpan {
-                    start: record_start,
-                    end: i,
-                    line: record_line,
-                });
-                record_start = i + 1;
-                line += 1;
-                record_line = line;
-                field_has_content = false;
-                field_was_quoted = false;
-                record_has_fields = false;
-            }
-            '\n' => {
-                // A directly preceding \r was skipped above and is not
-                // part of the record content.
-                let end = if i > record_start && input.as_bytes()[i - 1] == b'\r' {
-                    i - 1
-                } else {
-                    i
-                };
                 spans.push(RecordSpan {
                     start: record_start,
                     end,
                     line: record_line,
                 });
-                record_start = i + 1;
+                i += 1;
+                record_start = i;
                 line += 1;
                 record_line = line;
                 field_has_content = false;
                 field_was_quoted = false;
                 record_has_fields = false;
             }
-            _ => field_has_content = true,
+            _ => {
+                field_has_content = true;
+                // Skip the rest of the unquoted run in one step.
+                i = find_from(bytes, i, |x| matches!(x, b'"' | b',' | b'\r' | b'\n'));
+            }
         }
-    }
-    if in_quotes {
-        return Err(TabularError::Csv {
-            line,
-            message: "unterminated quoted field".into(),
-        });
     }
     if field_has_content || field_was_quoted || record_has_fields {
         spans.push(RecordSpan {
@@ -138,130 +167,126 @@ pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
     Ok(spans)
 }
 
+/// One field under construction in [`parse_span`]: a contiguous byte range
+/// of the record until the content goes non-contiguous, then an owned
+/// spill buffer.
+struct FieldBuf<'a> {
+    content: &'a str,
+    seg: Option<(usize, usize)>,
+    owned: Option<String>,
+    quoted: bool,
+}
+
+impl<'a> FieldBuf<'a> {
+    fn has_content(&self) -> bool {
+        self.seg.is_some() || self.owned.is_some()
+    }
+
+    /// Appends `content[start..end]` to the field.
+    fn push(&mut self, start: usize, end: usize, line: usize) -> Result<()> {
+        if start == end {
+            return Ok(());
+        }
+        if let Some(buf) = &mut self.owned {
+            buf.push_str(slice(self.content, start, end, line)?);
+            return Ok(());
+        }
+        match self.seg {
+            None => self.seg = Some((start, end)),
+            Some((s, e)) if e == start => self.seg = Some((s, end)),
+            Some((s, e)) => {
+                let mut buf = String::with_capacity(e - s + end - start);
+                buf.push_str(slice(self.content, s, e, line)?);
+                buf.push_str(slice(self.content, start, end, line)?);
+                self.owned = Some(buf);
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the field: empty unquoted is missing, quoted empty is `""`.
+    fn finish(&mut self, line: usize) -> Result<Option<Cow<'a, str>>> {
+        let value = match (self.owned.take(), self.seg.take()) {
+            (Some(buf), _) => Some(Cow::Owned(buf)),
+            (None, Some((s, e))) => Some(Cow::Borrowed(slice(self.content, s, e, line)?)),
+            (None, None) => self.quoted.then_some(Cow::Borrowed("")),
+        };
+        self.quoted = false;
+        Ok(value)
+    }
+}
+
 /// Parses one record span into fields. Unquoted fields (and quoted fields
 /// without escaped quotes) borrow directly from `input`; only fields whose
 /// content is non-contiguous in the source (doubled quotes, text resuming
 /// after a closing quote) allocate. Empty-unquoted is `None` (missing),
 /// quoted-empty is `Some("")` — same semantics as the legacy machine.
 pub(crate) fn parse_span(input: &str, span: RecordSpan) -> Result<Vec<Option<Cow<'_, str>>>> {
-    let content = &input[span.start..span.end];
-    let mut record: Vec<Option<Cow<'_, str>>> = Vec::new();
+    let mut record = Vec::new();
+    parse_span_into(input, span, &mut record)?;
+    Ok(record)
+}
+
+/// [`parse_span`] appending the fields to `record` instead, so a caller
+/// parsing many records can keep them in one buffer. Returns the number
+/// of fields appended.
+pub(crate) fn parse_span_into<'a>(
+    input: &'a str,
+    span: RecordSpan,
+    record: &mut Vec<Option<Cow<'a, str>>>,
+) -> Result<usize> {
+    let content = slice(input, span.start, span.end, span.line)?;
+    let bytes = content.as_bytes();
+    let before = record.len();
     let mut line = span.line;
-    // Field representation: a contiguous byte range of `content` until the
-    // content goes non-contiguous, then an owned spill buffer.
-    let mut seg: Option<(usize, usize)> = None;
-    let mut owned: Option<String> = None;
-    let mut field_was_quoted = false;
-    let mut in_quotes = false;
-    let mut chars = content.char_indices().peekable();
-
-    fn push_char(
-        content: &str,
-        seg: &mut Option<(usize, usize)>,
-        owned: &mut Option<String>,
-        i: usize,
-        ch: char,
-    ) {
-        if let Some(buf) = owned {
-            buf.push(ch);
-            return;
-        }
-        match seg {
-            None => *seg = Some((i, i + ch.len_utf8())),
-            Some((start, end)) => {
-                if *end == i {
-                    *end = i + ch.len_utf8();
-                } else {
-                    let mut buf = content[*start..*end].to_string();
-                    buf.push(ch);
-                    *owned = Some(buf);
-                }
+    let mut field = FieldBuf {
+        content,
+        seg: None,
+        owned: None,
+        quoted: false,
+    };
+    let mut i = 0usize;
+    while i < bytes.len() {
+        // An unquoted run, up to the next `,` or `"`.
+        let stop = find_from(bytes, i, |x| x == b',' || x == b'"');
+        field.push(i, stop, line)?;
+        match bytes.get(stop) {
+            None => i = stop,
+            Some(b',') => {
+                record.push(field.finish(line)?);
+                i = stop + 1;
             }
-        }
-    }
-
-    fn finish_field<'a>(
-        content: &'a str,
-        seg: &mut Option<(usize, usize)>,
-        owned: &mut Option<String>,
-        quoted: &mut bool,
-        record: &mut Vec<Option<Cow<'a, str>>>,
-    ) {
-        let value = match (owned.take(), seg.take()) {
-            (Some(buf), _) => Some(Cow::Owned(buf)),
-            (None, Some((start, end))) => Some(Cow::Borrowed(&content[start..end])),
-            (None, None) => {
-                if *quoted {
-                    Some(Cow::Borrowed(""))
-                } else {
-                    None
+            Some(_) => {
+                if field.has_content() {
+                    return Err(quote_in_unquoted(line));
                 }
-            }
-        };
-        record.push(value);
-        *quoted = false;
-    }
-
-    while let Some((i, ch)) = chars.next() {
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek().map(|&(_, c)| c) == Some('"') {
-                        // Escaped quote: the first quote of the pair is at
-                        // `i`, so a contiguous segment can still absorb it;
-                        // the skipped second quote forces a spill only when
-                        // more content follows.
-                        push_char(content, &mut seg, &mut owned, i, '"');
-                        chars.next();
+                field.quoted = true;
+                // A quoted run: content up to the closing `"`; the first
+                // quote of a doubled `""` is kept, the second skipped.
+                let mut at = stop + 1;
+                loop {
+                    let close = find_from(bytes, at, |x| x == b'"');
+                    line += count_newlines(bytes, at, close);
+                    if close == bytes.len() {
+                        // Unreachable for spans produced by scan_records
+                        // (records only end outside quotes), kept as a
+                        // typed error for defense in depth.
+                        return Err(unterminated(line));
+                    }
+                    if bytes.get(close + 1) == Some(&b'"') {
+                        field.push(at, close + 1, line)?;
+                        at = close + 2;
                     } else {
-                        in_quotes = false;
+                        field.push(at, close, line)?;
+                        i = close + 1;
+                        break;
                     }
                 }
-                '\n' => {
-                    push_char(content, &mut seg, &mut owned, i, ch);
-                    line += 1;
-                }
-                _ => push_char(content, &mut seg, &mut owned, i, ch),
             }
-            continue;
-        }
-        match ch {
-            '"' => {
-                if seg.is_some() || owned.is_some() {
-                    return Err(TabularError::Csv {
-                        line,
-                        message: "quote inside unquoted field".into(),
-                    });
-                }
-                in_quotes = true;
-                field_was_quoted = true;
-            }
-            ',' => finish_field(
-                content,
-                &mut seg,
-                &mut owned,
-                &mut field_was_quoted,
-                &mut record,
-            ),
-            _ => push_char(content, &mut seg, &mut owned, i, ch),
         }
     }
-    if in_quotes {
-        // Unreachable for spans produced by scan_records (records only end
-        // outside quotes), kept as a typed error for defense in depth.
-        return Err(TabularError::Csv {
-            line,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    finish_field(
-        content,
-        &mut seg,
-        &mut owned,
-        &mut field_was_quoted,
-        &mut record,
-    );
-    Ok(record)
+    record.push(field.finish(line)?);
+    Ok(record.len() - before)
 }
 
 /// Derives header names from the parsed header record: missing cells get
@@ -304,7 +329,10 @@ pub fn read_frame(input: &str) -> Result<DataFrame> {
     }
     let mut frame = DataFrame::new();
     for (c, header_name) in header.iter().enumerate() {
-        let values: Vec<Option<&str>> = rows.iter().map(|row| row[c].as_deref()).collect();
+        let values: Vec<Option<&str>> = rows
+            .iter()
+            .map(|row| row.get(c).and_then(Option::as_deref))
+            .collect();
         let column = infer_column(&values);
         // Duplicate headers get positional suffixes rather than failing;
         // keep extending until unique (a file may already contain `a.1`).
@@ -353,6 +381,277 @@ pub fn write_csv(frame: &DataFrame) -> String {
 mod tests {
     use super::*;
     use crate::column::ColumnKind;
+    use proptest::prelude::*;
+
+    /// The char-level scanner and field parser the byte scan replaced,
+    /// verbatim, kept as an independent oracle: [`scan_records`] and
+    /// [`parse_span`] must locate the same spans, yield the same values
+    /// (missing vs quoted-empty included) and fail with the same
+    /// `(line, message)` on every input.
+    fn reference_scan_records(input: &str) -> Result<Vec<RecordSpan>> {
+        let mut spans = Vec::new();
+        let mut in_quotes = false;
+        // Any content char accumulated in the current field (quoted or not).
+        let mut field_has_content = false;
+        let mut field_was_quoted = false;
+        // A `,` has finished at least one field in the current record.
+        let mut record_has_fields = false;
+        let mut record_start = 0usize;
+        let mut record_line = 1usize;
+        let mut line = 1usize;
+        let mut chars = input.char_indices().peekable();
+        while let Some((i, ch)) = chars.next() {
+            if in_quotes {
+                match ch {
+                    '"' => {
+                        if chars.peek().map(|&(_, c)| c) == Some('"') {
+                            chars.next();
+                            field_has_content = true;
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    '\n' => {
+                        field_has_content = true;
+                        line += 1;
+                    }
+                    _ => field_has_content = true,
+                }
+                continue;
+            }
+            match ch {
+                '"' => {
+                    if field_has_content {
+                        return Err(TabularError::Csv {
+                            line,
+                            message: "quote inside unquoted field".into(),
+                        });
+                    }
+                    in_quotes = true;
+                    field_was_quoted = true;
+                }
+                ',' => {
+                    record_has_fields = true;
+                    field_has_content = false;
+                    field_was_quoted = false;
+                }
+                '\r' => {
+                    // Consumed as part of \r\n (the following \n ends the
+                    // record and excludes this byte); a bare \r is a newline.
+                    if chars.peek().map(|&(_, c)| c) == Some('\n') {
+                        continue;
+                    }
+                    spans.push(RecordSpan {
+                        start: record_start,
+                        end: i,
+                        line: record_line,
+                    });
+                    record_start = i + 1;
+                    line += 1;
+                    record_line = line;
+                    field_has_content = false;
+                    field_was_quoted = false;
+                    record_has_fields = false;
+                }
+                '\n' => {
+                    // A directly preceding \r was skipped above and is not
+                    // part of the record content.
+                    let end = if i > record_start && input.as_bytes()[i - 1] == b'\r' {
+                        i - 1
+                    } else {
+                        i
+                    };
+                    spans.push(RecordSpan {
+                        start: record_start,
+                        end,
+                        line: record_line,
+                    });
+                    record_start = i + 1;
+                    line += 1;
+                    record_line = line;
+                    field_has_content = false;
+                    field_was_quoted = false;
+                    record_has_fields = false;
+                }
+                _ => field_has_content = true,
+            }
+        }
+        if in_quotes {
+            return Err(TabularError::Csv {
+                line,
+                message: "unterminated quoted field".into(),
+            });
+        }
+        if field_has_content || field_was_quoted || record_has_fields {
+            spans.push(RecordSpan {
+                start: record_start,
+                end: input.len(),
+                line: record_line,
+            });
+        }
+        Ok(spans)
+    }
+
+    fn reference_parse_span(input: &str, span: RecordSpan) -> Result<Vec<Option<Cow<'_, str>>>> {
+        let content = &input[span.start..span.end];
+        let mut record: Vec<Option<Cow<'_, str>>> = Vec::new();
+        let mut line = span.line;
+        // Field representation: a contiguous byte range of `content` until the
+        // content goes non-contiguous, then an owned spill buffer.
+        let mut seg: Option<(usize, usize)> = None;
+        let mut owned: Option<String> = None;
+        let mut field_was_quoted = false;
+        let mut in_quotes = false;
+        let mut chars = content.char_indices().peekable();
+
+        fn push_char(
+            content: &str,
+            seg: &mut Option<(usize, usize)>,
+            owned: &mut Option<String>,
+            i: usize,
+            ch: char,
+        ) {
+            if let Some(buf) = owned {
+                buf.push(ch);
+                return;
+            }
+            match seg {
+                None => *seg = Some((i, i + ch.len_utf8())),
+                Some((start, end)) => {
+                    if *end == i {
+                        *end = i + ch.len_utf8();
+                    } else {
+                        let mut buf = content[*start..*end].to_string();
+                        buf.push(ch);
+                        *owned = Some(buf);
+                    }
+                }
+            }
+        }
+
+        fn finish_field<'a>(
+            content: &'a str,
+            seg: &mut Option<(usize, usize)>,
+            owned: &mut Option<String>,
+            quoted: &mut bool,
+            record: &mut Vec<Option<Cow<'a, str>>>,
+        ) {
+            let value = match (owned.take(), seg.take()) {
+                (Some(buf), _) => Some(Cow::Owned(buf)),
+                (None, Some((start, end))) => Some(Cow::Borrowed(&content[start..end])),
+                (None, None) => {
+                    if *quoted {
+                        Some(Cow::Borrowed(""))
+                    } else {
+                        None
+                    }
+                }
+            };
+            record.push(value);
+            *quoted = false;
+        }
+
+        while let Some((i, ch)) = chars.next() {
+            if in_quotes {
+                match ch {
+                    '"' => {
+                        if chars.peek().map(|&(_, c)| c) == Some('"') {
+                            // Escaped quote: the first quote of the pair is at
+                            // `i`, so a contiguous segment can still absorb it;
+                            // the skipped second quote forces a spill only when
+                            // more content follows.
+                            push_char(content, &mut seg, &mut owned, i, '"');
+                            chars.next();
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    '\n' => {
+                        push_char(content, &mut seg, &mut owned, i, ch);
+                        line += 1;
+                    }
+                    _ => push_char(content, &mut seg, &mut owned, i, ch),
+                }
+                continue;
+            }
+            match ch {
+                '"' => {
+                    if seg.is_some() || owned.is_some() {
+                        return Err(TabularError::Csv {
+                            line,
+                            message: "quote inside unquoted field".into(),
+                        });
+                    }
+                    in_quotes = true;
+                    field_was_quoted = true;
+                }
+                ',' => finish_field(
+                    content,
+                    &mut seg,
+                    &mut owned,
+                    &mut field_was_quoted,
+                    &mut record,
+                ),
+                _ => push_char(content, &mut seg, &mut owned, i, ch),
+            }
+        }
+        if in_quotes {
+            // Unreachable for spans produced by scan_records (records only end
+            // outside quotes), kept as a typed error for defense in depth.
+            return Err(TabularError::Csv {
+                line,
+                message: "unterminated quoted field".into(),
+            });
+        }
+        finish_field(
+            content,
+            &mut seg,
+            &mut owned,
+            &mut field_was_quoted,
+            &mut record,
+        );
+        Ok(record)
+    }
+
+    /// Owned field values of one parsed record, for comparison.
+    fn owned(record: Vec<Option<Cow<'_, str>>>) -> Vec<Option<String>> {
+        record.into_iter().map(|f| f.map(Cow::into_owned)).collect()
+    }
+
+    /// Pieces heavy in structural bytes, spaces and multi-byte chars.
+    const ALPHABET: [&str; 14] = [
+        "\"", "\"", ",", ",", "\r", "\n", "\r\n", " ", "a", "1", "é", "日", "🙂", "NA",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The byte scan agrees with the char-level reference on spans,
+        /// field values (missing vs quoted-empty included) and errors —
+        /// both per located record and over the whole input as one span,
+        /// where record terminators become field content.
+        #[test]
+        fn byte_scan_matches_the_char_reference(
+            pieces in proptest::collection::vec(0usize..ALPHABET.len(), 0..40),
+        ) {
+            let input: String = pieces.iter().map(|&p| ALPHABET[p]).collect();
+            let spans = scan_records(&input);
+            prop_assert_eq!(&spans, &reference_scan_records(&input), "input {:?}", input);
+            for span in spans.unwrap_or_default() {
+                prop_assert_eq!(
+                    parse_span(&input, span).map(owned),
+                    reference_parse_span(&input, span).map(owned),
+                    "input {:?} span {:?}", input, span
+                );
+            }
+            let whole = RecordSpan { start: 0, end: input.len(), line: 1 };
+            prop_assert_eq!(
+                parse_span(&input, whole).map(owned),
+                reference_parse_span(&input, whole).map(owned),
+                "input {:?} as one span", input
+            );
+        }
+    }
 
     /// The error a document must fail with: `(line, message)`.
     fn csv_error(input: &str) -> (usize, String) {

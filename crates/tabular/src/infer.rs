@@ -65,12 +65,15 @@ pub(crate) fn is_text(distinct: usize, present: usize, token_sum: usize) -> bool
         || (distinct > CATEGORICAL_MAX_DISTINCT && distinct_ratio > CATEGORICAL_DISTINCT_RATIO)
 }
 
-/// True for cells that conventionally denote a missing value.
+/// True for cells that conventionally denote a missing value: blank, or
+/// (case-insensitively, surrounding whitespace ignored) `NA`, `N/A`,
+/// `null`, `nan` or `?`.
 pub fn is_missing_marker(s: &str) -> bool {
-    matches!(
-        s.trim().to_ascii_lowercase().as_str(),
-        "" | "na" | "n/a" | "null" | "nan" | "?"
-    )
+    let t = s.trim();
+    t.is_empty()
+        || ["na", "n/a", "null", "nan", "?"]
+            .iter()
+            .any(|m| t.eq_ignore_ascii_case(m))
 }
 
 /// Parses a cell as a number, accepting surrounding whitespace and treating

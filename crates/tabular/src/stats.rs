@@ -47,8 +47,6 @@ pub struct ColumnStats {
     pub quantiles: [f64; 5],
     /// Mean whitespace-token count for text columns (0 otherwise).
     pub mean_tokens: f64,
-    /// Mean character length of the string view.
-    pub mean_chars: f64,
 }
 
 impl ColumnStats {
@@ -99,25 +97,9 @@ impl ColumnStats {
             )
         };
 
-        let mut token_sum = 0usize;
-        let mut char_sum = 0usize;
-        let mut string_count = 0usize;
-        for i in 0..len {
-            if let Some(s) = column.as_string(i) {
-                token_sum += s.split_whitespace().count();
-                char_sum += s.chars().count();
-                string_count += 1;
-            }
-        }
-        let mean_tokens = if string_count > 0 && column.kind() == ColumnKind::Text {
-            token_sum as f64 / string_count as f64
-        } else {
-            0.0
-        };
-        let mean_chars = if string_count > 0 {
-            char_sum as f64 / string_count as f64
-        } else {
-            0.0
+        let mean_tokens = match column {
+            Column::Text(values) => mean_tokens(values.iter().flatten()),
+            _ => 0.0,
         };
 
         ColumnStats {
@@ -133,7 +115,6 @@ impl ColumnStats {
             kurtosis,
             quantiles,
             mean_tokens,
-            mean_chars,
         }
     }
 
@@ -144,6 +125,22 @@ impl ColumnStats {
         } else {
             self.missing as f64 / self.len as f64
         }
+    }
+}
+
+/// Mean whitespace-token count over the present cells of a text column
+/// (0 when there are none) — an exact integer fold, so any cell order
+/// gives the same result.
+pub(crate) fn mean_tokens<'s>(cells: impl Iterator<Item = &'s String>) -> f64 {
+    let (mut token_sum, mut count) = (0usize, 0usize);
+    for s in cells {
+        token_sum += s.split_whitespace().count();
+        count += 1;
+    }
+    if count > 0 {
+        token_sum as f64 / count as f64
+    } else {
+        0.0
     }
 }
 
@@ -203,7 +200,6 @@ mod tests {
         let c = Column::text(vec![Some("one two three"), Some("four five")]);
         let s = ColumnStats::compute(&c);
         assert!((s.mean_tokens - 2.5).abs() < 1e-12);
-        assert!(s.mean_chars > 0.0);
         assert_eq!(s.mean, 0.0, "text has no numeric view");
     }
 

@@ -4,29 +4,42 @@
 //! fixed-size row chunks on a clamped rayon pool, bit-identical to
 //! [`crate::csv::read_frame`] at any chunk size × worker count:
 //!
-//! 1. a sequential quote-aware scan locates record boundaries (cheap: no
-//!    field is materialized) and surfaces every structural error at the
+//! 1. a sequential quote-aware byte scan locates record boundaries (cheap:
+//!    no field is materialized) and surfaces every structural error at the
 //!    same source line the in-memory reader reports;
 //! 2. **pass 1** parses each chunk of records on the pool and reduces it
-//!    to per-column accumulators — present count, the numeric/marker
-//!    lattice flags, token sums, and the first-appearance distinct list;
-//! 3. the accumulators meet in chunk order, which reproduces
+//!    to per-column accumulators: the present count and the
+//!    numeric/marker lattice flags. The token sum and the
+//!    first-appearance distinct list (cells borrowed from the input) are
+//!    only read for non-numeric columns, so a chunk collects them only
+//!    for the columns where one of its own cells broke the lattice;
+//! 3. **backfill**: once the flags of every chunk are merged, a column
+//!    that turns out non-numeric (a later chunk broke the lattice, or no
+//!    chunk holds a real number) gets the missing details from the chunks
+//!    that skipped them — from the resident cells, or by re-parsing just
+//!    those chunks in bounded mode. Numeric columns, the common case,
+//!    never build a distinct list at all;
+//! 4. the accumulators meet in chunk order, which reproduces
 //!    `infer_column`'s decisions exactly (the distinct lists merge into
-//!    the global first-appearance dictionary);
-//! 4. **pass 2** decodes each chunk into typed [`Column`]s under the
+//!    the global first-appearance dictionary, built only for categorical
+//!    columns);
+//! 5. **pass 2** decodes each chunk into typed [`Column`]s under the
 //!    decided kinds, all categorical chunks sharing one dictionary `Arc`;
 //!    chunks merge in submission order.
 //!
-//! With [`ChunkedReadOptions::bounded_memory`] the reader trades one extra
-//! parse for bounded buffering: chunks are processed in waves of at most
+//! With [`ChunkedReadOptions::bounded_memory`] the reader trades extra
+//! parses for bounded buffering: chunks are processed in waves of at most
 //! `2 × workers`, so no more than two chunks of parsed cells are resident
-//! per worker at any time (pass 2 re-parses from the source). The default
-//! mode parses once and keeps the borrowed cells between passes — cells
-//! are slices into the input, so this costs pointers, not string copies.
+//! per worker at any time (the backfill and pass 2 re-parse from the
+//! source). The default mode parses once and keeps the borrowed cells
+//! between passes — cells are slices into the input, so this costs
+//! pointers, not string copies.
 
 use crate::chunk::ChunkedFrame;
 use crate::column::Column;
-use crate::csv::{header_names, parse_span, ragged_row_error, scan_records, RecordSpan};
+use crate::csv::{
+    header_names, parse_span, parse_span_into, ragged_row_error, scan_records, RecordSpan,
+};
 use crate::infer::{is_missing_marker, is_text, parse_number};
 use crate::parallel::effective_parallelism;
 use crate::Result;
@@ -36,8 +49,13 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One parsed record: borrowed cells, `None` = missing.
-type Record<'a> = Vec<Option<Cow<'a, str>>>;
+/// One parsed cell, borrowed from the input; `None` = missing. A chunk's
+/// cells sit in one row-major buffer, one entry per column.
+type Cell<'a> = Option<Cow<'a, str>>;
+
+/// One chunk of data records: the global index of its first record (for
+/// error lines) and its record spans.
+type Task<'s> = (usize, &'s [RecordSpan]);
 
 /// Options for [`read_chunked`].
 #[derive(Debug, Clone)]
@@ -77,157 +95,173 @@ pub struct IngestReport {
     pub peak_resident_chunks: usize,
 }
 
+/// The inputs `infer_column` reads only for non-numeric columns, over one
+/// column of one chunk.
+struct Details<'a> {
+    /// Whitespace tokens across the present cells.
+    token_sum: usize,
+    /// Distinct present values in first-appearance order within the chunk.
+    distinct: Vec<Cow<'a, str>>,
+}
+
 /// Per-column accumulator a chunk reduces to in pass 1. Merging these in
 /// chunk order reproduces `infer_column`'s decision inputs exactly.
-struct ColAcc {
+struct ColAcc<'a> {
     present: usize,
     all_num_or_marker: bool,
     any_real: bool,
-    token_sum: usize,
-    /// Distinct present values in first-appearance order within the chunk.
-    distinct: Vec<String>,
+    /// Collected in pass 1 only when this chunk broke the numeric lattice;
+    /// otherwise left for the backfill, which fills it only when the
+    /// column's merged flags turn out non-numeric.
+    details: Option<Details<'a>>,
 }
 
-impl ColAcc {
-    fn new() -> ColAcc {
-        ColAcc {
-            present: 0,
-            all_num_or_marker: true,
-            any_real: false,
-            token_sum: 0,
-            distinct: Vec::new(),
-        }
-    }
-}
-
-/// The decided kind of a column, carried into pass-2 decode.
-enum KindDecision {
+/// The decided kind of a column, carried into pass-2 decode. A
+/// categorical `lookup` borrows its keys from the pass-1 distinct lists.
+enum KindDecision<'s> {
     Numeric,
     Text,
     Categorical {
         dictionary: Arc<Vec<String>>,
-        lookup: HashMap<String, u32>,
+        lookup: HashMap<&'s str, u32>,
     },
 }
 
-/// Parses one chunk of record spans and ragged-checks it. `base` is the
-/// global index of the chunk's first data record (for error parity with
-/// the in-memory reader).
+/// Parses one chunk of record spans into one cell buffer and ragged-checks
+/// it. `base` is the global index of the chunk's first data record (for
+/// error parity with the in-memory reader).
 fn parse_chunk<'a>(
     input: &'a str,
     spans: &[RecordSpan],
     base: usize,
     ncols: usize,
-) -> Result<Vec<Record<'a>>> {
-    let mut rows = Vec::with_capacity(spans.len());
+) -> Result<Vec<Cell<'a>>> {
+    let mut cells = Vec::with_capacity(spans.len() * ncols);
     for (i, span) in spans.iter().enumerate() {
-        let row = parse_span(input, *span)?;
-        if row.len() != ncols {
-            return Err(ragged_row_error(base + i, ncols, row.len()));
+        let found = parse_span_into(input, *span, &mut cells)?;
+        if found != ncols {
+            return Err(ragged_row_error(base + i, ncols, found));
         }
-        rows.push(row);
     }
-    Ok(rows)
+    Ok(cells)
 }
 
-/// Reduces a parsed chunk to per-column accumulators. With `details`
-/// unset, only the cheap numeric-lattice flags are collected — the
-/// token sums and distinct lists those flags gate are consumed solely
-/// for non-numeric columns (`infer_column` early-returns on numeric
-/// ones), so the resident-cells mode defers them to
-/// [`accumulate_details`] once the numeric mask is known. Bounded mode
-/// collects everything in one pass because the cells are dropped after
-/// it.
-fn accumulate(rows: &[Record<'_>], ncols: usize, details: bool) -> Vec<ColAcc> {
-    let mut accs: Vec<ColAcc> = (0..ncols).map(|_| ColAcc::new()).collect();
-    for c in 0..ncols {
-        // Chunk-local membership; the set is never iterated.
-        let mut seen: HashSet<&str> = HashSet::new();
-        let acc = &mut accs[c];
-        for row in rows {
-            if let Some(s) = row[c].as_deref() {
+/// Column `c` of a chunk's cells, in row order.
+fn column_cells<'r, 'a>(
+    cells: &'r [Cell<'a>],
+    ncols: usize,
+    c: usize,
+) -> impl Iterator<Item = &'r Cell<'a>> + 'r {
+    cells.iter().skip(c).step_by(ncols.max(1))
+}
+
+/// The present cells of column `c`, in row order.
+fn present_cells<'r, 'a>(
+    cells: &'r [Cell<'a>],
+    ncols: usize,
+    c: usize,
+) -> impl Iterator<Item = &'r Cow<'a, str>> + 'r {
+    column_cells(cells, ncols, c).filter_map(Option::as_ref)
+}
+
+/// Token sum and first-appearance distinct list of column `c` over a
+/// parsed chunk. The distinct cells are copies of the borrowed `Cow`s, so
+/// they outlive the chunk's rows.
+fn details<'a>(cells: &[Cell<'a>], ncols: usize, c: usize) -> Details<'a> {
+    // Chunk-local membership; the set is never iterated.
+    let mut seen: HashSet<&str> = HashSet::new();
+    let mut token_sum = 0usize;
+    let mut distinct = Vec::new();
+    for cell in present_cells(cells, ncols, c) {
+        token_sum += cell.split_whitespace().count();
+        if seen.insert(cell) {
+            distinct.push(cell.clone());
+        }
+    }
+    Details {
+        token_sum,
+        distinct,
+    }
+}
+
+/// Reduces a parsed chunk to per-column accumulators: the numeric-lattice
+/// flags for every column, and [`Details`] for the columns this chunk
+/// alone proves non-numeric.
+fn accumulate<'a>(cells: &[Cell<'a>], ncols: usize) -> Vec<ColAcc<'a>> {
+    (0..ncols)
+        .map(|c| {
+            let mut acc = ColAcc {
+                present: 0,
+                all_num_or_marker: true,
+                any_real: false,
+                details: None,
+            };
+            for cell in present_cells(cells, ncols, c) {
                 acc.present += 1;
                 // Once one cell breaks the numeric lattice the column can
                 // never be numeric (`decide` tests `all_num && any_real`),
                 // so the remaining cells skip the parse probe entirely.
                 if acc.all_num_or_marker {
-                    if parse_number(s).is_some() {
+                    if parse_number(cell).is_some() {
                         acc.any_real = true;
-                    } else if !is_missing_marker(s) {
+                    } else if !is_missing_marker(cell) {
                         acc.all_num_or_marker = false;
                     }
                 }
-                if details {
-                    acc.token_sum += s.split_whitespace().count();
-                    if seen.insert(s) {
-                        acc.distinct.push(s.to_string());
-                    }
-                }
             }
-        }
-    }
-    accs
-}
-
-/// The deferred half of pass 1: token sums and first-appearance distinct
-/// lists for the given (non-numeric) columns only. Returns
-/// `(column, token_sum, distinct)` triples to fold back into the chunk's
-/// accumulators.
-fn accumulate_details(rows: &[Record<'_>], cols: &[usize]) -> Vec<(usize, usize, Vec<String>)> {
-    cols.iter()
-        .map(|&c| {
-            let mut seen: HashSet<&str> = HashSet::new();
-            let mut token_sum = 0usize;
-            let mut distinct: Vec<String> = Vec::new();
-            for row in rows {
-                if let Some(s) = row[c].as_deref() {
-                    token_sum += s.split_whitespace().count();
-                    if seen.insert(s) {
-                        distinct.push(s.to_string());
-                    }
-                }
+            if !acc.all_num_or_marker {
+                acc.details = Some(details(cells, ncols, c));
             }
-            (c, token_sum, distinct)
+            acc
         })
         .collect()
 }
 
+/// Whether the merged flags of column `c` decide it numeric — exactly
+/// `infer_column`'s numeric branch (an all-missing column is numeric).
+fn merged_numeric(chunk_accs: &[Vec<ColAcc<'_>>], c: usize) -> bool {
+    let (mut present, mut all_num, mut any_real) = (0usize, true, false);
+    for a in chunk_accs.iter().filter_map(|accs| accs.get(c)) {
+        present += a.present;
+        all_num &= a.all_num_or_marker;
+        any_real |= a.any_real;
+    }
+    present == 0 || (all_num && any_real)
+}
+
 /// Merges chunk accumulators (in chunk order) and takes `infer_column`'s
 /// decision per column, building the shared dictionary for categoricals.
-fn decide(ncols: usize, chunk_accs: &[Vec<ColAcc>]) -> Vec<KindDecision> {
+/// Every non-numeric column must have its details backfilled.
+fn decide<'s>(ncols: usize, chunk_accs: &'s [Vec<ColAcc<'_>>]) -> Vec<KindDecision<'s>> {
     (0..ncols)
         .map(|c| {
-            let mut present = 0usize;
-            let mut all_num = true;
-            let mut any_real = false;
-            let mut token_sum = 0usize;
-            for accs in chunk_accs {
-                let a = &accs[c];
-                present += a.present;
-                all_num &= a.all_num_or_marker;
-                any_real |= a.any_real;
-                token_sum += a.token_sum;
-            }
-            if present == 0 || (all_num && any_real) {
+            if merged_numeric(chunk_accs, c) {
                 return KindDecision::Numeric;
             }
-            // Global first-appearance dictionary: chunk lists merged in
-            // chunk order reproduce row-order first appearance.
-            let mut dictionary: Vec<String> = Vec::new();
-            let mut lookup: HashMap<String, u32> = HashMap::new();
-            for accs in chunk_accs {
-                for s in &accs[c].distinct {
-                    if !lookup.contains_key(s.as_str()) {
-                        lookup.insert(s.clone(), dictionary.len() as u32);
-                        dictionary.push(s.clone());
-                    }
-                }
+            let accs: Vec<&ColAcc<'_>> = chunk_accs.iter().filter_map(|a| a.get(c)).collect();
+            let present: usize = accs.iter().map(|a| a.present).sum();
+            let merged = || accs.iter().filter_map(|a| a.details.as_ref());
+            let token_sum: usize = merged().map(|d| d.token_sum).sum();
+            // With no distinct values the cardinality rule cannot fire, so
+            // this is the token rule alone: prose needs no dedup.
+            if is_text(0, present, token_sum) {
+                return KindDecision::Text;
             }
-            if is_text(dictionary.len(), present, token_sum) {
+            // Global first-appearance order: chunk lists merged in chunk
+            // order reproduce row-order first appearance.
+            let mut lookup: HashMap<&str, u32> = HashMap::new();
+            let mut order: Vec<&str> = Vec::new();
+            for s in merged().flat_map(|d| d.distinct.iter()) {
+                lookup.entry(s).or_insert_with(|| {
+                    order.push(s);
+                    (order.len() - 1) as u32
+                });
+            }
+            if is_text(order.len(), present, token_sum) {
                 KindDecision::Text
             } else {
                 KindDecision::Categorical {
-                    dictionary: Arc::new(dictionary),
+                    dictionary: Arc::new(order.iter().map(|s| s.to_string()).collect()),
                     lookup,
                 }
             }
@@ -236,26 +270,22 @@ fn decide(ncols: usize, chunk_accs: &[Vec<ColAcc>]) -> Vec<KindDecision> {
 }
 
 /// Decodes a parsed chunk into typed columns under the decided kinds.
-fn decode_chunk(rows: &[Record<'_>], decisions: &[KindDecision]) -> Vec<Column> {
+fn decode_chunk(cells: &[Cell<'_>], decisions: &[KindDecision<'_>]) -> Vec<Column> {
+    let ncols = decisions.len();
     decisions
         .iter()
         .enumerate()
-        .map(|(c, decision)| match decision {
-            KindDecision::Numeric => {
-                Column::numeric(rows.iter().map(|r| r[c].as_deref().and_then(parse_number)))
-            }
-            KindDecision::Text => {
-                Column::text(rows.iter().map(|r| r[c].as_deref().map(str::to_string)))
-            }
-            KindDecision::Categorical { dictionary, lookup } => {
-                let codes = rows
-                    .iter()
-                    .map(|r| r[c].as_deref().and_then(|s| lookup.get(s).copied()))
-                    .collect();
-                Column::Categorical {
-                    codes,
+        .map(|(c, decision)| {
+            let column = column_cells(cells, ncols, c).map(Option::as_deref);
+            match decision {
+                KindDecision::Numeric => Column::numeric(column.map(|v| v.and_then(parse_number))),
+                KindDecision::Text => Column::text(column),
+                KindDecision::Categorical { dictionary, lookup } => Column::Categorical {
+                    codes: column
+                        .map(|v| v.and_then(|s| lookup.get(s).copied()))
+                        .collect(),
                     dictionary: Arc::clone(dictionary),
-                }
+                },
             }
         })
         .collect()
@@ -296,10 +326,16 @@ pub fn read_chunked_with_report(
     let ncols = header.len();
     let data_spans: &[RecordSpan] = &spans[1..];
     let rows = data_spans.len();
-    let chunk_rows = opts.chunk_rows.max(1);
-    let groups: Vec<&[RecordSpan]> = data_spans.chunks(chunk_rows).collect();
+    let tasks: Vec<Task<'_>> = data_spans
+        .chunks(opts.chunk_rows.max(1))
+        .scan(0usize, |b, g| {
+            let t = (*b, g);
+            *b += g.len();
+            Some(t)
+        })
+        .collect();
     let workers = effective_parallelism(opts.parallelism);
-    let pool = if workers > 1 && groups.len() > 1 {
+    let pool = if workers > 1 && tasks.len() > 1 {
         rayon::ThreadPoolBuilder::new()
             .num_threads(workers)
             .build()
@@ -310,116 +346,101 @@ pub fn read_chunked_with_report(
     let wave_len = if opts.bounded_memory {
         (2 * workers).max(1)
     } else {
-        groups.len().max(1)
+        tasks.len().max(1)
     };
 
-    let mut columns: Vec<Vec<Column>> = (0..ncols).map(|_| Vec::new()).collect();
-    let mut chunk_sizes: Vec<usize> = Vec::with_capacity(groups.len());
+    // Pass 1 in waves: parse and accumulate; the default mode keeps the
+    // borrowed cells, bounded mode drops them with the wave.
+    let mut chunk_accs: Vec<Vec<ColAcc<'_>>> = Vec::with_capacity(tasks.len());
+    let mut resident: Vec<Vec<Cell<'_>>> = Vec::new();
     let mut peak_resident = 0usize;
+    for wave in tasks.chunks(wave_len) {
+        peak_resident = peak_resident.max(wave.len());
+        let parsed = map_ordered(pool.as_ref(), wave, |&(b, g)| {
+            parse_chunk(input, g, b, ncols).map(|cells| {
+                let accs = accumulate(&cells, ncols);
+                (accs, (!opts.bounded_memory).then_some(cells))
+            })
+        });
+        for chunk in parsed {
+            let (accs, cells) = chunk?;
+            chunk_accs.push(accs);
+            resident.extend(cells);
+        }
+    }
 
-    if opts.bounded_memory {
-        // Pass 1 in waves: parse, accumulate, drop the cells.
-        let mut chunk_accs: Vec<Vec<ColAcc>> = Vec::with_capacity(groups.len());
-        let mut base = 0usize;
-        for wave in groups.chunks(wave_len) {
-            peak_resident = peak_resident.max(wave.len());
-            let tasks: Vec<(usize, &[RecordSpan])> = wave
+    // Backfill: details for the non-numeric columns, from the chunks
+    // whose own cells left the lattice intact (a chunk without present
+    // cells has empty details and needs none).
+    let non_numeric: Vec<usize> = (0..ncols)
+        .filter(|&c| !merged_numeric(&chunk_accs, c))
+        .collect();
+    let backfill: Vec<(usize, Task<'_>, Vec<usize>)> = chunk_accs
+        .iter()
+        .zip(&tasks)
+        .enumerate()
+        .filter_map(|(k, (accs, &task))| {
+            let cols: Vec<usize> = non_numeric
                 .iter()
-                .scan(base, |b, g| {
-                    let t = (*b, *g);
-                    *b += g.len();
-                    Some(t)
+                .copied()
+                .filter(|&c| {
+                    accs.get(c)
+                        .is_some_and(|a| a.details.is_none() && a.present > 0)
                 })
                 .collect();
-            base += wave.iter().map(|g| g.len()).sum::<usize>();
-            let parsed = map_ordered(pool.as_ref(), &tasks, |&(b, g)| {
-                parse_chunk(input, g, b, ncols).map(|rows| accumulate(&rows, ncols, true))
-            });
-            for accs in parsed {
-                chunk_accs.push(accs?);
+            (!cols.is_empty()).then_some((k, task, cols))
+        })
+        .collect();
+    for wave in backfill.chunks(wave_len) {
+        fn fill<'a>(cells: &[Cell<'a>], ncols: usize, cols: &[usize]) -> Vec<(usize, Details<'a>)> {
+            cols.iter()
+                .map(|&c| (c, details(cells, ncols, c)))
+                .collect()
+        }
+        let filled = map_ordered(
+            pool.as_ref(),
+            wave,
+            |&(k, (b, g), ref cols)| match resident.get(k) {
+                Some(cells) => Ok(fill(cells, ncols, cols)),
+                None => parse_chunk(input, g, b, ncols).map(|cells| fill(&cells, ncols, cols)),
+            },
+        );
+        for (&(k, _, _), dets) in wave.iter().zip(filled) {
+            if let Some(accs) = chunk_accs.get_mut(k) {
+                for (c, d) in dets? {
+                    if let Some(acc) = accs.get_mut(c) {
+                        acc.details = Some(d);
+                    }
+                }
             }
         }
-        let decisions = decide(ncols, &chunk_accs);
-        // Pass 2 in waves: re-parse and decode.
-        let mut base = 0usize;
-        for wave in groups.chunks(wave_len) {
-            let tasks: Vec<(usize, &[RecordSpan])> = wave
-                .iter()
-                .scan(base, |b, g| {
-                    let t = (*b, *g);
-                    *b += g.len();
-                    Some(t)
-                })
-                .collect();
-            base += wave.iter().map(|g| g.len()).sum::<usize>();
-            let decoded = map_ordered(pool.as_ref(), &tasks, |&(b, g)| {
-                parse_chunk(input, g, b, ncols).map(|rows| decode_chunk(&rows, &decisions))
+    }
+    let decisions = decide(ncols, &chunk_accs);
+
+    // Pass 2: decode the resident cells, or re-parse in waves.
+    let mut columns: Vec<Vec<Column>> = (0..ncols).map(|_| Vec::new()).collect();
+    let mut chunk_sizes: Vec<usize> = Vec::with_capacity(tasks.len());
+    let mut push_chunk = |len: usize, chunk: Vec<Column>| {
+        chunk_sizes.push(len);
+        for (col, chunks) in chunk.into_iter().zip(columns.iter_mut()) {
+            chunks.push(col);
+        }
+    };
+    if opts.bounded_memory {
+        for wave in tasks.chunks(wave_len) {
+            let decoded = map_ordered(pool.as_ref(), wave, |&(b, g)| {
+                parse_chunk(input, g, b, ncols).map(|cells| decode_chunk(&cells, &decisions))
             });
-            for (wave_idx, chunk) in decoded.into_iter().enumerate() {
-                let chunk = chunk?;
-                chunk_sizes.push(wave[wave_idx].len());
-                for (c, col) in chunk.into_iter().enumerate() {
-                    columns[c].push(col);
-                }
+            for (&(_, g), chunk) in wave.iter().zip(decoded) {
+                push_chunk(g.len(), chunk?);
             }
         }
     } else {
-        // Single parse: keep borrowed cells between the passes.
-        peak_resident = groups.len();
-        let tasks: Vec<(usize, &[RecordSpan])> = groups
-            .iter()
-            .scan(0usize, |b, g| {
-                let t = (*b, *g);
-                *b += g.len();
-                Some(t)
-            })
-            .collect();
-        let parsed = map_ordered(pool.as_ref(), &tasks, |&(b, g)| {
-            parse_chunk(input, g, b, ncols)
+        let decoded = map_ordered(pool.as_ref(), &resident, |cells| {
+            decode_chunk(cells, &decisions)
         });
-        let mut chunks: Vec<Vec<Record<'_>>> = Vec::with_capacity(parsed.len());
-        for chunk in parsed {
-            chunks.push(chunk?);
-        }
-        let mut chunk_accs: Vec<Vec<ColAcc>> = map_ordered(pool.as_ref(), &chunks, |rows| {
-            accumulate(rows, ncols, false)
-        });
-        // Columns the merged flags already prove numeric never need token
-        // or distinct inputs; back-fill details for the rest only (the
-        // condition mirrors `decide`'s numeric branch exactly).
-        let needs_details: Vec<usize> = (0..ncols)
-            .filter(|&c| {
-                let mut present = 0usize;
-                let mut all_num = true;
-                let mut any_real = false;
-                for accs in &chunk_accs {
-                    present += accs[c].present;
-                    all_num &= accs[c].all_num_or_marker;
-                    any_real |= accs[c].any_real;
-                }
-                !(present == 0 || (all_num && any_real))
-            })
-            .collect();
-        if !needs_details.is_empty() {
-            let details = map_ordered(pool.as_ref(), &chunks, |rows| {
-                accumulate_details(rows, &needs_details)
-            });
-            for (accs, dets) in chunk_accs.iter_mut().zip(details) {
-                for (c, token_sum, distinct) in dets {
-                    accs[c].token_sum = token_sum;
-                    accs[c].distinct = distinct;
-                }
-            }
-        }
-        let decisions = decide(ncols, &chunk_accs);
-        let decoded = map_ordered(pool.as_ref(), &chunks, |rows| {
-            decode_chunk(rows, &decisions)
-        });
-        for (g, chunk) in decoded.into_iter().enumerate() {
-            chunk_sizes.push(groups[g].len());
-            for (c, col) in chunk.into_iter().enumerate() {
-                columns[c].push(col);
-            }
+        for (&(_, g), chunk) in tasks.iter().zip(decoded) {
+            push_chunk(g.len(), chunk);
         }
     }
 
@@ -436,7 +457,7 @@ pub fn read_chunked_with_report(
     let frame = ChunkedFrame::from_parts(names, columns, chunk_sizes);
     let report = IngestReport {
         rows,
-        chunks: groups.len(),
+        chunks: tasks.len(),
         workers,
         peak_resident_chunks: peak_resident,
     };

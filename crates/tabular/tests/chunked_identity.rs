@@ -167,3 +167,53 @@ proptest! {
         }
     }
 }
+
+/// Pass 1 collects a chunk's distinct list and token sum only for the
+/// columns that chunk proves non-numeric; the rest are backfilled once
+/// the merged flags are known. Here `late` reads numeric for its first
+/// rows and turns categorical later, `marks` opens with missing markers
+/// only and turns to text, and `only_marks` never holds a real number.
+/// At every chunk size both memory modes must rebuild the dictionaries
+/// (first-appearance order included) and the text/categorical decision
+/// exactly as `read_frame` does. Without the backfill, `late` and
+/// `only_marks` lose their early labels, and `marks` loses the marker
+/// tokens that lift its mean above the prose threshold.
+#[test]
+fn late_non_numeric_columns_are_backfilled() {
+    let text = "late,marks,only_marks\n\
+                1,NA,NA\n\
+                2,?,?\n\
+                3,n/a,null\n\
+                1,a b c d e f g h i,NA\n\
+                cat,j k l m n o p q r,nan\n\
+                dog,s t u v w x y z zz,?\n\
+                2,NA,NA\n";
+    let expected = read_frame(text).unwrap();
+    assert_eq!(
+        expected.column("late").unwrap().dictionary().unwrap(),
+        &["1", "2", "3", "cat", "dog"]
+    );
+    assert_eq!(
+        expected.column("marks").unwrap().kind(),
+        kgpip_tabular::ColumnKind::Text
+    );
+    assert_eq!(
+        expected.column("only_marks").unwrap().dictionary().unwrap(),
+        &["NA", "?", "null", "nan"]
+    );
+    for chunk_rows in [1usize, 2, 3, 1_000_000] {
+        for bounded_memory in [false, true] {
+            let opts = ChunkedReadOptions {
+                chunk_rows,
+                parallelism: 1,
+                bounded_memory,
+            };
+            let frame = read_chunked(text, &opts).unwrap().to_frame().unwrap();
+            assert_eq!(
+                frame.fingerprint(),
+                expected.fingerprint(),
+                "chunk_rows={chunk_rows} bounded={bounded_memory}"
+            );
+        }
+    }
+}

@@ -71,8 +71,14 @@ impl WorkspaceConfig {
             rules: COMPUTE.iter().map(|s| s.to_string()).collect(),
             panic_files: Vec::new(),
         };
+        // kgpip-tabular: compute rules plus the serve-path panic rule on
+        // the CSV decoder, which reads untrusted documents: a malformed
+        // file must surface as a typed `TabularError`, never a panic.
+        let mut tabular = compute("crates/tabular");
+        tabular.rules.push("panic-in-serve-path".to_string());
+        tabular.panic_files = vec!["src/csv.rs".to_string()];
         let mut crates = vec![
-            compute("crates/tabular"),
+            tabular,
             compute("crates/learners"),
             compute("crates/nn"),
             compute("crates/codegraph"),
@@ -186,6 +192,10 @@ mod tests {
         assert!(tabular
             .parsed_rules()
             .contains(&Rule::NondeterministicIteration));
+        // The CSV decoder reads untrusted bytes: typed errors only.
+        assert!(tabular.parsed_rules().contains(&Rule::PanicInServePath));
+        assert!(tabular.panic_file_in_scope("src/csv.rs"));
+        assert!(!tabular.panic_file_in_scope("src/stream.rs"));
         let embeddings = cfg
             .crates
             .iter()
