@@ -127,6 +127,9 @@ impl TrainedModel {
     /// training artifact (clamped to ≥ 1). Applies to skeleton search,
     /// trial evaluation, and the generator's top-K sampling alike. Takes
     /// `&mut self`, so apply it *before* wrapping the model in an `Arc`.
+    /// `kgpip-serve` overrides it on every model it installs with its
+    /// serve width (`ServeConfig::workers`), so a served model's own
+    /// setting governs only `run`/`run_k` outside the server.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.config.parallelism = parallelism.max(1);
         self.config.generator.parallelism = self.config.parallelism;

@@ -80,7 +80,8 @@ pub enum KgpipError {
     /// The model's similarity catalog holds no training datasets, so
     /// nearest-neighbour retrieval cannot answer.
     EmptyCatalog,
-    /// The request cannot yield a pipeline skeleton (currently: `k == 0`).
+    /// The request cannot yield a pipeline skeleton: `k == 0`, or a `k`
+    /// so large that its sampling budget overflows.
     NoValidSkeleton,
     /// A script failed static analysis.
     Analysis(kgpip_codegraph::CodeGraphError),
@@ -114,7 +115,10 @@ impl std::fmt::Display for KgpipError {
                 )
             }
             KgpipError::NoValidSkeleton => {
-                write!(f, "the request cannot produce a pipeline skeleton (k = 0)")
+                write!(
+                    f,
+                    "the request cannot produce a pipeline skeleton (k = 0, or k too large to sample)"
+                )
             }
             KgpipError::Analysis(e) => write!(f, "static analysis failed: {e}"),
             KgpipError::AllSkeletonsFailed => {

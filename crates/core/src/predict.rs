@@ -217,8 +217,10 @@ impl TrainedModel {
     /// conditioning embedding — the hook for the content-vs-random
     /// conditioning ablation (DESIGN.md).
     ///
-    /// Errors with [`KgpipError::NoValidSkeleton`] when `k == 0` — the
-    /// one request shape that cannot produce a pipeline (for `k ≥ 1` the
+    /// Errors with [`KgpipError::NoValidSkeleton`] when `k == 0` or when
+    /// `k` is so large that the sampling budget (`k · 3` candidates, each
+    /// drawn from up to 4 attempts) overflows `usize` — the request shapes
+    /// that cannot produce a pipeline (for any other `k` the
     /// corpus-dominant fallback guarantees a result).
     pub fn predict_with_embedding(
         &self,
@@ -228,12 +230,14 @@ impl TrainedModel {
         capabilities_json: &str,
         seed: u64,
     ) -> Result<Vec<(Skeleton, f64)>> {
-        if k == 0 {
+        // Oversample `k · 3` candidates (generated graphs can be invalid
+        // or unsupported); the generator spends up to 4 attempts on each,
+        // and an untrusted `k` must not overflow that budget.
+        if k == 0 || k.checked_mul(3 * 4).is_none() {
             return Err(KgpipError::NoValidSkeleton);
         }
         let prefix = TypedGraph::conditioning_prefix(&self.vocab);
         let conditioned = self.condition_vector(embedding);
-        // Oversample: generated graphs can be invalid or unsupported.
         let candidates = self.generator.generate_top_k(
             &conditioned,
             &prefix,
@@ -544,6 +548,16 @@ mod tests {
         let ds = unseen_dataset(40);
         let err = model.predict_skeletons(&ds, 0, "{}", 0).unwrap_err();
         assert!(matches!(err, KgpipError::NoValidSkeleton));
+    }
+
+    #[test]
+    fn overflowing_k_is_a_typed_error() {
+        let model = trained_model();
+        let ds = unseen_dataset(40);
+        for k in [usize::MAX, usize::MAX / 12 + 1] {
+            let err = model.predict_skeletons(&ds, k, "{}", 0).unwrap_err();
+            assert!(matches!(err, KgpipError::NoValidSkeleton), "k = {k}");
+        }
     }
 
     #[test]

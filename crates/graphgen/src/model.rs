@@ -19,11 +19,19 @@ use rayon::{ThreadPool, ThreadPoolBuilder};
 /// seed and attempt index, independent of worker count.
 const RNG_STREAM_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Attempts per sampling wave in [`GraphGenerator::generate_top_k`]. The
-/// wave size is a fixed constant (not tied to `parallelism`) so the
-/// early-exit check fires after the same attempt prefix at any worker
+/// Attempts per sampling wave in [`GraphGenerator::generate_top_k`].
+/// Waves exist only for the `distinct_target` early-exit check: without a
+/// target every attempt runs as one fan-out, with no barrier between
+/// waves. The wave size is a fixed constant (not tied to `parallelism`)
+/// so the early exit fires after the same attempt prefix at any worker
 /// count.
 const SAMPLE_WAVE: usize = 8;
+
+/// Most attempts [`GraphGenerator::generate_top_k`] runs in one fan-out
+/// when there is no `distinct_target`. A fan-out holds every attempt's
+/// result until it ends, so this bounds the memory a huge (untrusted) `k`
+/// can claim; every budget up to it (any `k ≤ 1024`) is one fan-out.
+const MAX_FAN_OUT: usize = 4096;
 
 /// One training example's contribution: scalar loss plus its parameter
 /// gradients, exactly as returned by `Tape::backward`.
@@ -98,7 +106,8 @@ pub struct GeneratorConfig {
     pub parallelism: usize,
     /// Optional early exit for [`GraphGenerator::generate_top_k`]: stop
     /// sampling at the first wave boundary where this many distinct
-    /// graphs have been collected. `None` spends the full attempt budget.
+    /// graphs have been collected. `None` spends the full attempt budget
+    /// as one fan-out.
     #[serde(default)]
     pub distinct_target: Option<usize>,
 }
@@ -695,17 +704,19 @@ impl GraphGenerator {
     ///
     /// # Sampling budget and determinism
     ///
-    /// The budget is `attempts = (k·4).max(8)` sampled candidates. Attempt
-    /// `i` draws from its own RNG stream seeded with
+    /// The budget is `attempts = (k·4).max(8)` sampled candidates
+    /// (saturating, so a huge `k` can never wrap to a small budget).
+    /// Attempt `i` draws from its own RNG stream seeded with
     /// `seed ⊕ (i · GOLDEN)`, so each attempt's graph is a pure function
     /// of `(seed, i)` — never of worker count or of which attempts ran
-    /// before it. Attempts are processed in fixed waves of [`SAMPLE_WAVE`]
-    /// (parallelized over `config.parallelism` workers, merged in attempt
-    /// order); when `config.distinct_target` is `Some(t)`, sampling stops
-    /// at the first wave boundary with `t` distinct graphs collected,
-    /// otherwise the whole budget is spent. Both the candidate set and the
-    /// early-exit point are therefore bit-for-bit identical at any worker
-    /// count (proven by `tests/determinism.rs`).
+    /// before it. Attempts run over `config.parallelism` workers and are
+    /// merged in attempt order. Without a `config.distinct_target` the
+    /// whole budget runs as one fan-out (split at [`MAX_FAN_OUT`]
+    /// attempts, which bounds memory); with `Some(t)` attempts run in
+    /// fixed waves of [`SAMPLE_WAVE`] and sampling stops at the first
+    /// wave boundary with `t` distinct graphs collected. Both the
+    /// candidate set and the early-exit point are therefore bit-for-bit
+    /// identical at any worker count (proven by `tests/determinism.rs`).
     pub fn generate_top_k(
         &self,
         dataset_embedding: &[f64],
@@ -714,7 +725,11 @@ impl GraphGenerator {
         temperature: f64,
         seed: u64,
     ) -> Vec<GeneratedGraph> {
-        let attempts = (k * 4).max(8);
+        let attempts = k.saturating_mul(4).max(8);
+        let wave_len = match self.config.distinct_target {
+            Some(_) => SAMPLE_WAVE,
+            None => attempts.min(MAX_FAN_OUT),
+        };
         let pool = self.worker_pool();
         let ds = self.ds_tensor(dataset_embedding);
         let run_attempt = |attempt: u64| -> GeneratedGraph {
@@ -725,7 +740,7 @@ impl GraphGenerator {
         let mut out: Vec<GeneratedGraph> = Vec::new();
         let mut next = 0usize;
         while next < attempts {
-            let wave: Vec<u64> = (next..(next + SAMPLE_WAVE).min(attempts))
+            let wave: Vec<u64> = (next..next.saturating_add(wave_len).min(attempts))
                 .map(|i| i as u64)
                 .collect();
             next += wave.len();

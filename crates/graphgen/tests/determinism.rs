@@ -160,9 +160,55 @@ fn generate_top_k_is_identical_at_any_worker_count() {
         })
         .collect();
     assert_eq!(pinned, TOP_K, "sampled graphs or scores moved");
-    for workers in [2, 3, 8] {
+    // k = 3 spends 12 attempts and k = 9 (the served oversampling) 36; the
+    // widths 5 and 8 divide neither, so one fan-out ends on a partial
+    // round of workers.
+    for k in [3, 9] {
+        generator.set_parallelism(1);
+        let sequential = generator.generate_top_k(&emb, &prefix, k, 1.2, 42);
+        for workers in [2, 3, 5, 8] {
+            generator.set_parallelism(workers);
+            let parallel = generator.generate_top_k(&emb, &prefix, k, 1.2, 42);
+            assert_eq!(sequential.len(), parallel.len());
+            for (s, p) in sequential.iter().zip(&parallel) {
+                assert_eq!(
+                    s.graph, p.graph,
+                    "graph diverged at k {k}, parallelism {workers}"
+                );
+                assert_eq!(
+                    s.log_prob.to_bits(),
+                    p.log_prob.to_bits(),
+                    "log-prob diverged at k {k}, parallelism {workers}"
+                );
+            }
+        }
+    }
+}
+
+/// A budget too large for one fan-out (k = 1100 spends 4400 attempts)
+/// runs as consecutive fan-outs merged in attempt order, identical at any
+/// worker count.
+#[test]
+fn budgets_beyond_one_fan_out_are_identical_at_any_worker_count() {
+    let mut generator = GraphGenerator::new(GeneratorConfig {
+        vocab_size: 3,
+        embed_dim: 4,
+        hidden: 6,
+        prop_rounds: 1,
+        max_nodes: 3,
+        max_edges_per_node: 1,
+        seed: 5,
+        ..GeneratorConfig::default()
+    });
+    let prefix = TypedGraph {
+        types: vec![0, 1],
+        edges: vec![(0, 1)],
+    };
+    let emb = vec![0.3; 4];
+    let sequential = generator.generate_top_k(&emb, &prefix, 1100, 1.0, 9);
+    for workers in [2, 3] {
         generator.set_parallelism(workers);
-        let parallel = generator.generate_top_k(&emb, &prefix, 3, 1.2, 42);
+        let parallel = generator.generate_top_k(&emb, &prefix, 1100, 1.0, 9);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.graph, p.graph, "graph diverged at parallelism {workers}");

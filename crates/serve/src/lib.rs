@@ -7,7 +7,8 @@
 //! the serving machinery around that artifact:
 //!
 //! * a worker pool draining a shared request queue in coalesced batches
-//!   ([`ServeHandle`]),
+//!   ([`ServeHandle`]); its width is also the parallelism of every served
+//!   model, so one request's generation fans out over idle cores,
 //! * a content-addressed result cache (table fingerprint + task + K +
 //!   seed + model epoch) with stamp-LRU eviction,
 //! * atomic model hot-swap: replace the served artifact behind traffic

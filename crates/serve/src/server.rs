@@ -17,6 +17,12 @@
 //!   epoch; in-flight batches keep the snapshot they pinned, and the
 //!   epoch is part of every cache key, so entries computed by an old
 //!   model are never replayed for a new one.
+//! * **One CPU budget.** `ServeConfig::workers` is both the number of
+//!   queue workers and the parallelism every installed model is set to,
+//!   so a lone request's generation attempts fan out over the idle cores.
+//!   The vendored pool lets each caller drain its own fan-out and hands
+//!   out one attempt at a time, so under a burst, when the helpers are
+//!   busy, each worker runs its own attempts and no request's work grows.
 //! * **Determinism.** The house invariant — concurrency and caches change
 //!   cost, never answers — holds end to end: at any worker count and any
 //!   batch size, `predict` returns bit-for-bit what
@@ -36,7 +42,11 @@ use std::thread::JoinHandle;
 /// Configuration of a serving instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the request queue.
+    /// Worker threads draining the request queue — and the serving CPU
+    /// budget. Every model the server installs is set to this
+    /// parallelism, so one request's generation attempts fan out over up
+    /// to `workers` threads of the persistent pool (clamped to the host's
+    /// CPUs). Answers are bit-identical at any value.
     pub workers: usize,
     /// Most jobs a worker takes per batch (≥ 1). Larger batches amortize
     /// queue traffic and keep one model snapshot hot across requests.
@@ -167,6 +177,8 @@ struct Shared {
     cache: ResultCache,
     capabilities: String,
     max_batch: usize,
+    /// The serve width, installed as the parallelism of every served model.
+    workers: usize,
     served: AtomicU64,
     batches: AtomicU64,
     swaps: AtomicU64,
@@ -194,10 +206,13 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Starts a serving instance over the given artifact.
+    /// Starts a serving instance over the given artifact, set to serve at
+    /// `config.workers` parallelism (the artifact's own `parallelism`
+    /// keeps governing `run`/`run_k` and training, not serving).
     pub fn start(model: Arc<TrainedModel>, config: ServeConfig) -> ServeHandle {
+        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            slot: RwLock::new((model, 0)),
+            slot: RwLock::new((at_width(model, workers), 0)),
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
                 open: true,
@@ -206,12 +221,13 @@ impl ServeHandle {
             cache: ResultCache::new(config.cache_capacity),
             capabilities: config.capabilities_json,
             max_batch: config.max_batch.max(1),
+            workers,
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             registered: AtomicU64::new(0),
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -247,8 +263,9 @@ impl ServeHandle {
 
     /// Atomically replaces the served model. In-flight batches finish on
     /// the model they pinned; subsequent batches (and cache keys) use the
-    /// new one. Returns the new serving epoch.
+    /// new one, at the serve width. Returns the new serving epoch.
     pub fn swap_model(&self, model: Arc<TrainedModel>) -> u64 {
+        let model = at_width(model, self.shared.workers);
         let mut slot = recover(self.shared.slot.write());
         slot.0 = model;
         slot.1 += 1;
@@ -260,9 +277,10 @@ impl ServeHandle {
     /// a full model hot-swap: clones the current artifact, registers the
     /// table (`TrainedModel::register_dataset` — the active similarity
     /// tier grows incrementally, no retrain), and installs the grown
-    /// model under a new epoch. In-flight batches keep the snapshot they
-    /// pinned; the epoch bump keys the cache so pre-registration answers
-    /// are never replayed against the grown catalog.
+    /// model (which keeps the serve width) under a new epoch. In-flight
+    /// batches keep the snapshot they pinned; the epoch bump keys the
+    /// cache so pre-registration answers are never replayed against the
+    /// grown catalog.
     ///
     /// Errors with [`ServeError::Predict`] wrapping
     /// `KgpipError::DuplicateDataset` when the name is already cataloged
@@ -328,6 +346,14 @@ impl Drop for ServeHandle {
 /// bad request take the whole service down.
 fn recover<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Sets a model to serve at `workers` parallelism. `make_mut` clones only
+/// when someone else still holds the `Arc`; a freshly `share()`d model is
+/// updated in place.
+fn at_width(mut model: Arc<TrainedModel>, workers: usize) -> Arc<TrainedModel> {
+    Arc::make_mut(&mut model).set_parallelism(workers);
+    model
 }
 
 fn worker_loop(shared: &Shared) {

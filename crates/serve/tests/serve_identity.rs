@@ -1,7 +1,8 @@
 //! The serving invariant: answers from the batched, cached, concurrent
 //! server are **bit-identical** to direct `TrainedModel::predict_skeletons`
-//! calls — at any worker count, any batch size, with caching on or off,
-//! and across model hot-swaps.
+//! calls — at any serve width (which also sets each request's generation
+//! fan-out), any batch size, with caching on or off, and across model
+//! hot-swaps and online registrations.
 
 use kgpip::TrainedModel;
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
@@ -116,6 +117,68 @@ fn serve_is_bit_identical_to_direct_predictions() {
                 "batches never exceed requests"
             );
         }
+    }
+}
+
+/// The serve width is the served model's parallelism: a model trained at
+/// `parallelism = 1` and served at 1, 2 or 3 workers answers a burst
+/// bit-identically to direct prediction at `parallelism = 1` — before and
+/// after an online registration and a hot-swap, which both install
+/// models at the serve width.
+#[test]
+fn serving_is_bit_identical_at_any_serve_width() {
+    let model = trained_artifact(0);
+    let swapped = trained_artifact(7);
+    assert_eq!(model.config().parallelism, 1);
+    assert_eq!(swapped.config().parallelism, 1);
+    let novel = table_like(9000.0, 26);
+    let mut grown = model.clone();
+    grown.register_dataset("novel", &novel).unwrap();
+    let caps = Flaml::new(0).capabilities();
+    let mut tables = query_tables();
+    tables.push(novel.clone());
+    let direct = |m: &TrainedModel| -> Vec<_> {
+        tables
+            .iter()
+            .map(|t| m.predict_table(t, Task::Binary, 3, &caps, 5).unwrap())
+            .collect()
+    };
+    let expected = [direct(&model), direct(&grown), direct(&swapped)];
+
+    for workers in [1usize, 2, 3] {
+        let server = ServeHandle::start(
+            model.share(),
+            ServeConfig::default()
+                .with_workers(workers)
+                .with_max_batch(8),
+        );
+        let burst = |epoch: u64| {
+            let pending: Vec<_> = tables
+                .iter()
+                .map(|t| {
+                    server.submit(ServeRequest {
+                        table: t.clone(),
+                        task: Task::Binary,
+                        k: 3,
+                        seed: 5,
+                    })
+                })
+                .collect();
+            for (i, p) in pending.into_iter().enumerate() {
+                let response = p.wait().unwrap();
+                let want = &expected[epoch as usize][i];
+                let context = format!("workers={workers} epoch={epoch} table={i}");
+                assert_eq!(response.model_epoch, epoch, "{context}");
+                assert_bit_identical(&response.skeletons, &want.0, &context);
+                assert_eq!(response.neighbour, want.1, "{context}");
+            }
+        };
+        burst(0);
+        assert_eq!(server.register_dataset("novel", &novel).unwrap(), 1);
+        burst(1);
+        assert_eq!(server.swap_model(swapped.share()), 2);
+        burst(2);
+        server.shutdown();
     }
 }
 
@@ -267,6 +330,47 @@ fn prediction_errors_are_typed_not_fatal() {
         .unwrap();
     assert!(!ok.skeletons.is_empty());
     server.shutdown();
+}
+
+/// An untrusted `k` whose sampling budget overflows is refused with the
+/// typed error instead of panicking or pinning the worker (and the pool
+/// helpers it fans out to); the next request is answered as usual.
+#[test]
+fn overflowing_k_is_a_typed_error_at_any_serve_width() {
+    let model = trained_artifact(0);
+    let caps = Flaml::new(0).capabilities();
+    let table = table_like(1.0, 20);
+    let direct = model
+        .predict_table(&table, Task::Binary, 3, &caps, 0)
+        .unwrap();
+    for workers in [1usize, 2] {
+        let server =
+            ServeHandle::start(model.share(), ServeConfig::default().with_workers(workers));
+        let err = server
+            .predict(ServeRequest {
+                table: table.clone(),
+                task: Task::Binary,
+                k: usize::MAX,
+                seed: 0,
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::Predict(kgpip::KgpipError::NoValidSkeleton)),
+            "workers={workers}: {err}"
+        );
+        let ok = server
+            .predict(ServeRequest {
+                table: table.clone(),
+                task: Task::Binary,
+                k: 3,
+                seed: 0,
+            })
+            .unwrap();
+        let context = format!("workers={workers} after overflowing k");
+        assert_bit_identical(&ok.skeletons, &direct.0, &context);
+        assert_eq!(ok.neighbour, direct.1, "{context}");
+        server.shutdown();
+    }
 }
 
 /// Online dataset registration grows the served catalog under a new

@@ -324,7 +324,7 @@ pub fn read_chunked_with_report(
         .ok_or(crate::error::TabularError::Empty("csv document"))?;
     let header = header_names(parse_span(input, *header_span)?);
     let ncols = header.len();
-    let data_spans: &[RecordSpan] = &spans[1..];
+    let data_spans: &[RecordSpan] = span_iter.as_slice();
     let rows = data_spans.len();
     let tasks: Vec<Task<'_>> = data_spans
         .chunks(opts.chunk_rows.max(1))

@@ -72,11 +72,12 @@ impl WorkspaceConfig {
             panic_files: Vec::new(),
         };
         // kgpip-tabular: compute rules plus the serve-path panic rule on
-        // the CSV decoder, which reads untrusted documents: a malformed
-        // file must surface as a typed `TabularError`, never a panic.
+        // the CSV decoder and the chunked reader, which read untrusted
+        // documents: a malformed file must surface as a typed
+        // `TabularError`, never a panic.
         let mut tabular = compute("crates/tabular");
         tabular.rules.push("panic-in-serve-path".to_string());
-        tabular.panic_files = vec!["src/csv.rs".to_string()];
+        tabular.panic_files = vec!["src/csv.rs".to_string(), "src/stream.rs".to_string()];
         let mut crates = vec![
             tabular,
             compute("crates/learners"),
@@ -192,10 +193,11 @@ mod tests {
         assert!(tabular
             .parsed_rules()
             .contains(&Rule::NondeterministicIteration));
-        // The CSV decoder reads untrusted bytes: typed errors only.
+        // The CSV decoder and the chunked reader read untrusted bytes:
+        // typed errors only.
         assert!(tabular.parsed_rules().contains(&Rule::PanicInServePath));
         assert!(tabular.panic_file_in_scope("src/csv.rs"));
-        assert!(!tabular.panic_file_in_scope("src/stream.rs"));
+        assert!(tabular.panic_file_in_scope("src/stream.rs"));
         let embeddings = cfg
             .crates
             .iter()

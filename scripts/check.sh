@@ -44,11 +44,14 @@ cargo test -p kgpip-benchdata --test recall -q
 echo "==> cache-equivalence suite (trial caches change cost, never results)"
 cargo test -p kgpip-hpo --test cache_equivalence -q
 
-echo "==> artifact suite (snapshot round-trips bit-for-bit; decoder fuzz and allocation bounds; serving is bit-identical to direct prediction)"
+echo "==> artifact suite (snapshot round-trips bit-for-bit; decoder fuzz and allocation bounds; serving is bit-identical at any serve width)"
 cargo test -p kgpip --test snapshot_roundtrip -q
 cargo test -p kgpip --test snapshot_fuzz -q
 cargo test -p kgpip --test snapshot_alloc -q
 cargo test -p kgpip-serve -q
+
+echo "==> serve identity (a parallelism-1 model served at widths 1, 2 and 3 — burst, registration, swap — answers as direct prediction does)"
+cargo test -p kgpip-serve --test serve_identity -q
 
 echo "==> lint-corpus (fixed-seed graph invariant gate)"
 cargo run --release --quiet --bin kgpip-cli -- lint-corpus \
