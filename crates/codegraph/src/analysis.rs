@@ -21,13 +21,15 @@
 //! and the body is walked in that environment — so a script that wraps its
 //! preprocessing in a helper produces the same graph skeleton as its
 //! inlined equivalent. No `Call` node is created for user-defined calls.
-//! Recursive or deeply nested helper calls (depth > [`MAX_CALL_DEPTH`])
-//! fall back to an opaque call node plus an analysis warning.
+//! Recursive or deeply nested helper calls (depth > [`MAX_CALL_DEPTH`]),
+//! and helper calls sitting more than [`MAX_DEPTH`] expressions deep (so
+//! inlined bodies cannot stack one parse tree's depth on another's), fall
+//! back to an opaque call node plus an analysis warning.
 
 use crate::ast::{Expr, Module, Stmt};
 use crate::diag::{Diagnostic, DiagnosticSink, Pass};
 use crate::graph::{CodeGraph, EdgeKind, LabelInterner, NodeId, NodeKind};
-use crate::parser::{parse, parse_with_diagnostics};
+use crate::parser::{parse, parse_with_diagnostics, MAX_DEPTH};
 use crate::span::Span;
 use crate::Result;
 use std::collections::HashMap;
@@ -71,6 +73,7 @@ pub fn analyze_module_with_diagnostics(module: &Module) -> (CodeGraph, Vec<Diagn
         functions: HashMap::new(),
         last_call: None,
         call_stack: Vec::new(),
+        expr_depth: 0,
         returning: None,
         sink: DiagnosticSink::new(),
     };
@@ -113,6 +116,8 @@ struct Analyzer {
     /// Names of user functions currently being instantiated (recursion
     /// guard; its length is the inlining depth).
     call_stack: Vec<String>,
+    /// Expressions currently being visited, helper bodies included.
+    expr_depth: usize,
     /// Set when a `return` executes inside a function body: the producer
     /// node and API type of the returned value. Stops the block walk.
     returning: Option<(Option<NodeId>, Option<String>)>,
@@ -223,7 +228,8 @@ impl Analyzer {
     /// Returns the node producing the expression's value (if any) and the
     /// resolved API type of that value (if known).
     fn visit_expr(&mut self, expr: &Expr, span: Span) -> (Option<NodeId>, Option<String>) {
-        match expr {
+        self.expr_depth += 1;
+        let out = match expr {
             Expr::Name(n) => (self.env.get(n).copied(), self.types.get(n).cloned()),
             Expr::Str(_) | Expr::Num(_) | Expr::Keyword(_) => (None, None),
             Expr::Subscript { base, .. } => {
@@ -252,7 +258,9 @@ impl Analyzer {
                 (pl.or(pr), tl.or(tr))
             }
             Expr::Call { func, args, kwargs } => self.visit_call(func, args, kwargs, span),
-        }
+        };
+        self.expr_depth -= 1;
+        out
     }
 
     fn visit_call(
@@ -268,6 +276,7 @@ impl Analyzer {
         if let Expr::Name(fname) = func {
             if self.functions.contains_key(fname) {
                 if self.call_stack.len() >= MAX_CALL_DEPTH
+                    || self.expr_depth > MAX_DEPTH
                     || self.call_stack.iter().any(|n| n == fname)
                 {
                     self.sink.warning(
@@ -793,6 +802,26 @@ secret.describe()
         let src = "def f(x):\n    y = f(x)\n    return y\nz = f(1)\n";
         let (g, diags) = analyze_with_diagnostics(src);
         assert_eq!(labels(&g, NodeKind::Call), vec!["f"]);
+        assert!(diags
+            .iter()
+            .any(|d| d.severity == Severity::Warning && d.message.contains("inlining depth")));
+    }
+
+    #[test]
+    fn helpers_called_deep_in_an_expression_degrade_to_opaque_calls() {
+        // Each helper calls the next inside nearly MAX_DEPTH nested calls:
+        // inlining them all would stack those nestings on one stack.
+        let depth = MAX_DEPTH - 2;
+        let mut src = String::new();
+        for i in 0..MAX_CALL_DEPTH {
+            let (open, close) = ("g(".repeat(depth), ")".repeat(depth));
+            src.push_str(&format!(
+                "def h{i}(x):\n    return {open}h{}(x){close}\n",
+                i + 1
+            ));
+        }
+        src.push_str("y = h0(df)\n");
+        let (_, diags) = analyze_with_diagnostics(&src);
         assert!(diags
             .iter()
             .any(|d| d.severity == Severity::Warning && d.message.contains("inlining depth")));

@@ -4,7 +4,9 @@
 //! always produces a [`Module`], turning each malformed statement into a
 //! [`Diagnostic`] and resynchronizing at the next statement boundary
 //! (the next newline at the current block depth). [`parse`] is the strict
-//! wrapper that fails on the first error-severity diagnostic.
+//! wrapper that fails on the first error-severity diagnostic. Nesting
+//! deeper than [`MAX_DEPTH`] is one such malformed statement, so crafted
+//! input cannot overflow the stack.
 
 use crate::ast::{Expr, Module, Stmt};
 use crate::diag::{Diagnostic, DiagnosticSink, Pass, Severity};
@@ -19,6 +21,17 @@ type PResult<T> = std::result::Result<T, Diagnostic>;
 
 static EOF_TOKEN: Token = Token::Eof;
 
+/// Deepest nesting a statement may have, bounding two things at once: the
+/// parser's own recursion (brackets, calls, subscripts, unary minus and
+/// indented blocks) and the height of an expression tree (each operator or
+/// trailer of a chain nests the expression to its left). The parser, the
+/// analyzer and dropping a tree each recurse once per level. CPython stops
+/// at 100 levels of indentation too.
+pub const MAX_DEPTH: usize = 100;
+
+/// An expression and the height of its tree (a leaf is 1).
+type Tree = (Expr, usize);
+
 /// Parses a script into a [`Module`] plus the diagnostics recovered
 /// along the way (lexical problems first, then parse problems). The
 /// module contains every statement that parsed cleanly; malformed
@@ -28,6 +41,7 @@ pub fn parse_with_diagnostics(source: &str) -> (Module, Vec<Diagnostic>) {
     let mut p = Parser {
         tokens,
         at: 0,
+        depth: 0,
         sink: DiagnosticSink::new(),
     };
     let body = p.parse_block_body(true);
@@ -55,6 +69,8 @@ pub fn parse(source: &str) -> Result<Module> {
 struct Parser {
     tokens: Vec<Spanned>,
     at: usize,
+    /// Current recursion depth (see [`MAX_DEPTH`]).
+    depth: usize,
     sink: DiagnosticSink,
 }
 
@@ -111,6 +127,30 @@ impl Parser {
             pass: Pass::Parse,
             message: message.into(),
         })
+    }
+
+    fn too_deep<T>(&self) -> PResult<T> {
+        self.err(format!("nesting exceeds {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `f` one recursion level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_DEPTH {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Height of a node over children at most `child` high, failing past
+    /// [`MAX_DEPTH`].
+    fn node_height(&self, child: usize) -> PResult<usize> {
+        if child >= MAX_DEPTH {
+            return self.too_deep();
+        }
+        Ok(child + 1)
     }
 
     fn eat_op(&mut self, op: &str) -> bool {
@@ -205,20 +245,22 @@ impl Parser {
     }
 
     fn parse_indented_block(&mut self) -> PResult<Vec<Stmt>> {
-        self.expect_op(":")?;
-        if !matches!(self.peek(), Token::Newline) {
-            // Single-line suite: `if x: y = 1`.
-            let stmt = self.parse_simple_stmt()?;
-            return Ok(vec![stmt]);
-        }
-        self.skip_newlines();
-        match self.peek() {
-            Token::Indent => {
-                self.bump();
-                Ok(self.parse_block_body(false))
+        self.nested(|p| {
+            p.expect_op(":")?;
+            if !matches!(p.peek(), Token::Newline) {
+                // Single-line suite: `if x: y = 1`.
+                let stmt = p.parse_simple_stmt()?;
+                return Ok(vec![stmt]);
             }
-            _ => self.err("expected indented block"),
-        }
+            p.skip_newlines();
+            match p.peek() {
+                Token::Indent => {
+                    p.bump();
+                    Ok(p.parse_block_body(false))
+                }
+                _ => p.err("expected indented block"),
+            }
+        })
     }
 
     fn parse_stmt(&mut self) -> PResult<Stmt> {
@@ -407,10 +449,14 @@ impl Parser {
         }
     }
 
+    fn parse_expr(&mut self) -> PResult<Expr> {
+        self.parse_tree().map(|(e, _)| e)
+    }
+
     /// Binary-operator expression (all operators at one precedence level —
     /// dataflow analysis does not care about arithmetic precedence).
-    fn parse_expr(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_postfix()?;
+    fn parse_tree(&mut self) -> PResult<Tree> {
+        let (mut left, mut height) = self.parse_postfix()?;
         loop {
             let op = match self.peek() {
                 Token::Op(o)
@@ -438,29 +484,32 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let right = self.parse_postfix()?;
+            let (right, right_height) = self.parse_postfix()?;
+            height = self.node_height(height.max(right_height))?;
             left = Expr::BinOp {
                 left: Box::new(left),
                 right: Box::new(right),
                 op,
             };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
     /// Primary expression with `.attr`, `(...)`, `[...]` trailers.
-    fn parse_postfix(&mut self) -> PResult<Expr> {
-        let mut e = self.parse_primary()?;
+    fn parse_postfix(&mut self) -> PResult<Tree> {
+        let (mut e, mut height) = self.parse_primary()?;
         loop {
             if self.eat_op(".") {
                 let attr = self.expect_name()?;
+                height = self.node_height(height)?;
                 e = Expr::Attribute {
                     base: Box::new(e),
                     attr,
                 };
             } else if matches!(self.peek(), Token::Op(o) if o == "(") {
                 self.bump();
-                let (args, kwargs) = self.parse_args()?;
+                let (args, kwargs, args_height) = self.nested(Self::parse_args)?;
+                height = self.node_height(height.max(args_height))?;
                 e = Expr::Call {
                     func: Box::new(e),
                     args,
@@ -468,12 +517,16 @@ impl Parser {
                 };
             } else if matches!(self.peek(), Token::Op(o) if o == "[") {
                 self.bump();
-                let index = self.parse_expr()?;
-                // Slices like a[1:3] — consume the rest loosely.
-                if self.eat_op(":") && !matches!(self.peek(), Token::Op(o) if o == "]") {
-                    let _ = self.parse_expr()?;
-                }
-                self.expect_op("]")?;
+                let (index, index_height) = self.nested(|p| {
+                    let index = p.parse_tree()?;
+                    // Slices like a[1:3] — consume the rest loosely.
+                    if p.eat_op(":") && !matches!(p.peek(), Token::Op(o) if o == "]") {
+                        let _ = p.parse_tree()?;
+                    }
+                    p.expect_op("]")?;
+                    Ok(index)
+                })?;
+                height = self.node_height(height.max(index_height))?;
                 e = Expr::Subscript {
                     base: Box::new(e),
                     index: Box::new(index),
@@ -482,15 +535,17 @@ impl Parser {
                 break;
             }
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    #[allow(clippy::type_complexity)] // (positional args, keyword args)
-    fn parse_args(&mut self) -> PResult<(Vec<Expr>, Vec<(String, Expr)>)> {
+    /// Call arguments after the `(`, plus the height of the tallest.
+    #[allow(clippy::type_complexity)] // (positional args, keyword args, height)
+    fn parse_args(&mut self) -> PResult<(Vec<Expr>, Vec<(String, Expr)>, usize)> {
         let mut args = Vec::new();
         let mut kwargs = Vec::new();
+        let mut height = 0;
         if self.eat_op(")") {
-            return Ok((args, kwargs));
+            return Ok((args, kwargs, height));
         }
         loop {
             // kwarg: NAME '=' expr (lookahead two tokens).
@@ -498,7 +553,9 @@ impl Parser {
                 if matches!(self.peek2(), Token::Op(o) if o == "=") {
                     self.bump();
                     self.bump();
-                    kwargs.push((n, self.parse_expr()?));
+                    let (value, h) = self.parse_tree()?;
+                    height = height.max(h);
+                    kwargs.push((n, value));
                     if self.eat_op(",") {
                         continue;
                     }
@@ -506,67 +563,84 @@ impl Parser {
                     break;
                 }
             }
-            args.push(self.parse_expr()?);
+            let (arg, h) = self.parse_tree()?;
+            height = height.max(h);
+            args.push(arg);
             if self.eat_op(",") {
                 continue;
             }
             self.expect_op(")")?;
             break;
         }
-        Ok((args, kwargs))
+        Ok((args, kwargs, height))
     }
 
-    fn parse_primary(&mut self) -> PResult<Expr> {
+    fn parse_primary(&mut self) -> PResult<Tree> {
         match self.bump() {
-            Token::Name(n) if n == "True" || n == "False" || n == "None" => Ok(Expr::Keyword(n)),
-            Token::Name(n) => Ok(Expr::Name(n)),
-            Token::Num(v) => Ok(Expr::Num(v)),
-            Token::Str(s) => Ok(Expr::Str(s)),
-            Token::Op(o) if o == "(" => {
-                if self.eat_op(")") {
-                    return Ok(Expr::Sequence(vec![]));
+            Token::Name(n) if n == "True" || n == "False" || n == "None" => {
+                Ok((Expr::Keyword(n), 1))
+            }
+            Token::Name(n) => Ok((Expr::Name(n), 1)),
+            Token::Num(v) => Ok((Expr::Num(v), 1)),
+            Token::Str(s) => Ok((Expr::Str(s), 1)),
+            Token::Op(o) if o == "(" => self.nested(|p| {
+                if p.eat_op(")") {
+                    return Ok((Expr::Sequence(vec![]), 1));
                 }
-                let mut items = vec![self.parse_expr()?];
-                while self.eat_op(",") {
-                    if matches!(self.peek(), Token::Op(o) if o == ")") {
+                let mut items = vec![p.parse_tree()?];
+                while p.eat_op(",") {
+                    if matches!(p.peek(), Token::Op(o) if o == ")") {
                         break;
                     }
-                    items.push(self.parse_expr()?);
+                    items.push(p.parse_tree()?);
                 }
-                self.expect_op(")")?;
+                p.expect_op(")")?;
                 if items.len() == 1 {
-                    Ok(items.pop().unwrap_or(Expr::Sequence(Vec::new())))
+                    Ok(items.pop().unwrap_or((Expr::Sequence(Vec::new()), 1)))
                 } else {
-                    Ok(Expr::Sequence(items))
+                    p.sequence(items)
                 }
-            }
-            Token::Op(o) if o == "[" => {
+            }),
+            Token::Op(o) if o == "[" => self.nested(|p| {
                 let mut items = Vec::new();
-                if !self.eat_op("]") {
-                    items.push(self.parse_expr()?);
-                    while self.eat_op(",") {
-                        if matches!(self.peek(), Token::Op(o) if o == "]") {
+                if !p.eat_op("]") {
+                    items.push(p.parse_tree()?);
+                    while p.eat_op(",") {
+                        if matches!(p.peek(), Token::Op(o) if o == "]") {
                             break;
                         }
-                        items.push(self.parse_expr()?);
+                        items.push(p.parse_tree()?);
                     }
-                    self.expect_op("]")?;
+                    p.expect_op("]")?;
                 }
-                Ok(Expr::Sequence(items))
-            }
+                p.sequence(items)
+            }),
             Token::Op(o) if o == "-" => {
                 // Unary minus on a number.
-                match self.parse_primary()? {
-                    Expr::Num(v) => Ok(Expr::Num(-v)),
-                    other => Ok(Expr::BinOp {
-                        left: Box::new(Expr::Num(0.0)),
-                        right: Box::new(other),
-                        op: "-".into(),
-                    }),
+                match self.nested(Self::parse_primary)? {
+                    (Expr::Num(v), height) => Ok((Expr::Num(-v), height)),
+                    (other, height) => Ok((
+                        Expr::BinOp {
+                            left: Box::new(Expr::Num(0.0)),
+                            right: Box::new(other),
+                            op: "-".into(),
+                        },
+                        self.node_height(height)?,
+                    )),
                 }
             }
             other => self.err(format!("unexpected token {other:?}")),
         }
+    }
+
+    /// A list or tuple display over `items`.
+    fn sequence(&self, items: Vec<Tree>) -> PResult<Tree> {
+        let tallest = items.iter().map(|&(_, h)| h).max().unwrap_or(0);
+        let height = self.node_height(tallest)?;
+        Ok((
+            Expr::Sequence(items.into_iter().map(|(e, _)| e).collect()),
+            height,
+        ))
     }
 }
 

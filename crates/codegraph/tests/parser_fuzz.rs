@@ -1,0 +1,212 @@
+//! Mutation fuzz for the mini-Python front end, gated by `scripts/check.sh`.
+//!
+//! Seeds are `generate_corpus` scripts: plain sklearn notebooks,
+//! helper-wrapped ones, deep-learning ones the filter rejects, and ones with
+//! a malformed statement. Each case mutates one seed by byte flips, by a
+//! truncation, or by inflating its length: one line repeated many times, or
+//! one line nested many levels deep in brackets, calls or indented blocks
+//! (past the parser's `MAX_DEPTH`). The mutated bytes are read back through
+//! `from_utf8_lossy`. Then:
+//!
+//! * `parse_with_diagnostics` and `analyze_with_diagnostics` return — no
+//!   panic, no stack overflow;
+//! * `parse` and `analyze` return `Ok` or a typed `CodeGraphError`, and
+//!   fail exactly when recovery reported an error-severity diagnostic;
+//! * every recovered graph passes the graph lints, and so does the
+//!   Graph4ML it contributes to.
+
+use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
+use kgpip_codegraph::lint::has_errors;
+use kgpip_codegraph::parser::{parse, MAX_DEPTH};
+use kgpip_codegraph::{
+    analyze, analyze_with_diagnostics, filter_graph, lint_code_graph, lint_graph4ml,
+    lint_pipeline_graph, lint_reduction, parse_with_diagnostics, Graph4Ml, Severity,
+};
+use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// A fixed-seed corpus covering every script family the generator writes.
+fn seeds() -> &'static [String] {
+    static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let profiles: Vec<DatasetProfile> = (0..4)
+            .map(|i| {
+                let mut p = DatasetProfile::new(format!("fuzzds_{i}"), i % 2 == 1);
+                p.has_missing = i % 2 == 0;
+                p.has_categorical = i < 2;
+                p.has_text = i == 3;
+                p
+            })
+            .collect();
+        let cfg = CorpusConfig {
+            scripts_per_dataset: 8,
+            unsupported_fraction: 0.2,
+            helper_fraction: 0.3,
+            malformed_fraction: 0.2,
+            seed: 11,
+            ..CorpusConfig::default()
+        };
+        generate_corpus(&profiles, &cfg)
+            .into_iter()
+            .map(|r| r.source)
+            .collect()
+    })
+}
+
+/// The seed script at position `at` ∈ [0, 1).
+fn seed(at: f64) -> &'static str {
+    let seeds = seeds();
+    &seeds[scaled(at, seeds.len() - 1)]
+}
+
+/// Position `at` ∈ [0, 1) scaled onto `0..=len`.
+fn scaled(at: f64, len: usize) -> usize {
+    ((len as f64 * at) as usize).min(len)
+}
+
+/// Runs the whole front end on `bytes` and checks every contract.
+fn front_end_holds(bytes: &[u8]) -> Result<(), String> {
+    let src = String::from_utf8_lossy(bytes);
+    let (_module, parse_diags) = parse_with_diagnostics(&src);
+    let parse_failed = parse_diags.iter().any(|d| d.severity == Severity::Error);
+    let strict = parse(&src);
+    if strict.is_err() != parse_failed {
+        return Err(format!(
+            "{src:?}: strict parse {strict:?} disagrees with recovery {parse_diags:?}"
+        ));
+    }
+    let analyzed = analyze(&src);
+    if analyzed.is_err() != parse_failed {
+        return Err(format!(
+            "{src:?}: strict analyze disagrees with strict parse"
+        ));
+    }
+
+    let (graph, _diags) = analyze_with_diagnostics(&src);
+    let raw = lint_code_graph(&graph);
+    if !raw.is_empty() {
+        return Err(format!("{src:?}: code graph lint {raw:?}"));
+    }
+    let filtered = filter_graph(&graph);
+    let pipeline = lint_pipeline_graph(&filtered);
+    if has_errors(&pipeline) {
+        return Err(format!("{src:?}: pipeline lint {pipeline:?}"));
+    }
+    let reduction = lint_reduction(&graph, &filtered);
+    if !reduction.is_empty() {
+        return Err(format!("{src:?}: reduction lint {reduction:?}"));
+    }
+    if filtered.skeleton().is_some() {
+        let mut g4 = Graph4Ml::new();
+        g4.add_pipeline("fuzz", &filtered);
+        let g4_lint = lint_graph4ml(&g4);
+        if has_errors(&g4_lint) {
+            return Err(format!("{src:?}: graph4ml lint {g4_lint:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// `script` with its line at `at` replaced by `with(line)`.
+fn replace_line(script: &str, at: f64, with: impl FnOnce(&str) -> String) -> String {
+    let mut lines: Vec<String> = script.lines().map(str::to_string).collect();
+    let i = scaled(at, lines.len() - 1);
+    lines[i] = with(&lines[i]);
+    lines.join("\n") + "\n"
+}
+
+/// `line` nested `kinds.len()` levels deep: each kind wraps the right-hand
+/// side (or the whole line) in a parenthesis, a list, a call or an indented
+/// `if` block.
+fn nest(line: &str, kinds: &[u8]) -> String {
+    let (lhs, rhs) = match line.split_once(" = ") {
+        Some((lhs, rhs)) => (format!("{lhs} = "), rhs.to_string()),
+        None => (String::new(), line.trim_start().to_string()),
+    };
+    let mut open = String::new();
+    let mut close = String::new();
+    let mut blocks = 0usize;
+    for kind in kinds {
+        let (o, c) = match kind % 4 {
+            0 => ("(", ")"),
+            1 => ("[", "]"),
+            2 => ("f(", ")"),
+            _ => {
+                blocks += 1;
+                continue;
+            }
+        };
+        open.push_str(o);
+        close.insert_str(0, c);
+    }
+    let mut out = String::new();
+    for level in 0..blocks {
+        out.push_str(&"    ".repeat(level));
+        out.push_str("if ok:\n");
+    }
+    out.push_str(&"    ".repeat(blocks));
+    out.push_str(&format!("{lhs}{open}{rhs}{close}"));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn byte_flips_never_panic(
+        which in 0.0f64..1.0,
+        flips in proptest::collection::vec((0.0f64..1.0, 1u32..256), 1..8),
+    ) {
+        let mut bytes = seed(which).as_bytes().to_vec();
+        for (at, mask) in flips {
+            let i = scaled(at, bytes.len() - 1);
+            bytes[i] ^= mask as u8;
+        }
+        front_end_holds(&bytes)?;
+    }
+
+    #[test]
+    fn truncations_never_panic(which in 0.0f64..1.0, keep in 0.0f64..1.0) {
+        let bytes = seed(which).as_bytes();
+        front_end_holds(&bytes[..scaled(keep, bytes.len())])?;
+    }
+
+    #[test]
+    fn repeated_lines_never_panic(which in 0.0f64..1.0, at in 0.0f64..1.0, copies in 2usize..300) {
+        let script = replace_line(seed(which), at, |line| vec![line; copies].join("\n"));
+        front_end_holds(script.as_bytes())?;
+    }
+
+    #[test]
+    fn deep_nesting_never_panics(
+        which in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        kinds in proptest::collection::vec(0u8..4, 1..(3 * MAX_DEPTH)),
+    ) {
+        let script = replace_line(seed(which), at, |line| nest(line, &kinds));
+        front_end_holds(script.as_bytes())?;
+    }
+}
+
+/// Nesting one level past `MAX_DEPTH` is a typed parse error on the
+/// nested statement; the statements around it still parse.
+#[test]
+fn nesting_past_the_bound_is_a_recovered_parse_error() {
+    for kinds in [[0u8], [1], [2], [3]] {
+        let deep = nest("x = a", &kinds.repeat(MAX_DEPTH + 1));
+        let src = format!("a = 1\n{deep}\nb = 2\n");
+        let (module, diags) = parse_with_diagnostics(&src);
+        assert!(
+            diags.iter().any(|d| d.message.contains("nesting exceeds")),
+            "kind {kinds:?}: {diags:?}"
+        );
+        assert!(module.body.len() >= 2, "kind {kinds:?}: a and b survive");
+        assert!(parse(&src).is_err());
+
+        let shallow = nest("x = a", &kinds.repeat(MAX_DEPTH - 2));
+        assert!(
+            parse(&format!("a = 1\n{shallow}\nb = 2\n")).is_ok(),
+            "kind {kinds:?}"
+        );
+    }
+}

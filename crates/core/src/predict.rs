@@ -409,7 +409,7 @@ mod tests {
     use crate::train::{Kgpip, KgpipConfig};
     use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
     use kgpip_graphgen::GeneratorConfig;
-    use kgpip_hpo::Flaml;
+    use kgpip_hpo::{AutoSklearn, Flaml};
     use kgpip_tabular::{Column, DataFrame, Task};
 
     fn table_like(offset: f64, n: usize) -> DataFrame {
@@ -597,5 +597,44 @@ mod tests {
         let (name, sim) = model.nearest_dataset(&ds).unwrap();
         assert!(name == "alpha" || name == "beta");
         assert!(sim > 0.5);
+    }
+
+    #[test]
+    fn spent_budget_searches_each_skeleton_once_at_any_width() {
+        // t ≥ T: a zero budget is spent before generation ends. Both
+        // engines still guarantee one trial per skeleton, so the run
+        // answers — and answers the same at every width.
+        let model = trained_model();
+        let ds = unseen_dataset(60);
+        let backends: [fn() -> Box<dyn Optimizer>; 2] =
+            [|| Box::new(Flaml::new(0)), || Box::new(AutoSklearn::new(0))];
+        for make in backends {
+            let answers: Vec<_> = [1, 2]
+                .into_iter()
+                .map(|parallelism| {
+                    let model = model.clone().with_parallelism(parallelism);
+                    let mut backend = make();
+                    let run = model
+                        .run_k(&ds, backend.as_mut(), TimeBudget::seconds(0.0), 3)
+                        .unwrap();
+                    let searched: Vec<_> = run
+                        .results
+                        .iter()
+                        .map(|r| {
+                            let hpo = r.hpo.as_ref().expect("every skeleton gets its trial");
+                            assert_eq!((hpo.trials, hpo.history.len()), (1, 1));
+                            (
+                                r.skeleton.clone(),
+                                r.generation_score.to_bits(),
+                                hpo.valid_score.to_bits(),
+                            )
+                        })
+                        .collect();
+                    (run.neighbour, run.best_index, searched)
+                })
+                .collect();
+            assert!(!answers[0].2.is_empty());
+            assert_eq!(answers[0], answers[1]);
+        }
     }
 }

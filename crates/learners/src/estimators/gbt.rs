@@ -14,13 +14,15 @@
 //! softmax (multi-class, one tree per class per round).
 //!
 //! The histogram engine is the trial hot path: bin edges are quantile-fit
-//! once per fit, per-node histograms accumulate in row order with feature
-//! scans fanned over rayon past a feature-count threshold, sibling nodes
-//! reuse the parent histogram by subtraction, and in-bag rows take their
-//! leaf value from the builder's assignments instead of re-traversing the
-//! tree. Every reduction has a fixed order, so fitted models are
-//! bit-identical at any worker count (`tests/gbt_determinism.rs`). The
-//! exact-split path stays available behind the `exact` hyperparameter.
+//! once per fit, per-node histograms accumulate feature by feature in row
+//! order, sibling nodes reuse the parent histogram by subtraction, and
+//! in-bag rows take their leaf value from the builder's assignments instead
+//! of re-traversing the tree. A fit runs on the calling thread: the HPO
+//! engines already fan whole trials and skeleton lanes out over the cores,
+//! and a per-node fan-out over features cost more in hand-offs than the few
+//! microseconds of arithmetic it split. Fitted models therefore ignore any
+//! installed rayon width (`tests/gbt_determinism.rs`). The exact-split path
+//! stays available behind the `exact` hyperparameter.
 
 use super::{argmax_rows, check_fit_inputs, Estimator, EstimatorKind};
 use crate::matrix::Matrix;
@@ -28,7 +30,6 @@ use crate::{LearnError, Result};
 use kgpip_tabular::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Hyperparameters of the boosting engine.
 #[derive(Debug, Clone)]
@@ -249,36 +250,25 @@ struct BinnedMatrix {
     edges: Vec<Vec<f64>>,
 }
 
-/// Features at or above this count fan histogram accumulation / split scans
-/// out over rayon. Below it the parallel dispatch overhead dominates (and
-/// the trial-level engine already runs whole pipelines in parallel).
-const PAR_FEATURE_THRESHOLD: usize = 16;
-
 /// Per-node histogram: `hist[feature][bin] = (Σg, Σh)` over the node's rows.
 type Hist = Vec<Vec<(f64, f64)>>;
 
-/// Builds a node's histogram, one feature at a time (rayon-parallel across
-/// features past [`PAR_FEATURE_THRESHOLD`]). Within a feature, rows
-/// accumulate in row order; features are independent — so the result is
-/// bit-identical at any worker count.
-// xlint: allow(unclamped-rayon): runs at the caller-installed width on the persistent process-wide rayon pool (par_iter spawns no threads); that width was clamped by the Evaluator that installed it
+/// Builds a node's histogram, one feature at a time; within a feature,
+/// rows accumulate in row order.
 fn node_hist(bm: &BinnedMatrix, g: &[f64], h: &[f64], rows: &[usize]) -> Hist {
-    let build = |f: usize| {
-        let bins = &bm.bins[f];
-        let mut hist = vec![(0.0f64, 0.0f64); bm.edges[f].len()];
-        for &r in rows {
-            let cell = &mut hist[bins[r] as usize];
-            cell.0 += g[r];
-            cell.1 += h[r];
-        }
-        hist
-    };
-    if bm.bins.len() >= PAR_FEATURE_THRESHOLD {
-        let features: Vec<usize> = (0..bm.bins.len()).collect();
-        features.par_iter().map(|&f| build(f)).collect()
-    } else {
-        (0..bm.bins.len()).map(build).collect()
-    }
+    bm.bins
+        .iter()
+        .zip(&bm.edges)
+        .map(|(bins, edges)| {
+            let mut hist = vec![(0.0f64, 0.0f64); edges.len()];
+            for &r in rows {
+                let cell = &mut hist[bins[r] as usize];
+                cell.0 += g[r];
+                cell.1 += h[r];
+            }
+            hist
+        })
+        .collect()
 }
 
 /// Sibling histogram by subtraction: `parent − child`, elementwise.
@@ -297,11 +287,8 @@ fn subtract_hist(parent: &Hist, child: &Hist) -> Hist {
 
 /// Best `(gain, feature, bin)` split of a node given its histogram.
 /// Deterministic total order: strictly higher gain wins; ties keep the
-/// lowest feature, then the lowest bin. The per-feature scans are
-/// independent (rayon-parallel past [`PAR_FEATURE_THRESHOLD`]) and the
-/// reduction folds per-feature bests in feature order, so the winner is
-/// bit-identical at any worker count.
-// xlint: allow(unclamped-rayon): runs at the caller-installed width on the persistent process-wide rayon pool (par_iter spawns no threads); that width was clamped by the Evaluator that installed it
+/// lowest feature, then the lowest bin: each feature scans its bins in
+/// order, and the per-feature bests fold in feature order.
 fn best_split_from_hist(
     hist: &Hist,
     g_sum: f64,
@@ -327,15 +314,8 @@ fn best_split_from_hist(
         }
         best
     };
-    let per_feature: Vec<Option<(f64, usize, usize)>> = if hist.len() >= PAR_FEATURE_THRESHOLD {
-        let features: Vec<usize> = (0..hist.len()).collect();
-        features.par_iter().map(|&f| scan(f)).collect()
-    } else {
-        (0..hist.len()).map(scan).collect()
-    };
-    per_feature
-        .into_iter()
-        .flatten()
+    (0..hist.len())
+        .filter_map(scan)
         .fold(None, |acc, cand| match acc {
             Some((best_gain, _, _)) if cand.0 <= best_gain => acc,
             _ => Some(cand),

@@ -1,17 +1,18 @@
-//! Histogram-GBT parallel determinism (mirrors
+//! Histogram-GBT width independence (mirrors
 //! `crates/graphgen/tests/determinism.rs`).
 //!
-//! The histogram engine fans per-feature histogram accumulation and split
-//! scans over rayon once the feature count crosses its parallel threshold.
-//! Every reduction has a fixed order (per-feature work is independent;
-//! per-feature bests fold in feature order), so a fitted model — and every
-//! prediction — must be bit-for-bit identical at any worker count.
+//! A fit grows its trees on the calling thread, so the rayon width a
+//! caller installs (the HPO engines install one per trial batch) must not
+//! reach the model: a fitted model — and every prediction — must be
+//! bit-for-bit identical under a pool of any width and with no pool
+//! installed at all, the default `run_k` uses at `parallelism = 1`.
 
 use kgpip_learners::estimators::gbt::{GbtConfig, GradientBoosting};
-use kgpip_learners::{Estimator, EstimatorKind, Matrix};
+use kgpip_learners::{build_estimator, Estimator, EstimatorKind, Matrix, Params};
 use kgpip_tabular::Task;
 
-/// Enough features to cross the engine's parallel-scan threshold.
+/// A wide table: as many features as the `automl` benchmark's wide
+/// datasets carry, so each tree node scans many feature histograms.
 const FEATURES: usize = 24;
 
 fn wide_matrix(n: usize) -> Matrix {
@@ -137,4 +138,58 @@ fn repeated_fits_are_bit_identical() {
     let first = fit_predict_bits(&cfg, &x, &y, Task::Regression, 1);
     let second = fit_predict_bits(&cfg, &x, &y, Task::Regression, 1);
     assert_eq!(first, second);
+}
+
+/// Fits `kind` built from `params` on (x, y) and returns the predictions'
+/// raw bits, under a pool of `workers` threads or, for `None`, with no
+/// pool installed.
+fn built_fit_bits(
+    kind: EstimatorKind,
+    params: &Params,
+    x: &Matrix,
+    y: &[f64],
+    workers: Option<usize>,
+) -> Vec<u64> {
+    let fit = || {
+        let mut model = build_estimator(kind, params).unwrap();
+        model.fit(x, y, Task::Regression).unwrap();
+        model
+            .predict(x)
+            .unwrap()
+            .into_iter()
+            .map(f64::to_bits)
+            .collect()
+    };
+    match workers {
+        None => fit(),
+        Some(workers) => rayon::ThreadPoolBuilder::new()
+            .num_threads(workers)
+            .build()
+            .expect("thread pool construction")
+            .install(fit),
+    }
+}
+
+#[test]
+fn uninstalled_fit_matches_a_width_one_pool_for_every_boosting_family() {
+    let x = wide_matrix(300);
+    let y = regression_target(&x);
+    for kind in [
+        EstimatorKind::Lgbm,
+        EstimatorKind::XgBoost,
+        EstimatorKind::GradientBoosting,
+    ] {
+        for exact in [0.0, 1.0] {
+            let params: Params = [("n_estimators", 10.0), ("seed", 7.0), ("exact", exact)]
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            let installed = built_fit_bits(kind, &params, &x, &y, Some(1));
+            let default = built_fit_bits(kind, &params, &x, &y, None);
+            assert_eq!(
+                installed, default,
+                "{kind} exact={exact}: default width diverged from 1"
+            );
+        }
+    }
 }

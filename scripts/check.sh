@@ -22,7 +22,7 @@ cargo bench --workspace --no-run
 echo "==> vendored parallel runtime (one persistent pool: order, nesting, panics, no per-call threads)"
 cargo test -p rayon -q
 
-echo "==> determinism suite (parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; mining identical at any worker count)"
+echo "==> determinism suite (parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; GBT fits identical with or without an installed width; mining identical at any worker count)"
 cargo test -p kgpip-graphgen --test determinism -q
 cargo test -p kgpip-graphgen --lib -q
 cargo test -p kgpip-nn --test props -q
@@ -52,6 +52,9 @@ cargo test -p kgpip-serve -q
 
 echo "==> serve identity (a parallelism-1 model served at widths 1, 2 and 3 — burst, registration, swap — answers as direct prediction does)"
 cargo test -p kgpip-serve --test serve_identity -q
+
+echo "==> parser fuzz (byte flips, truncations, repeated lines and deep nesting of corpus scripts: typed errors, no panics, lint-clean graphs)"
+cargo test -p kgpip-codegraph --test parser_fuzz -q
 
 echo "==> lint-corpus (fixed-seed graph invariant gate)"
 cargo run --release --quiet --bin kgpip-cli -- lint-corpus \
