@@ -184,8 +184,10 @@ impl Parser {
     }
 
     /// Skips to the next statement boundary after a parse error: consumes
-    /// tokens until a newline at the current block depth (nested blocks
-    /// opened mid-error are skipped whole). Stops before a `Dedent` that
+    /// tokens until a newline at the current block depth. An indented
+    /// block that follows the malformed statement is its body and is
+    /// skipped whole, as are blocks opened mid-error; the statement after
+    /// such a block starts the next boundary. Stops before a `Dedent` that
     /// would close the enclosing block, and at `Eof`.
     fn resynchronize(&mut self) {
         let mut depth = 0usize;
@@ -195,7 +197,10 @@ impl Parser {
                 Token::Newline => {
                     self.bump();
                     if depth == 0 {
-                        return;
+                        self.skip_newlines();
+                        if !matches!(self.peek(), Token::Indent) {
+                            return;
+                        }
                     }
                 }
                 Token::Indent => {
@@ -208,6 +213,9 @@ impl Parser {
                     }
                     depth -= 1;
                     self.bump();
+                    if depth == 0 {
+                        return; // the skipped block has closed
+                    }
                 }
                 _ => {
                     self.bump();
@@ -875,6 +883,26 @@ x = prepare(df)
         assert!(!diags.is_empty());
         // `a` and `c` parse; the broken for-loop (and its body) is skipped.
         assert_eq!(m.body.len(), 2);
+    }
+
+    #[test]
+    fn recovery_skips_a_nested_malformed_header_with_its_body_only() {
+        let src = "if ok:\n    for in xs:\n        b = 2\n    c = 3\nd = 4\n";
+        let (m, diags) = parse_with_diagnostics(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(m.body.len(), 2, "the if and d = 4 at top level: {m:?}");
+        match &m.body[0] {
+            Stmt::If { body, .. } => {
+                assert_eq!(body.len(), 1, "c = 3 stays in the if block: {body:?}");
+                assert!(
+                    matches!(&body[0], Stmt::Assign { targets, .. } if targets == &["c".to_string()])
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            matches!(&m.body[1], Stmt::Assign { targets, .. } if targets == &["d".to_string()])
+        );
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //!   fail exactly when recovery reported an error-severity diagnostic;
 //! * every recovered graph passes the graph lints, and so does the
 //!   Graph4ML it contributes to.
+//!
+//! A structural property rides along: recovery drops a malformed block
+//! header together with its indented body, and the statement after that
+//! body stays in the block that encloses the header.
 
+use kgpip_codegraph::ast::Stmt;
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
 use kgpip_codegraph::lint::has_errors;
 use kgpip_codegraph::parser::{parse, MAX_DEPTH};
@@ -149,6 +154,69 @@ fn nest(line: &str, kinds: &[u8]) -> String {
     out
 }
 
+/// Block headers the parser rejects.
+const MALFORMED_HEADERS: &[&str] = &[
+    "for in xs:",
+    "for x xs:",
+    "for x in xs y:",
+    "if :",
+    "if x y:",
+    "def (a):",
+    "def f(a b):",
+];
+
+/// `before = 0`, a malformed header with a body, then `after = 1`, all
+/// nested `depth` levels deep in `if ok:` blocks, then `tail = 2` at top
+/// level. Body lines are kind 0 `b = 2`, kind 1 a nested block, kind 2 a
+/// malformed statement.
+fn malformed_header_script(depth: usize, header: &str, body: &[u8]) -> String {
+    let pad = |level: usize| "    ".repeat(level);
+    let mut out = String::new();
+    for level in 0..depth {
+        out += &format!("{}if ok:\n", pad(level));
+    }
+    out += &format!("{}before = 0\n{}{header}\n", pad(depth), pad(depth));
+    for kind in body {
+        out += &match kind % 3 {
+            0 => format!("{}b = 2\n", pad(depth + 1)),
+            1 => format!("{}if ok:\n{}e = 5\n", pad(depth + 1), pad(depth + 2)),
+            _ => format!("{}y = = 1\n", pad(depth + 1)),
+        };
+    }
+    out + &format!("{}after = 1\ntail = 2\n", pad(depth))
+}
+
+/// Whether `stmt` assigns exactly `name`.
+fn assigns(stmt: &Stmt, name: &str) -> bool {
+    matches!(stmt, Stmt::Assign { targets, .. } if targets.len() == 1 && targets[0] == name)
+}
+
+/// Checks that the header and its body are dropped with an error, and
+/// that `before` and `after` alone make up the header's block, nested
+/// `depth` levels deep, with `tail` after it at top level.
+fn after_stays_in_its_block(src: &str, depth: usize) -> Result<(), String> {
+    let (module, diags) = parse_with_diagnostics(src);
+    if !diags.iter().any(|d| d.severity == Severity::Error) {
+        return Err(format!("{src:?}: no error reported"));
+    }
+    let Some((tail, mut block)) = module.body.split_last() else {
+        return Err(format!("{src:?}: empty module"));
+    };
+    if !assigns(tail, "tail") {
+        return Err(format!("{src:?}: top level ends in {tail:?}"));
+    }
+    for _ in 0..depth {
+        match block {
+            [Stmt::If { body, .. }] => block = body,
+            other => return Err(format!("{src:?}: expected one if, found {other:?}")),
+        }
+    }
+    match block {
+        [before, after] if assigns(before, "before") && assigns(after, "after") => Ok(()),
+        other => Err(format!("{src:?}: header block {other:?}")),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
@@ -174,6 +242,17 @@ proptest! {
     #[test]
     fn repeated_lines_never_panic(which in 0.0f64..1.0, at in 0.0f64..1.0, copies in 2usize..300) {
         let script = replace_line(seed(which), at, |line| vec![line; copies].join("\n"));
+        front_end_holds(script.as_bytes())?;
+    }
+
+    #[test]
+    fn a_statement_after_a_malformed_header_stays_in_its_block(
+        depth in 0usize..4,
+        header in 0..MALFORMED_HEADERS.len(),
+        body in proptest::collection::vec(0u8..3, 1..5),
+    ) {
+        let script = malformed_header_script(depth, MALFORMED_HEADERS[header], &body);
+        after_stays_in_its_block(&script, depth)?;
         front_end_holds(script.as_bytes())?;
     }
 

@@ -9,8 +9,12 @@
 //! * **SMAC-style model-based search**: a random-forest surrogate predicts
 //!   trial scores; candidates are chosen by expected improvement, with the
 //!   forest's per-tree spread as the uncertainty estimate,
-//! * **greedy ensemble selection** (Caruana-style) over the trial history,
-//!   deployed as a majority-vote / mean ensemble.
+//! * **greedy ensemble selection** (Caruana-style) over the best trials,
+//!   deployed as a majority-vote / mean ensemble. As in Auto-Sklearn, the
+//!   selection reads holdout predictions the search stored while it ran:
+//!   the [`Evaluator`] keeps those of the top 8 trials, so nothing is
+//!   refit after the budget gate closes. Only the chosen members are fit
+//!   again, in [`HpoResult::refit_score`].
 
 use crate::budget::TimeBudget;
 use crate::meta::{meta_distance, meta_features, META_DIM};
@@ -18,7 +22,7 @@ use crate::space::{self, Skeleton};
 use crate::trial::{Candidate, Evaluator, HpoResult, Optimizer, TrialOutcome};
 use crate::{HpoError, Result};
 use kgpip_learners::estimators::tree::{Forest, TreeConfig};
-use kgpip_learners::pipeline::PipelineSpec;
+use kgpip_learners::pipeline::{score_predictions, PipelineSpec};
 use kgpip_learners::{Estimator, EstimatorKind, Matrix, Params};
 use kgpip_tabular::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -119,13 +123,8 @@ impl AutoSklearn {
         x
     }
 
-    /// The batched warm-start + SMAC search driving the shared
-    /// [`Evaluator`]. The portfolio phase proposes default configurations
-    /// in chunks of `parallelism`; the SMAC phase proposes the top-EI
-    /// candidates of each surrogate round as one batch. With
-    /// `parallelism == 1` both phases reproduce the historical
-    /// one-trial-at-a-time loop bit-for-bit for a fixed seed (same rng
-    /// draw order, same strict-improvement argmax).
+    /// Searches, then selects an ensemble from the kept predictions when
+    /// ensembling is on.
     fn run(
         &self,
         train: &Dataset,
@@ -137,9 +136,43 @@ impl AutoSklearn {
         if learners.is_empty() {
             return Err(HpoError::NoUsableLearner);
         }
+        let evaluator = self.evaluator(train, budget)?;
+        self.search(&evaluator, skeleton_for, portfolio, learners)?;
+        let mut result = evaluator.result()?;
+        if self.ensembling {
+            let pool = kept_pool(&evaluator, &result.history);
+            choose_members(&pool, evaluator.validation(), &mut result);
+        }
+        Ok(result)
+    }
+
+    /// The search's evaluator; an ensembling search keeps its top trials'
+    /// holdout predictions.
+    fn evaluator(&self, train: &Dataset, budget: &TimeBudget) -> Result<Evaluator> {
         let evaluator = Evaluator::new(train, self.seed, budget)?
             .with_parallelism(self.parallelism)
             .with_cache(self.trial_cache);
+        Ok(if self.ensembling {
+            evaluator.keeping_predictions()
+        } else {
+            evaluator
+        })
+    }
+
+    /// The batched warm-start + SMAC search driving the shared
+    /// [`Evaluator`]. The portfolio phase proposes default configurations
+    /// in chunks of `parallelism`; the SMAC phase proposes the top-EI
+    /// candidates of each surrogate round as one batch. With
+    /// `parallelism == 1` both phases reproduce the historical
+    /// one-trial-at-a-time loop bit-for-bit for a fixed seed (same rng
+    /// draw order, same strict-improvement argmax).
+    fn search(
+        &self,
+        evaluator: &Evaluator,
+        skeleton_for: impl Fn(EstimatorKind) -> Skeleton,
+        portfolio: &[EstimatorKind],
+        learners: &[EstimatorKind],
+    ) -> Result<()> {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0xa5c1));
         let round = self.parallelism.max(1);
 
@@ -231,60 +264,55 @@ impl AutoSklearn {
                 break;
             }
         }
-
-        let mut result = evaluator.result()?;
-        if self.ensembling {
-            self.select_ensemble(&evaluator, &mut result);
-        }
-        Ok(result)
+        Ok(())
     }
+}
 
-    /// Greedy forward ensemble selection over the top unique trial specs.
-    fn select_ensemble(&self, evaluator: &Evaluator, result: &mut HpoResult) {
-        let mut ranked: Vec<(&TrialOutcome, f64)> = result
-            .history
-            .iter()
-            .filter_map(|t| t.score.map(|s| (t, s)))
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        let mut pool: Vec<(PipelineSpec, Vec<f64>)> = Vec::new();
-        for (t, _) in ranked.into_iter().take(8) {
-            if pool.iter().any(|(s, _)| *s == t.spec) {
-                continue;
-            }
-            if let Some(preds) = evaluator.predictions(&t.spec) {
-                pool.push((t.spec.clone(), preds));
+/// The ensemble-selection pool: the unique specs among the search's kept
+/// top trials, best first, each with the holdout predictions its trial
+/// was scored on.
+fn kept_pool(evaluator: &Evaluator, history: &[TrialOutcome]) -> Vec<(PipelineSpec, Vec<f64>)> {
+    let mut pool: Vec<(PipelineSpec, Vec<f64>)> = Vec::new();
+    for (idx, preds) in evaluator.take_kept_predictions() {
+        let spec = &history[idx].spec;
+        if !pool.iter().any(|(s, _)| s == spec) {
+            pool.push((spec.clone(), preds));
+        }
+    }
+    pool
+}
+
+/// Caruana-style greedy forward selection over `pool`; adopts the
+/// ensemble when it has at least two members and does not score below the
+/// best single trial.
+fn choose_members(pool: &[(PipelineSpec, Vec<f64>)], valid: &Dataset, result: &mut HpoResult) {
+    if pool.len() < 2 {
+        return;
+    }
+    let classification = valid.task.is_classification();
+    let mut members: Vec<usize> = Vec::new();
+    let mut best_score = f64::NEG_INFINITY;
+    while members.len() < MAX_ENSEMBLE {
+        let mut best_add: Option<(usize, f64)> = None;
+        for cand in 0..pool.len() {
+            let mut preds: Vec<Vec<f64>> = members.iter().map(|&m| pool[m].1.clone()).collect();
+            preds.push(pool[cand].1.clone());
+            let combined = crate::trial::combine_predictions(&preds, classification);
+            let score = score_predictions(valid, &combined);
+            if best_add.is_none_or(|(_, b)| score > b) {
+                best_add = Some((cand, score));
             }
         }
-        if pool.len() < 2 {
-            return;
+        let Some((cand, score)) = best_add else { break };
+        if score <= best_score {
+            break;
         }
-        let valid = evaluator.validation();
-        let classification = valid.task.is_classification();
-        let mut members: Vec<usize> = Vec::new();
-        let mut best_score = f64::NEG_INFINITY;
-        while members.len() < MAX_ENSEMBLE {
-            let mut best_add: Option<(usize, f64)> = None;
-            for cand in 0..pool.len() {
-                let mut preds: Vec<Vec<f64>> = members.iter().map(|&m| pool[m].1.clone()).collect();
-                preds.push(pool[cand].1.clone());
-                let combined = crate::trial::combine_predictions(&preds, classification);
-                let score = kgpip_learners::pipeline::score_predictions(valid, &combined);
-                if best_add.is_none_or(|(_, b)| score > b) {
-                    best_add = Some((cand, score));
-                }
-            }
-            let Some((cand, score)) = best_add else { break };
-            if score <= best_score {
-                break;
-            }
-            best_score = score;
-            members.push(cand);
-        }
-        if members.len() >= 2 && best_score >= result.valid_score {
-            result.ensemble = members.into_iter().map(|m| pool[m].0.clone()).collect();
-            result.valid_score = best_score;
-        }
+        best_score = score;
+        members.push(cand);
+    }
+    if members.len() >= 2 && best_score >= result.valid_score {
+        result.ensemble = members.into_iter().map(|m| pool[m].0.clone()).collect();
+        result.valid_score = best_score;
     }
 }
 
@@ -422,6 +450,8 @@ fn builtin_knowledge() -> Vec<([f64; META_DIM], EstimatorKind)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial::tests::most_kept_during;
+    use crate::trial::KEPT_TRIALS;
     use kgpip_learners::TransformerKind;
     use kgpip_tabular::{Column, DataFrame};
 
@@ -512,6 +542,197 @@ mod tests {
         assert_eq!(expected_improvement(0.2, 0.0, 0.5), 0.0);
         // Uncertainty adds value even below the incumbent.
         assert!(expected_improvement(0.4, 0.5, 0.5) > 0.0);
+    }
+
+    /// Three noisy features (one with missing values, so trials run the
+    /// implicit-imputer chain) and a target they only partly explain, so
+    /// learners and configurations disagree on the holdout.
+    fn noisy_dataset(n: usize, task: Task) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut draw = || rand::Rng::gen::<f64>(&mut rng);
+        let rows: Vec<[f64; 4]> = (0..n).map(|_| [draw(), draw(), draw(), draw()]).collect();
+        let z: Vec<f64> = rows
+            .iter()
+            .map(|r| r[0] + 0.6 * r[1] - 0.3 * r[2] + 0.5 * r[3])
+            .collect();
+        let y: Vec<f64> = z
+            .iter()
+            .map(|z| match task {
+                Task::Binary => f64::from(*z > 0.65),
+                Task::MultiClass(_) => (*z * 2.0).clamp(0.0, 2.0).floor(),
+                Task::Regression => 3.0 * z,
+            })
+            .collect();
+        let col = |i: usize| rows.iter().map(|r| r[i]).collect::<Vec<_>>();
+        let gappy: Vec<Option<f64>> = rows
+            .iter()
+            .enumerate()
+            .map(|(k, r)| (k % 13 != 0).then_some(r[2]))
+            .collect();
+        let f = DataFrame::from_columns(vec![
+            ("a".to_string(), Column::from_f64(col(0))),
+            ("b".to_string(), Column::from_f64(col(1))),
+            ("c".to_string(), Column::numeric(gappy)),
+        ])
+        .unwrap();
+        Dataset::new("noisy", f, y, task).unwrap()
+    }
+
+    /// The pool ensemble selection built before trials kept their
+    /// predictions: rank the whole history best first (stable, so ties
+    /// keep history order), take the top 8, drop repeated specs, and refit
+    /// each one.
+    fn refit_pool(
+        evaluator: &Evaluator,
+        history: &[TrialOutcome],
+    ) -> Vec<(PipelineSpec, Vec<f64>)> {
+        let mut ranked: Vec<(&TrialOutcome, f64)> = history
+            .iter()
+            .filter_map(|t| t.score.map(|s| (t, s)))
+            .collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let mut pool: Vec<(PipelineSpec, Vec<f64>)> = Vec::new();
+        for (t, _) in ranked.into_iter().take(8) {
+            if pool.iter().any(|(s, _)| *s == t.spec) {
+                continue;
+            }
+            if let Some(preds) = evaluator.refit_predictions(&t.spec) {
+                pool.push((t.spec.clone(), preds));
+            }
+        }
+        pool
+    }
+
+    /// Selects an ensemble over a finished search both from the kept
+    /// predictions and from the refit oracle, and checks that the pools,
+    /// the members and the score agree bit for bit. Returns whether an
+    /// ensemble was adopted.
+    fn assert_matches_refit_oracle(evaluator: &Evaluator) -> bool {
+        let base = evaluator.result().unwrap();
+        let oracle_pool = refit_pool(evaluator, &base.history);
+        let pool = kept_pool(evaluator, &base.history);
+        let bits = |pool: &[(PipelineSpec, Vec<f64>)]| -> Vec<(PipelineSpec, Vec<u64>)> {
+            pool.iter()
+                .map(|(s, p)| (s.clone(), p.iter().map(|v| v.to_bits()).collect()))
+                .collect()
+        };
+        assert_eq!(bits(&pool), bits(&oracle_pool));
+        let (mut kept, mut oracle) = (base.clone(), base);
+        choose_members(&pool, evaluator.validation(), &mut kept);
+        choose_members(&oracle_pool, evaluator.validation(), &mut oracle);
+        assert_eq!(kept.ensemble, oracle.ensemble);
+        assert_eq!(kept.valid_score.to_bits(), oracle.valid_score.to_bits());
+        !kept.ensemble.is_empty()
+    }
+
+    #[test]
+    fn kept_prediction_ensembles_equal_the_refit_oracle() {
+        let mut adopted = 0;
+        for task in [Task::Binary, Task::MultiClass(3), Task::Regression] {
+            let ds = noisy_dataset(160, task);
+            for caching in [true, false] {
+                for parallelism in [1, 2] {
+                    let engine = AutoSklearn::new(5)
+                        .with_parallelism(parallelism)
+                        .with_trial_cache(caching);
+                    let budget = TimeBudget::seconds(600.0).with_trial_cap(16);
+                    let learners = engine.warm_start_order(&ds);
+                    let portfolio: Vec<EstimatorKind> =
+                        learners.iter().copied().take(PORTFOLIO_SIZE).collect();
+                    let evaluator = engine.evaluator(&ds, &budget).unwrap();
+                    engine
+                        .search(&evaluator, Skeleton::bare, &portfolio, &learners)
+                        .unwrap();
+                    adopted += usize::from(assert_matches_refit_oracle(&evaluator));
+                }
+            }
+        }
+        assert!(
+            adopted > 0,
+            "no search adopted an ensemble: nothing was compared"
+        );
+    }
+
+    #[test]
+    fn a_rank_eight_tie_and_a_repeated_spec_resolve_as_the_refit_oracle_does() {
+        let ds = noisy_dataset(160, Task::Binary);
+        let with_depth = |kind: EstimatorKind, depth: f64| {
+            let mut params = space::default_config(kind);
+            params.insert("max_depth".into(), depth);
+            Candidate::new(Skeleton::bare(kind), params)
+        };
+        let default =
+            |kind: EstimatorKind| Candidate::new(Skeleton::bare(kind), space::default_config(kind));
+        let batch = vec![
+            default(EstimatorKind::Knn),
+            default(EstimatorKind::GaussianNb),
+            default(EstimatorKind::LinearSvm),
+            with_depth(EstimatorKind::RandomForest, 1.0),
+            with_depth(EstimatorKind::XgBoost, 1.0),
+            with_depth(EstimatorKind::DecisionTree, 1.0),
+            default(EstimatorKind::LinearSvm),
+            default(EstimatorKind::LogisticRegression),
+            with_depth(EstimatorKind::GradientBoosting, 1.0),
+            with_depth(EstimatorKind::DecisionTree, 2.0),
+            default(EstimatorKind::Ridge),
+            with_depth(EstimatorKind::ExtraTrees, 1.0),
+        ];
+        for caching in [true, false] {
+            for parallelism in [1, 2] {
+                let engine = AutoSklearn::new(5)
+                    .with_parallelism(parallelism)
+                    .with_trial_cache(caching);
+                let budget = TimeBudget::seconds(600.0);
+                let evaluator = engine.evaluator(&ds, &budget).unwrap();
+                evaluator.evaluate_batch(&batch);
+                let history = evaluator.history();
+                let mut ranked: Vec<&TrialOutcome> =
+                    history.iter().filter(|t| t.score.is_some()).collect();
+                ranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
+                assert_eq!(ranked[7].score, ranked[8].score, "a tie at rank 8");
+                assert_ne!(ranked[7].spec, ranked[8].spec);
+                assert!(
+                    ranked[..8]
+                        .iter()
+                        .filter(|t| t.spec == history[2].spec)
+                        .count()
+                        == 2,
+                    "a repeated spec inside the top 8"
+                );
+                assert_matches_refit_oracle(&evaluator);
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_ensembling_auto_sklearn_search_keeps_predictions() {
+        let ds = noisy_dataset(160, Task::Binary);
+        let budget = || TimeBudget::seconds(600.0).with_trial_cap(12);
+        for parallelism in [1, 2] {
+            let kept = most_kept_during(|| {
+                AutoSklearn::new(1)
+                    .with_parallelism(parallelism)
+                    .optimize(&ds, &budget())
+                    .unwrap();
+            });
+            assert!((1..=KEPT_TRIALS).contains(&kept), "kept {kept}");
+            let mut plain = AutoSklearn::new(1).with_parallelism(parallelism);
+            plain.ensembling = false;
+            assert_eq!(most_kept_during(|| drop(plain.optimize(&ds, &budget()))), 0);
+            let flaml = most_kept_during(|| {
+                crate::Flaml::new(1)
+                    .with_parallelism(parallelism)
+                    .optimize(&ds, &budget())
+                    .unwrap();
+            });
+            assert_eq!(flaml, 0);
+        }
+        let al = most_kept_during(|| {
+            crate::Al::new(1)
+                .optimize(&blob_dataset(200), &budget())
+                .unwrap();
+        });
+        assert_eq!(al, 0);
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //! bookkeeping. With `parallelism == 1` the engine reproduces the
 //! sequential evaluation order bit-for-bit, which keeps seeded runs
 //! deterministic.
+//!
+//! A trial fits its pipeline once, predicts the holdout once, and scores
+//! those predictions. An ensembling search keeps the holdout predictions
+//! of its best [`KEPT_TRIALS`] trials as they are recorded, so ensemble
+//! selection reads them instead of refitting anything after the budget
+//! gate has closed.
 
 use crate::budget::{BudgetGate, TimeBudget};
 use crate::space::Skeleton;
 use crate::Result;
-use kgpip_learners::pipeline::{Pipeline, PipelineSpec};
+use kgpip_learners::pipeline::{score_predictions, Pipeline, PipelineSpec};
 use kgpip_learners::{EncodedDataset, Params, TransformCache};
 use kgpip_tabular::{effective_parallelism, train_test_split, Dataset};
 use parking_lot::Mutex;
@@ -25,12 +31,10 @@ use std::time::Duration;
 /// Fraction of training rows held out for trial validation.
 pub const HOLDOUT_FRACTION: f64 = 0.2;
 
-/// Holdout prediction block size for streamed trial scoring. Predictions
-/// are scored block-by-block so a trial never materializes the full
-/// holdout prediction matrix; every estimator predicts row-independently
-/// and the score accumulator replays the unstreamed fold order, so the
-/// block size changes peak memory, never the score.
-pub const SCORE_BLOCK_ROWS: usize = 4096;
+/// How many trials' holdout predictions an ensembling search keeps: the
+/// best by score, ties in history order. Ensemble selection draws its
+/// pool from these, so memory stays at this many holdout vectors.
+pub(crate) const KEPT_TRIALS: usize = 8;
 
 /// Cap on distinct failure messages kept in a [`SearchReport`].
 pub const MAX_REPORT_ERRORS: usize = 8;
@@ -189,7 +193,7 @@ impl HpoResult {
             all_preds.push(result.map_err(crate::HpoError::Learner)?);
         }
         let combined = combine_predictions(&all_preds, train.task.is_classification());
-        Ok(kgpip_learners::pipeline::score_predictions(test, &combined))
+        Ok(score_predictions(test, &combined))
     }
 }
 
@@ -299,11 +303,46 @@ pub struct Evaluator {
     cache: Arc<TransformCache>,
     caching: bool,
     gate: BudgetGate,
-    history: Mutex<Vec<TrialOutcome>>,
+    record: Mutex<Record>,
     parallelism: usize,
     /// Trials that took the pre-encoded fast path (see
     /// [`SearchReport::encoded_trials`]).
     encoded_trials: AtomicU64,
+}
+
+/// The trial history and, for an ensembling search, the holdout
+/// predictions of its best trials — one lock, so both follow the same
+/// recording order.
+#[derive(Default)]
+struct Record {
+    history: Vec<TrialOutcome>,
+    /// `(history index, holdout predictions)` of the best [`KEPT_TRIALS`]
+    /// scored trials, best first and ties in history order — the order a
+    /// stable descending sort of the whole history gives. `None` when the
+    /// search keeps no predictions.
+    kept: Option<Vec<(usize, Vec<f64>)>>,
+}
+
+impl Record {
+    /// Appends a trial, keeping its predictions if it ranks among the
+    /// best [`KEPT_TRIALS`] so far. A later trial ranks after every kept
+    /// one with an equal score, and a trial once pushed out never returns.
+    fn push(&mut self, outcome: TrialOutcome, predictions: Option<Vec<f64>>) {
+        if let (Some(kept), Some(score), Some(predictions)) =
+            (&mut self.kept, outcome.score, predictions)
+        {
+            let history = &self.history;
+            let rank = kept
+                .iter()
+                .position(|(idx, _)| history[*idx].score.is_some_and(|s| s < score))
+                .unwrap_or(kept.len());
+            if rank < KEPT_TRIALS {
+                kept.insert(rank, (history.len(), predictions));
+                kept.truncate(KEPT_TRIALS);
+            }
+        }
+        self.history.push(outcome);
+    }
 }
 
 impl Evaluator {
@@ -328,7 +367,7 @@ impl Evaluator {
             cache: Arc::new(TransformCache::default()),
             caching: true,
             gate: BudgetGate::new(budget),
-            history: Mutex::new(Vec::new()),
+            record: Mutex::new(Record::default()),
             parallelism: 1,
             encoded_trials: AtomicU64::new(0),
         })
@@ -341,11 +380,22 @@ impl Evaluator {
     }
 
     /// Enables or disables trial caching. Disabled, every trial runs the
-    /// original raw-frame `fit_score` path — caching can only change what
-    /// a trial *costs*, never what it scores (the cache-equivalence suite
-    /// pins this down bit-for-bit).
+    /// original raw-frame `fit` + `predict` path — caching can only change
+    /// what a trial *costs*, never what it scores (the cache-equivalence
+    /// suite pins this down bit-for-bit).
     pub fn with_cache(mut self, enabled: bool) -> Evaluator {
         self.caching = enabled;
+        self
+    }
+
+    /// Keeps the holdout predictions of the best [`KEPT_TRIALS`] trials
+    /// recorded by [`evaluate_batch`], for ensemble selection to read back
+    /// through [`take_kept_predictions`].
+    ///
+    /// [`evaluate_batch`]: Evaluator::evaluate_batch
+    /// [`take_kept_predictions`]: Evaluator::take_kept_predictions
+    pub(crate) fn keeping_predictions(mut self) -> Evaluator {
+        self.record.get_mut().kept = Some(Vec::new());
         self
     }
 
@@ -382,12 +432,25 @@ impl Evaluator {
 
     /// Number of recorded trials.
     pub fn trials(&self) -> usize {
-        self.history.lock().len()
+        self.record.lock().history.len()
     }
 
     /// A snapshot of the trial history, in admission order.
     pub fn history(&self) -> Vec<TrialOutcome> {
-        self.history.lock().clone()
+        self.record.lock().history.clone()
+    }
+
+    /// Moves out the kept `(history index, holdout predictions)` pairs,
+    /// best trial first (empty unless [`keeping_predictions`] was set).
+    ///
+    /// [`keeping_predictions`]: Evaluator::keeping_predictions
+    pub(crate) fn take_kept_predictions(&self) -> Vec<(usize, Vec<f64>)> {
+        self.record
+            .lock()
+            .kept
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Failure accounting over the recorded history plus the live
@@ -404,7 +467,9 @@ impl Evaluator {
     /// proposal order and stops at the first gate rejection; admitted
     /// candidates are evaluated (in parallel when configured) and their
     /// outcomes recorded and returned in proposal order. An empty return
-    /// means the budget is exhausted.
+    /// means the budget is exhausted. The history and the kept predictions
+    /// are updated together in proposal order, so their indices do not
+    /// depend on which trial finished first.
     pub fn evaluate_batch(&self, batch: &[Candidate]) -> Vec<TrialOutcome> {
         let admitted: Vec<&Candidate> = batch.iter().take_while(|_| self.gate.admit()).collect();
         // Clamp to the CPUs actually present: on a 1-CPU host a
@@ -412,11 +477,11 @@ impl Evaluator {
         // contention for zero concurrency (outcomes are recorded in
         // proposal order either way, so only the cost changes).
         let workers = effective_parallelism(self.parallelism);
-        let evaluate = |c: &&Candidate| self.evaluate(&c.skeleton, c.params.clone());
+        let evaluate = |c: &&Candidate| self.run_trial(&c.skeleton, c.params.clone());
         let pool = (workers > 1 && admitted.len() > 1)
             .then(|| rayon::ThreadPoolBuilder::new().num_threads(workers).build())
             .and_then(|built| built.ok());
-        let outcomes: Vec<TrialOutcome> = match pool {
+        let trials: Vec<(TrialOutcome, Option<Vec<f64>>)> = match pool {
             Some(pool) => pool.install(|| admitted.par_iter().map(evaluate).collect()),
             // Pool construction only fails on thread-resource exhaustion;
             // outcomes are recorded in proposal order either way, so the
@@ -424,7 +489,16 @@ impl Evaluator {
             // killing the search.
             None => admitted.iter().map(evaluate).collect(),
         };
-        self.history.lock().extend(outcomes.iter().cloned());
+        let mut record = self.record.lock();
+        let outcomes = trials
+            .into_iter()
+            .map(|(outcome, predictions)| {
+                record.push(outcome.clone(), predictions);
+                outcome
+            })
+            .collect();
+        #[cfg(test)]
+        tests::observe_kept(record.kept.as_ref().map_or(0, Vec::len));
         outcomes
     }
 
@@ -436,8 +510,15 @@ impl Evaluator {
     ///
     /// With caching on, the trial runs against the pre-encoded splits and
     /// the shared transform cache — bit-for-bit the score of the raw
-    /// `fit_score` path, minus the repeated encode/preprocess work.
+    /// `fit` + `predict` path, minus the repeated encode/preprocess work.
     pub fn evaluate(&self, skeleton: &Skeleton, params: Params) -> TrialOutcome {
+        self.run_trial(skeleton, params).0
+    }
+
+    /// One trial: fits the spec, predicts the holdout once and scores
+    /// those predictions, which it returns alongside the outcome (`None`
+    /// when the fit failed).
+    fn run_trial(&self, skeleton: &Skeleton, params: Params) -> (TrialOutcome, Option<Vec<f64>>) {
         let spec = PipelineSpec {
             transformers: skeleton
                 .transformers
@@ -454,21 +535,26 @@ impl Evaluator {
             match (self.caching, &self.encoded) {
                 (true, Some((tr, va))) => {
                     self.encoded_trials.fetch_add(1, Ordering::Relaxed);
-                    p.fit_score_encoded_streamed(tr, va, Some(&self.cache), SCORE_BLOCK_ROWS)
+                    p.fit_predict_encoded(tr, va, Some(&self.cache))
                 }
-                _ => p.fit_score(&self.train, &self.valid),
+                _ => p.fit(&self.train).and_then(|()| p.predict(&self.valid)),
             }
         });
-        let (score, error) = match fit {
-            Ok(score) => (Some(score), None),
-            Err(e) => (None, Some(e.to_string())),
+        let (score, error, predictions) = match fit {
+            Ok(pred) => (
+                Some(score_predictions(&self.valid, &pred)),
+                None,
+                Some(pred),
+            ),
+            Err(e) => (None, Some(e.to_string()), None),
         };
-        TrialOutcome {
+        let outcome = TrialOutcome {
             spec,
             score,
             error,
             cost: started.elapsed(),
-        }
+        };
+        (outcome, predictions)
     }
 
     /// Builds the run result from the recorded history: the earliest
@@ -492,12 +578,14 @@ impl Evaluator {
         result.report = self.report();
         Ok(result)
     }
+}
 
-    /// Per-trial validation predictions for ensemble selection (same
-    /// cached fast path as [`evaluate`]).
-    ///
-    /// [`evaluate`]: Evaluator::evaluate
-    pub fn predictions(&self, spec: &PipelineSpec) -> Option<Vec<f64>> {
+#[cfg(test)]
+impl Evaluator {
+    /// Test oracle: the refit that ensemble selection ran before trials
+    /// kept their predictions — fit `spec` again and predict the holdout
+    /// on the same path its trial took.
+    pub(crate) fn refit_predictions(&self, spec: &PipelineSpec) -> Option<Vec<f64>> {
         let mut p = Pipeline::from_spec(spec.clone()).ok()?;
         match (self.caching, &self.encoded) {
             (true, Some((tr, va))) => p.fit_predict_encoded(tr, va, Some(&self.cache)).ok(),
@@ -510,10 +598,30 @@ impl Evaluator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kgpip_learners::EstimatorKind;
     use kgpip_tabular::{Column, DataFrame, Task};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The largest kept-prediction set an [`Evaluator::evaluate_batch`]
+        /// on this thread has left behind.
+        static MOST_KEPT: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Called by `evaluate_batch` after recording a batch.
+    pub(crate) fn observe_kept(kept: usize) {
+        MOST_KEPT.with(|most| most.set(most.get().max(kept)));
+    }
+
+    /// The largest kept set any evaluator on this thread held while `run`
+    /// searched (searches record their batches on the calling thread).
+    pub(crate) fn most_kept_during(run: impl FnOnce()) -> usize {
+        MOST_KEPT.with(|most| most.set(0));
+        run();
+        MOST_KEPT.with(Cell::get)
+    }
 
     fn toy(n: usize) -> Dataset {
         let x: Vec<f64> = (0..n).map(|i| (i % 10) as f64).collect();
@@ -701,35 +809,40 @@ mod tests {
     }
 
     #[test]
-    fn streamed_holdout_scoring_matches_the_unstreamed_score() {
-        let ds = toy(200);
-        let budget = wide_budget();
-        let ev = Evaluator::new(&ds, 0, &budget).unwrap();
-        let skel = Skeleton {
-            transformers: vec![kgpip_learners::TransformerKind::StandardScaler],
-            estimator: EstimatorKind::DecisionTree,
+    fn record_keeps_the_top_trials_of_a_stable_descending_sort() {
+        let scores: Vec<Option<f64>> = [
+            0.5, 0.9, 0.7, 0.9, 0.1, 0.7, 0.8, 0.7, 0.3, 0.9, 0.7, 0.6, 0.95, 0.7,
+        ]
+        .iter()
+        .map(|s| Some(*s))
+        .chain([None, Some(0.7)])
+        .collect();
+        let mut record = Record {
+            kept: Some(Vec::new()),
+            ..Record::default()
         };
-        for skeleton in [Skeleton::bare(EstimatorKind::DecisionTree), skel] {
-            let streamed = ev
-                .evaluate(&skeleton, Params::new())
-                .score
-                .expect("trial scores");
-            let spec = PipelineSpec {
-                transformers: skeleton
-                    .transformers
-                    .iter()
-                    .map(|k| (*k, Params::new()))
-                    .collect(),
-                estimator: skeleton.estimator,
-                params: Params::new(),
+        for (i, score) in scores.iter().enumerate() {
+            let outcome = TrialOutcome {
+                spec: PipelineSpec::bare(EstimatorKind::Knn),
+                score: *score,
+                error: None,
+                cost: Duration::ZERO,
             };
-            let (tr, va) = ev.encoded.as_ref().expect("toy data encodes");
-            let unstreamed = Pipeline::from_spec(spec)
-                .unwrap()
-                .fit_score_encoded(tr, va, None)
-                .unwrap();
-            assert_eq!(streamed.to_bits(), unstreamed.to_bits());
+            record.push(outcome, score.map(|_| vec![i as f64]));
+            assert!(record.kept.as_ref().unwrap().len() <= KEPT_TRIALS);
         }
+        let mut ranked: Vec<(usize, f64)> = scores
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|s| (i, s)))
+            .collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let expected: Vec<(usize, Vec<f64>)> = ranked
+            .into_iter()
+            .take(KEPT_TRIALS)
+            .map(|(i, _)| (i, vec![i as f64]))
+            .collect();
+        assert_eq!(record.kept.unwrap(), expected);
     }
 
     #[test]

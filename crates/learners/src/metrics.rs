@@ -70,131 +70,6 @@ pub fn r2(y_true: &[f64], y_pred: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Streaming accumulator for the paper's holdout metrics (macro-F1 for
-/// classification, R² for regression): feed `(target, prediction)` blocks
-/// in row order and [`finish`](ScoreAccumulator::finish) to exactly the
-/// value [`macro_f1`] / [`r2`] compute on the concatenated vectors.
-///
-/// Exactness argument: macro-F1 reduces to integer tp/fp/fn counts
-/// (order-free); R²'s `ss_tot` and mean are computed from the full target
-/// up front with the same left folds `r2` uses, and `ss_res` accumulates
-/// element-by-element into one running sum — the identical floating-point
-/// operation sequence as the unstreamed `.sum()`, just interrupted at
-/// block boundaries.
-#[derive(Debug, Clone)]
-pub enum ScoreAccumulator {
-    /// Classification: macro-F1 count vectors.
-    Classification {
-        /// Per-class true positives.
-        tp: Vec<usize>,
-        /// Per-class false positives.
-        fp: Vec<usize>,
-        /// Per-class false negatives.
-        fnn: Vec<usize>,
-        /// Total rows pushed (to mirror `macro_f1`'s empty-input guard).
-        rows: usize,
-    },
-    /// Regression: R² with the target mean/ss_tot fixed up front.
-    Regression {
-        /// `ss_tot` of the full target (precomputed).
-        ss_tot: f64,
-        /// Running residual sum of squares.
-        ss_res: f64,
-        /// Total rows pushed.
-        rows: usize,
-    },
-}
-
-impl ScoreAccumulator {
-    /// Creates an accumulator for `num_classes` classes (macro-F1).
-    pub fn classification(num_classes: usize) -> ScoreAccumulator {
-        ScoreAccumulator::Classification {
-            tp: vec![0; num_classes],
-            fp: vec![0; num_classes],
-            fnn: vec![0; num_classes],
-            rows: 0,
-        }
-    }
-
-    /// Creates an R² accumulator from the full target vector (the mean and
-    /// total sum of squares need all targets; predictions then stream).
-    pub fn regression(y_true: &[f64]) -> ScoreAccumulator {
-        let ss_tot = if y_true.is_empty() {
-            0.0
-        } else {
-            let mean = y_true.iter().sum::<f64>() / y_true.len() as f64;
-            y_true.iter().map(|y| (y - mean).powi(2)).sum()
-        };
-        ScoreAccumulator::Regression {
-            ss_tot,
-            ss_res: 0.0,
-            rows: 0,
-        }
-    }
-
-    /// Accumulates one block of aligned targets and predictions, in row
-    /// order.
-    pub fn push(&mut self, y_true: &[f64], y_pred: &[f64]) {
-        match self {
-            ScoreAccumulator::Classification { tp, fp, fnn, rows } => {
-                let num_classes = tp.len();
-                for (&t, &p) in y_true.iter().zip(y_pred) {
-                    *rows += 1;
-                    let (t, p) = (t as usize, p as usize);
-                    if t >= num_classes || p >= num_classes {
-                        continue;
-                    }
-                    if t == p {
-                        tp[t] += 1;
-                    } else {
-                        fp[p] += 1;
-                        fnn[t] += 1;
-                    }
-                }
-            }
-            ScoreAccumulator::Regression { ss_res, rows, .. } => {
-                for (y, p) in y_true.iter().zip(y_pred) {
-                    *rows += 1;
-                    *ss_res += (y - p).powi(2);
-                }
-            }
-        }
-    }
-
-    /// The final metric value, identical to the unstreamed computation.
-    pub fn finish(&self) -> f64 {
-        match self {
-            ScoreAccumulator::Classification { tp, fp, fnn, rows } => {
-                let num_classes = tp.len();
-                if *rows == 0 || num_classes == 0 {
-                    return 0.0;
-                }
-                let mut f1_sum = 0.0;
-                for c in 0..num_classes {
-                    let denom = 2 * tp[c] + fp[c] + fnn[c];
-                    if denom > 0 {
-                        f1_sum += 2.0 * tp[c] as f64 / denom as f64;
-                    }
-                }
-                f1_sum / num_classes as f64
-            }
-            ScoreAccumulator::Regression {
-                ss_tot,
-                ss_res,
-                rows,
-            } => {
-                if *rows == 0 {
-                    return 0.0;
-                }
-                if *ss_tot <= f64::EPSILON {
-                    return if *ss_res <= f64::EPSILON { 1.0 } else { 0.0 };
-                }
-                1.0 - ss_res / ss_tot
-            }
-        }
-    }
-}
-
 /// Mean squared error.
 pub fn mse(y_true: &[f64], y_pred: &[f64]) -> f64 {
     if y_true.is_empty() {
@@ -293,49 +168,6 @@ mod tests {
     fn r2_constant_target() {
         assert_eq!(r2(&[5.0, 5.0], &[5.0, 5.0]), 1.0);
         assert_eq!(r2(&[5.0, 5.0], &[4.0, 6.0]), 0.0);
-    }
-
-    #[test]
-    fn streamed_scores_match_unstreamed_bit_for_bit() {
-        let t: Vec<f64> = (0..37).map(|i| ((i * 7) % 5) as f64).collect();
-        let p: Vec<f64> = (0..37).map(|i| ((i * 3) % 5) as f64).collect();
-        for block in [1, 4, 10, 100] {
-            let mut acc = ScoreAccumulator::classification(5);
-            for (tb, pb) in t.chunks(block).zip(p.chunks(block)) {
-                acc.push(tb, pb);
-            }
-            assert_eq!(
-                acc.finish().to_bits(),
-                macro_f1(&t, &p, 5).to_bits(),
-                "block {block}"
-            );
-        }
-        let yt: Vec<f64> = (0..37).map(|i| i as f64 * 0.37 + (i % 3) as f64).collect();
-        let yp: Vec<f64> = yt.iter().map(|v| v * 0.9 + 0.1).collect();
-        for block in [1, 4, 10, 100] {
-            let mut acc = ScoreAccumulator::regression(&yt);
-            for (tb, pb) in yt.chunks(block).zip(yp.chunks(block)) {
-                acc.push(tb, pb);
-            }
-            assert_eq!(
-                acc.finish().to_bits(),
-                r2(&yt, &yp).to_bits(),
-                "block {block}"
-            );
-        }
-    }
-
-    #[test]
-    fn streamed_score_edge_cases() {
-        assert_eq!(ScoreAccumulator::classification(3).finish(), 0.0);
-        assert_eq!(ScoreAccumulator::regression(&[]).finish(), 0.0);
-        // Constant target mirrors r2's constant-target rule.
-        let mut acc = ScoreAccumulator::regression(&[5.0, 5.0]);
-        acc.push(&[5.0, 5.0], &[5.0, 5.0]);
-        assert_eq!(acc.finish(), 1.0);
-        let mut acc = ScoreAccumulator::regression(&[5.0, 5.0]);
-        acc.push(&[5.0, 5.0], &[4.0, 6.0]);
-        assert_eq!(acc.finish(), 0.0);
     }
 
     #[test]

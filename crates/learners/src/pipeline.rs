@@ -188,19 +188,6 @@ impl Pipeline {
         test: &EncodedDataset,
         cache: Option<&TransformCache>,
     ) -> Result<Vec<f64>> {
-        let pred_input = self.fit_encoded(train, test, cache)?;
-        self.estimator.predict(&pred_input)
-    }
-
-    /// The shared fit phase of the encoded trial paths: runs the effective
-    /// chain, fits the estimator, and returns the transformed (NaN-filled
-    /// when needed) test matrix ready for prediction.
-    fn fit_encoded(
-        &mut self,
-        train: &EncodedDataset,
-        test: &EncodedDataset,
-        cache: Option<&TransformCache>,
-    ) -> Result<Arc<Matrix>> {
         if !self.spec.estimator.supports(train.task()) {
             return Err(LearnError::UnsupportedTask(self.spec.estimator.name()));
         }
@@ -222,69 +209,19 @@ impl Pipeline {
         } else {
             x_test.has_nan()
         };
-        // Predict-time NaN fill, as in `transform` (clone only when needed).
-        Ok(if test_has_nan {
-            let mut filled = (*x_test).clone();
-            for r in 0..filled.rows() {
-                for c in 0..filled.cols() {
-                    if filled.get(r, c).is_nan() {
-                        filled.set(r, c, 0.0);
-                    }
+        if !test_has_nan {
+            return self.estimator.predict(&x_test);
+        }
+        // Predict-time NaN fill, as in `transform`.
+        let mut filled = (*x_test).clone();
+        for r in 0..filled.rows() {
+            for c in 0..filled.cols() {
+                if filled.get(r, c).is_nan() {
+                    filled.set(r, c, 0.0);
                 }
             }
-            Arc::new(filled)
-        } else {
-            x_test
-        })
-    }
-
-    /// [`fit_predict_encoded`] + the paper's metric on the test split.
-    ///
-    /// [`fit_predict_encoded`]: Pipeline::fit_predict_encoded
-    pub fn fit_score_encoded(
-        &mut self,
-        train: &EncodedDataset,
-        valid: &EncodedDataset,
-        cache: Option<&TransformCache>,
-    ) -> Result<f64> {
-        let pred = self.fit_predict_encoded(train, valid, cache)?;
-        Ok(score_parts(valid.task(), valid.target(), &pred))
-    }
-
-    /// [`fit_score_encoded`] with the holdout predicted in blocks of
-    /// `block_rows` rows: the metric accumulates through
-    /// [`metrics::ScoreAccumulator`] as each block's predictions arrive, so
-    /// no full prediction vector (or per-block matrix larger than
-    /// `block_rows × cols`) is ever resident. Every estimator predicts
-    /// row-independently and the accumulator replays the unstreamed metric's
-    /// exact floating-point fold, so the score is bit-identical to
-    /// [`fit_score_encoded`] at any block size.
-    ///
-    /// [`fit_score_encoded`]: Pipeline::fit_score_encoded
-    pub fn fit_score_encoded_streamed(
-        &mut self,
-        train: &EncodedDataset,
-        valid: &EncodedDataset,
-        cache: Option<&TransformCache>,
-        block_rows: usize,
-    ) -> Result<f64> {
-        let pred_input = self.fit_encoded(train, valid, cache)?;
-        let block_rows = block_rows.max(1);
-        let target = valid.target();
-        let mut acc = match valid.task() {
-            Task::Regression => metrics::ScoreAccumulator::regression(target),
-            task => metrics::ScoreAccumulator::classification(task.num_classes().max(2)),
-        };
-        let mut at = 0usize;
-        while at < pred_input.rows() {
-            let len = block_rows.min(pred_input.rows() - at);
-            let idx: Vec<usize> = (at..at + len).collect();
-            let block = pred_input.take_rows(&idx);
-            let pred = self.estimator.predict(&block)?;
-            acc.push(&target[at..at + len], &pred);
-            at += len;
         }
-        Ok(acc.finish())
+        self.estimator.predict(&filled)
     }
 }
 
@@ -373,15 +310,9 @@ fn run_chain(
 
 /// Scores predictions with the paper's metric for the dataset's task.
 pub fn score_predictions(ds: &Dataset, pred: &[f64]) -> f64 {
-    score_parts(ds.task, &ds.target, pred)
-}
-
-/// [`score_predictions`] for callers holding a task + target without a
-/// `Dataset` (the encoded trial hot path).
-pub fn score_parts(task: Task, target: &[f64], pred: &[f64]) -> f64 {
-    match task {
-        Task::Regression => metrics::r2(target, pred),
-        task => metrics::macro_f1(target, pred, task.num_classes().max(2)),
+    match ds.task {
+        Task::Regression => metrics::r2(&ds.target, pred),
+        task => metrics::macro_f1(&ds.target, pred, task.num_classes().max(2)),
     }
 }
 
@@ -499,34 +430,6 @@ mod tests {
         let mut p = Pipeline::from_spec(spec).unwrap();
         let score = p.fit_score(&ds, &ds).unwrap();
         assert!(score > 0.7, "score = {score}");
-    }
-
-    #[test]
-    fn streamed_encoded_score_is_bit_identical_at_any_block_size() {
-        // toy_classification has missing values (implicit-imputer chain);
-        // toy_regression is NaN-free and bare (the fast path).
-        let cases = [
-            (toy_classification(120), EstimatorKind::DecisionTree),
-            (toy_regression(120), EstimatorKind::Ridge),
-        ];
-        for (ds, estimator) in cases {
-            let train = EncodedDataset::from_dataset(&ds).unwrap();
-            let valid = EncodedDataset::with_encoder(train.encoder(), &ds).unwrap();
-            let mut p = Pipeline::from_spec(PipelineSpec::bare(estimator)).unwrap();
-            let base = p.fit_score_encoded(&train, &valid, None).unwrap();
-            for block_rows in [1, 7, 1000] {
-                let mut q = Pipeline::from_spec(PipelineSpec::bare(estimator)).unwrap();
-                let streamed = q
-                    .fit_score_encoded_streamed(&train, &valid, None, block_rows)
-                    .unwrap();
-                assert_eq!(
-                    streamed.to_bits(),
-                    base.to_bits(),
-                    "{} at block_rows {block_rows}",
-                    estimator.name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -41,8 +41,9 @@ cargo test -p kgpip-embeddings --test decode_fuzz -q
 cargo test -p kgpip-embeddings --test decode_alloc -q
 cargo test -p kgpip-benchdata --test recall -q
 
-echo "==> cache-equivalence suite (trial caches change cost, never results)"
+echo "==> cache-equivalence suite (trial caches change cost, never results; ensemble selection from kept predictions equals the refit oracle, and only an ensembling search keeps any)"
 cargo test -p kgpip-hpo --test cache_equivalence -q
+cargo test -p kgpip-hpo --lib -q -- refit_oracle keeps_predictions
 
 echo "==> artifact suite (snapshot round-trips bit-for-bit; decoder fuzz and allocation bounds; serving is bit-identical at any serve width)"
 cargo test -p kgpip --test snapshot_roundtrip -q
