@@ -224,8 +224,17 @@ impl Parser {
         }
     }
 
+    /// Whether the last consumed token ended a line.
+    fn at_line_start(&self) -> bool {
+        self.at
+            .checked_sub(1)
+            .and_then(|i| self.tokens.get(i))
+            .is_some_and(|s| matches!(s.token, Token::Newline))
+    }
+
     /// Parses statements until Dedent (nested) or Eof (top level),
-    /// recovering from malformed statements via [`Self::resynchronize`].
+    /// recovering from malformed statements via [`Self::resynchronize`],
+    /// or in place when the error already sits at a line start.
     fn parse_block_body(&mut self, top_level: bool) -> Vec<Stmt> {
         let mut body = Vec::new();
         loop {
@@ -241,13 +250,22 @@ impl Parser {
                     }
                     return body;
                 }
-                _ => match self.parse_stmt() {
-                    Ok(stmt) => body.push(stmt),
-                    Err(diag) => {
-                        self.sink.push(diag);
-                        self.resynchronize();
+                _ => {
+                    let start = self.at;
+                    match self.parse_stmt() {
+                        Ok(stmt) => body.push(stmt),
+                        Err(diag) => {
+                            self.sink.push(diag);
+                            // A statement that failed after moving on to the
+                            // start of a later line (a block header with no
+                            // indented body) ends there: that line is the
+                            // next statement, not part of the malformed one.
+                            if self.at == start || !self.at_line_start() {
+                                self.resynchronize();
+                            }
+                        }
                     }
-                },
+                }
             }
         }
     }
@@ -913,6 +931,38 @@ x = prepare(df)
         assert_eq!(m.body.len(), 2);
         match &m.body[0] {
             Stmt::If { body, .. } => assert_eq!(body.len(), 2, "x and z survive in the block"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The names the statements of `body` assign, `if` for an if.
+    fn stmt_names(body: &[Stmt]) -> Vec<String> {
+        body.iter()
+            .map(|stmt| match stmt {
+                Stmt::Assign { targets, .. } => targets.join(","),
+                Stmt::If { .. } => "if".to_string(),
+                other => format!("{other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recovery_after_a_bodyless_header_resumes_at_the_next_line() {
+        let (m, diags) = parse_with_diagnostics("for x in xs:\nb = 2\nc = 3\n");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].message, "expected indented block");
+        assert_eq!((diags[0].span.line, diags[0].span.col), (2, 1));
+        assert_eq!(stmt_names(&m.body), ["b", "c"], "b = 2 survives");
+    }
+
+    #[test]
+    fn recovery_after_a_nested_bodyless_header_keeps_the_block() {
+        let src = "if ok:\n    for x in xs:\n    b = 2\n    c = 3\nd = 4\n";
+        let (m, diags) = parse_with_diagnostics(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(stmt_names(&m.body), ["if", "d"]);
+        match &m.body[0] {
+            Stmt::If { body, .. } => assert_eq!(stmt_names(body), ["b", "c"]),
             other => panic!("{other:?}"),
         }
     }

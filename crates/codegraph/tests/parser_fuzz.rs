@@ -186,6 +186,31 @@ fn malformed_header_script(depth: usize, header: &str, body: &[u8]) -> String {
     out + &format!("{}after = 1\ntail = 2\n", pad(depth))
 }
 
+/// Well-formed block headers that [`bodyless_header_script`] leaves
+/// without an indented body.
+const BODYLESS_HEADERS: &[&str] = &["for x in xs:", "if x:", "def f(a):"];
+
+/// `before = 0`, a well-formed header with no indented body, then body
+/// lines of the kinds of [`malformed_header_script`] at the header's own
+/// depth, then `after = 1`, all nested `depth` levels deep in `if ok:`
+/// blocks, then `tail = 2` at top level.
+fn bodyless_header_script(depth: usize, header: &str, body: &[u8]) -> String {
+    let pad = |level: usize| "    ".repeat(level);
+    let mut out = String::new();
+    for level in 0..depth {
+        out += &format!("{}if ok:\n", pad(level));
+    }
+    out += &format!("{}before = 0\n{}{header}\n", pad(depth), pad(depth));
+    for kind in body {
+        out += &match kind % 3 {
+            0 => format!("{}b = 2\n", pad(depth)),
+            1 => format!("{}if ok:\n{}e = 5\n", pad(depth), pad(depth + 1)),
+            _ => format!("{}y = = 1\n", pad(depth)),
+        };
+    }
+    out + &format!("{}after = 1\ntail = 2\n", pad(depth))
+}
+
 /// Whether `stmt` assigns exactly `name`.
 fn assigns(stmt: &Stmt, name: &str) -> bool {
     matches!(stmt, Stmt::Assign { targets, .. } if targets.len() == 1 && targets[0] == name)
@@ -214,6 +239,47 @@ fn after_stays_in_its_block(src: &str, depth: usize) -> Result<(), String> {
     match block {
         [before, after] if assigns(before, "before") && assigns(after, "after") => Ok(()),
         other => Err(format!("{src:?}: header block {other:?}")),
+    }
+}
+
+/// Checks that the bodyless header is reported and dropped, and that its
+/// would-be body lines stay statements of the header's block: `before`,
+/// each `b = 2` and `if ok:` of `body` in order (the malformed lines are
+/// dropped), then `after`, nested `depth` levels deep, with `tail` after
+/// it at top level.
+fn body_lines_stay_in_the_block(src: &str, depth: usize, body: &[u8]) -> Result<(), String> {
+    let (module, diags) = parse_with_diagnostics(src);
+    if !diags.iter().any(|d| d.message == "expected indented block") {
+        return Err(format!("{src:?}: bodyless header not reported: {diags:?}"));
+    }
+    let Some((tail, mut block)) = module.body.split_last() else {
+        return Err(format!("{src:?}: empty module"));
+    };
+    if !assigns(tail, "tail") {
+        return Err(format!("{src:?}: top level ends in {tail:?}"));
+    }
+    for _ in 0..depth {
+        match block {
+            [Stmt::If { body, .. }] => block = body,
+            other => return Err(format!("{src:?}: expected one if, found {other:?}")),
+        }
+    }
+    let kept: Vec<u8> = body.iter().map(|k| k % 3).filter(|&k| k != 2).collect();
+    let (Some((first, rest)), Some(last)) = (block.split_first(), block.last()) else {
+        return Err(format!("{src:?}: empty header block"));
+    };
+    let middle = rest.get(..rest.len().saturating_sub(1)).unwrap_or_default();
+    let shape_holds = assigns(first, "before")
+        && assigns(last, "after")
+        && block.len() == kept.len() + 2
+        && middle.iter().zip(&kept).all(|(stmt, kind)| match kind {
+            0 => assigns(stmt, "b"),
+            _ => matches!(stmt, Stmt::If { .. }),
+        });
+    if shape_holds {
+        Ok(())
+    } else {
+        Err(format!("{src:?}: header block {block:?}"))
     }
 }
 
@@ -253,6 +319,10 @@ proptest! {
     ) {
         let script = malformed_header_script(depth, MALFORMED_HEADERS[header], &body);
         after_stays_in_its_block(&script, depth)?;
+        front_end_holds(script.as_bytes())?;
+        let header = BODYLESS_HEADERS[header % BODYLESS_HEADERS.len()];
+        let script = bodyless_header_script(depth, header, &body);
+        body_lines_stay_in_the_block(&script, depth, &body)?;
         front_end_holds(script.as_bytes())?;
     }
 

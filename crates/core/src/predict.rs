@@ -542,6 +542,39 @@ mod tests {
         }
     }
 
+    /// Degenerate tables — a header-only and a one-row document — answer
+    /// with the same typed outcome in memory and chunked, at chunk sizes
+    /// 1, 7 and whole, without panicking.
+    #[test]
+    fn degenerate_tables_answer_alike_in_memory_and_chunked() {
+        let artifact = trained_model();
+        let caps = {
+            use kgpip_hpo::Optimizer as _;
+            Flaml::new(0).capabilities()
+        };
+        for doc in ["a,b\n", "n,c,t\n1.5,x,one two three four five\n"] {
+            let frame = kgpip_tabular::csv::read_frame(doc).unwrap();
+            let dense = artifact.predict_table(&frame, Task::Binary, 3, &caps, 7);
+            for chunk_rows in [1, 7, usize::MAX] {
+                let chunked_frame = kgpip_tabular::ChunkedFrame::from_frame(&frame, chunk_rows);
+                let chunked =
+                    artifact.predict_table_chunked(&chunked_frame, Task::Binary, 3, &caps, 7);
+                match (&dense, &chunked) {
+                    (Ok((s1, n1)), Ok((s2, n2))) => {
+                        assert_eq!(n1, n2, "{doc:?} at chunk_rows {chunk_rows}");
+                        assert_eq!(s1.len(), s2.len());
+                        for ((a, g1), (b, g2)) in s1.iter().zip(s2) {
+                            assert_eq!(a, b);
+                            assert_eq!(g1.to_bits(), g2.to_bits());
+                        }
+                    }
+                    (Err(e1), Err(e2)) => assert_eq!(e1.to_string(), e2.to_string()),
+                    (d, c) => panic!("{doc:?} at chunk_rows {chunk_rows}: {d:?} vs {c:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_k_is_a_typed_error() {
         let model = trained_model();

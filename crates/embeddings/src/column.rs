@@ -12,7 +12,7 @@
 //!   of Mueller & Smola (2019) do for KGLac.
 //! * `[44, 48)` — column-kind indicator plus token-shape features.
 
-use kgpip_tabular::{fnv1a, Column, ColumnKind, ColumnStats};
+use kgpip_tabular::{fnv1a, gather_sample, Column, ColumnKind, ColumnStats};
 
 /// Dimensionality of column (and pooled table) embeddings.
 pub const EMBED_DIM: usize = 48;
@@ -21,11 +21,27 @@ const NGRAM_OFFSET: usize = 12;
 const NGRAM_DIMS: usize = 32;
 const KIND_OFFSET: usize = 44;
 
-/// Embeds a single column from its content.
+/// Embeds a single column from its content: the one-chunk case of the
+/// chunked column embedding, with every row as the sample.
 pub fn column_embedding(column: &Column) -> [f64; EMBED_DIM] {
-    let stats = ColumnStats::compute(column);
-    let strings = (0..column.len()).filter_map(|r| str_view(column, r));
-    column_embedding_parts(column.kind(), &stats, strings)
+    let rows: Vec<usize> = (0..column.len()).collect();
+    chunks_embedding(std::slice::from_ref(column), &rows)
+}
+
+/// Embeds a column held as row chunks: the statistics of
+/// [`ColumnStats::of_chunks`] and the trigram sketch over the string
+/// views of the `sample` rows (ascending global row indices), in row
+/// order. A sample of every row embeds the whole column.
+pub(crate) fn chunks_embedding(chunks: &[Column], sample: &[usize]) -> [f64; EMBED_DIM] {
+    let kind = chunks.first().map_or(ColumnKind::Numeric, Column::kind);
+    let stats = ColumnStats::of_chunks(chunks, sample);
+    // The numeric sketch never reads strings.
+    let strings = if kind == ColumnKind::Numeric {
+        Vec::new()
+    } else {
+        gather_sample(chunks, sample, str_view)
+    };
+    column_embedding_parts(kind, &stats, strings)
 }
 
 /// The string view of row `r` of a categorical or text column, borrowed
@@ -45,13 +61,11 @@ pub(crate) fn str_view(column: &Column, r: usize) -> Option<&str> {
 }
 
 /// Embeds a column from precomputed summary statistics plus a row-order
-/// iterator over its present string views. This is the shared core of
-/// [`column_embedding`] and the chunk-streaming sampled variant: the
-/// numeric sketch reads only `stats`, the trigram sketch folds over
-/// `strings` in the order given (numeric columns never read them).
-/// Feeding it `ColumnStats::compute` and the full row-order string
-/// sequence reproduces [`column_embedding`] to the bit; a chunked caller
-/// passes streamed stats and a bounded sample of string views instead.
+/// iterator over its present string views: the numeric sketch reads only
+/// `stats`, the trigram sketch folds over `strings` in the order given
+/// (numeric columns never read them). Feeding it `ColumnStats::compute`
+/// and the full row-order string sequence reproduces [`column_embedding`]
+/// to the bit.
 pub fn column_embedding_parts<I>(
     kind: ColumnKind,
     stats: &ColumnStats,

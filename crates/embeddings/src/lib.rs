@@ -11,7 +11,10 @@
 //! * [`column_embedding`] — a fixed-size dense vector per column computed
 //!   from actual values (distribution sketches for numerics, hashed
 //!   character n-grams for strings) — the KGLac substitute,
-//! * [`table_embedding`] — mean-pooled, L2-normalized table vectors,
+//! * [`table_embedding`] — mean-pooled, L2-normalized table vectors; one
+//!   pooling loop over column chunks and a row sample, of which the
+//!   in-memory [`table_embedding`] is the one-chunk, every-row case and
+//!   [`table_embedding_chunked`] the streamed one,
 //! * [`index::VectorIndex`] — tiered top-k cosine search (exact scan or
 //!   deterministic HNSW graph, both over one full-precision vector
 //!   block) — the FAISS substitute,

@@ -1,33 +1,28 @@
-//! Chunked columnar frames: the out-of-core substrate.
+//! Chunked columnar frames: the tabular substrate every reader produces.
 //!
 //! A [`ChunkedFrame`] holds each column as a sequence of fixed-size row
-//! chunks instead of one contiguous column. Every consumer that can fold
-//! over chunks (sampling, streamed statistics, table embeddings) avoids
-//! materializing the full column; [`ChunkedFrame::to_frame`] concatenates
-//! the chunks back into the exact [`DataFrame`] the in-memory reader would
-//! have produced — chunking changes what a stage *costs*, never what it
-//! *computes*.
+//! chunks instead of one contiguous column. The column computations —
+//! [`ColumnStats::of_chunks`](crate::ColumnStats::of_chunks), the distinct
+//! count, table embeddings — are written once over a column's chunks
+//! (`&[Column]`); an in-memory column is their one-chunk case.
+//! [`ChunkedFrame::into_frame`] concatenates the chunks back into a
+//! [`DataFrame`], moving a single chunk instead of copying it — chunking
+//! changes what a stage *costs*, never what it *computes*.
 //!
-//! Two deterministic primitives live here because every chunked consumer
-//! shares them:
+//! The deterministic sampling primitives live here because every chunked
+//! consumer shares them:
 //!
 //! * [`sample_rows`] — a seeded bottom-k row sample keyed by the *global*
 //!   row index, so the sampled set is identical at any chunk size and any
 //!   worker count, and equals the full row set whenever the table fits
 //!   under the bound (sampling degrades to the identity).
-//! * [`ChunkedFrame::column_stats_sampled`] — per-column summary stats
-//!   with moments accumulated chunk-by-chunk in row order. The fold
-//!   replays the exact floating-point operation sequence of
-//!   [`ColumnStats::compute`], so everything except the quantiles is
-//!   bit-identical to the in-memory stats at any chunk size; quantiles
-//!   come from the sample and are exact when the sample covers all rows.
+//! * [`gather_sample`] — the present views of the sampled rows of one
+//!   column, visited chunk by chunk in row order.
 
 use crate::column::{Column, ColumnKind};
 use crate::frame::DataFrame;
-use crate::stats::{mean_tokens, ColumnStats};
 use crate::Result;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A frame stored as per-column row chunks. Invariants: every column has
@@ -60,19 +55,18 @@ impl ChunkedFrame {
 
     /// Splits an in-memory frame into chunks of `chunk_rows` rows. The
     /// categorical dictionaries are shared, not copied, so
-    /// `from_frame(f, n).to_frame()` reproduces `f` bit-for-bit.
+    /// `from_frame(f, n).into_frame()` reproduces `f` bit-for-bit.
     pub fn from_frame(frame: &DataFrame, chunk_rows: usize) -> ChunkedFrame {
         let chunk_rows = chunk_rows.max(1);
         let rows = frame.num_rows();
-        let mut chunk_sizes = Vec::new();
-        let mut starts = Vec::new();
-        let mut at = 0usize;
-        while at < rows {
-            let len = chunk_rows.min(rows - at);
-            starts.push(at);
-            chunk_sizes.push(len);
-            at += len;
-        }
+        // A frame without rows keeps one empty chunk per column, so the
+        // column kinds survive the round trip.
+        let starts: Vec<usize> = if rows == 0 {
+            vec![0]
+        } else {
+            (0..rows).step_by(chunk_rows).collect()
+        };
+        let chunk_sizes: Vec<usize> = starts.iter().map(|&s| chunk_rows.min(rows - s)).collect();
         let columns = frame
             .columns()
             .iter()
@@ -115,17 +109,23 @@ impl ChunkedFrame {
         &self.names
     }
 
-    /// The chunks of column `c`, in chunk order.
+    /// The chunks of column `c`, in chunk order (none when `c` is out of
+    /// range).
     pub fn column_chunks(&self, c: usize) -> &[Column] {
-        &self.columns[c]
+        self.columns.get(c).map_or(&[], Vec::as_slice)
     }
 
-    /// Concatenates every column back into an in-memory [`DataFrame`] —
-    /// bit-identical to the frame the in-memory reader produces.
-    pub fn to_frame(&self) -> Result<DataFrame> {
+    /// Concatenates every column into an in-memory [`DataFrame`]. A column
+    /// of a single chunk moves into the frame as it is; more chunks are
+    /// joined by [`concat_column`].
+    pub fn into_frame(self) -> Result<DataFrame> {
         let mut frame = DataFrame::new();
-        for (name, chunks) in self.names.iter().zip(self.columns.iter()) {
-            frame.push(name.clone(), concat_column(chunks))?;
+        for (name, chunks) in self.names.into_iter().zip(self.columns) {
+            let column = match <[Column; 1]>::try_from(chunks) {
+                Ok([only]) => only,
+                Err(chunks) => concat_column(&chunks),
+            };
+            frame.push(name, column)?;
         }
         Ok(frame)
     }
@@ -133,16 +133,6 @@ impl ChunkedFrame {
     /// Seeded bottom-k sample of this frame's rows; see [`sample_rows`].
     pub fn sample(&self, bound: usize, seed: u64) -> Vec<usize> {
         sample_rows(self.rows, bound, seed)
-    }
-
-    /// Summary statistics of column `c` with moments accumulated
-    /// chunk-by-chunk and quantiles taken from `sample` (ascending global
-    /// row indices, e.g. from [`ChunkedFrame::sample`]). Bit-identical to
-    /// `ColumnStats::compute` on the concatenated column in every field
-    /// except `quantiles`, which are exact whenever the sample covers all
-    /// rows.
-    pub fn column_stats_sampled(&self, c: usize, sample: &[usize]) -> ColumnStats {
-        column_stats_streamed(&self.columns[c], self.rows, sample)
     }
 }
 
@@ -265,199 +255,34 @@ pub fn sample_rows(rows: usize, bound: usize, seed: u64) -> Vec<usize> {
     out
 }
 
-/// Streamed [`ColumnStats`]: one accumulator folded row-by-row through the
-/// chunks in chunk order. Because the fold visits rows in exactly the
-/// order `ColumnStats::compute` iterates the concatenated column, every
-/// floating-point operation sequence is identical — mean, std, min, max,
-/// skewness and kurtosis match to the bit at any chunk size. Quantiles
-/// need a sort, so they come from `sample` (ascending global row indices)
-/// and are exact when the sample covers all rows.
-fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> ColumnStats {
-    let kind = chunks
-        .first()
-        .map(|c| c.kind())
-        .unwrap_or(ColumnKind::Numeric);
-    let mut missing = 0usize;
-    for c in chunks {
-        missing += c.missing_count();
+/// The present views `view(chunk, local_row)` of the `sample` rows
+/// (ascending global row indices) of a column held as row `chunks`, in
+/// row order. With every row in the sample this is the whole column's
+/// views, as a scan of the concatenation would visit them.
+pub fn gather_sample<'c, T>(
+    chunks: &'c [Column],
+    sample: &[usize],
+    view: impl Fn(&'c Column, usize) -> Option<T>,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(sample.len());
+    let (mut rest, mut base) = (sample, 0usize);
+    for chunk in chunks {
+        let end = base + chunk.len();
+        let (here, tail) = rest.split_at(rest.partition_point(|&r| r < end));
+        out.extend(
+            here.iter()
+                .filter_map(|&r| view(chunk, r.checked_sub(base)?)),
+        );
+        (rest, base) = (tail, end);
     }
-    let cardinality = streamed_cardinality(chunks);
-
-    // Pass 1: count + sum, in row order (the same left fold as
-    // `values.iter().sum()`).
-    let mut n = 0usize;
-    let mut sum = 0.0f64;
-    let mut min = 0.0f64;
-    let mut max = 0.0f64;
-    for c in chunks {
-        for i in 0..c.len() {
-            if let Some(x) = c.as_f64(i) {
-                if n == 0 {
-                    min = x;
-                    max = x;
-                } else {
-                    // Strict `<` keeps the first-seen among ties and `>=`
-                    // the last-seen, matching the stable sort compute()
-                    // reads its min/max from.
-                    if x < min {
-                        min = x;
-                    }
-                    if x >= max {
-                        max = x;
-                    }
-                }
-                n += 1;
-                sum += x;
-            }
-        }
-    }
-
-    let (mean, std, skewness, kurtosis, quantiles) = if n == 0 {
-        (0.0, 0.0, 0.0, 0.0, [0.0f64; 5])
-    } else {
-        let nf = n as f64;
-        let mean = sum / nf;
-        // Pass 2: central moments, each its own row-order fold — the
-        // exact expression shapes of ColumnStats::compute.
-        let mut var_sum = 0.0f64;
-        for c in chunks {
-            for i in 0..c.len() {
-                if let Some(x) = c.as_f64(i) {
-                    var_sum += (x - mean).powi(2);
-                }
-            }
-        }
-        let var = var_sum / nf;
-        let std = var.sqrt();
-        let (skew, kurt) = if std > 1e-12 {
-            let mut m3_sum = 0.0f64;
-            for c in chunks {
-                for i in 0..c.len() {
-                    if let Some(x) = c.as_f64(i) {
-                        m3_sum += ((x - mean) / std).powi(3);
-                    }
-                }
-            }
-            let mut m4_sum = 0.0f64;
-            for c in chunks {
-                for i in 0..c.len() {
-                    if let Some(x) = c.as_f64(i) {
-                        m4_sum += ((x - mean) / std).powi(4);
-                    }
-                }
-            }
-            (m3_sum / nf, m4_sum / nf - 3.0)
-        } else {
-            (0.0, 0.0)
-        };
-        // Quantiles from the sampled rows, visited in ascending row order
-        // so a full-coverage sample reproduces compute()'s sort input.
-        let mut sampled: Vec<f64> = Vec::with_capacity(sample.len());
-        let mut cursor = sample.iter().peekable();
-        let mut base = 0usize;
-        for c in chunks {
-            let len = c.len();
-            while let Some(&&r) = cursor.peek() {
-                if r < base || r >= base + len {
-                    break;
-                }
-                if let Some(x) = c.as_f64(r - base) {
-                    sampled.push(x);
-                }
-                cursor.next();
-            }
-            base += len;
-        }
-        let quantiles = if sampled.is_empty() {
-            [0.0f64; 5]
-        } else {
-            sampled.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let q = |p: f64| -> f64 {
-                let idx = (p * (sampled.len() - 1) as f64).round() as usize;
-                sampled[idx.min(sampled.len() - 1)]
-            };
-            [q(0.1), q(0.3), q(0.5), q(0.7), q(0.9)]
-        };
-        (mean, std, skew, kurt, quantiles)
-    };
-
-    let mean_tokens = if kind == ColumnKind::Text {
-        mean_tokens(
-            chunks
-                .iter()
-                .flat_map(|c| match c {
-                    Column::Text(values) => values.as_slice(),
-                    _ => &[],
-                })
-                .flatten(),
-        )
-    } else {
-        0.0
-    };
-
-    ColumnStats {
-        kind,
-        len: rows,
-        missing,
-        cardinality,
-        mean,
-        std,
-        min,
-        max,
-        skewness,
-        kurtosis,
-        quantiles,
-        mean_tokens,
-    }
-}
-
-/// Exact distinct-count across chunks, matching `Column::cardinality` on
-/// the concatenation. The hash sets are used for membership only — the
-/// count is order-free.
-fn streamed_cardinality(chunks: &[Column]) -> usize {
-    let kind = chunks.first().map(|c| c.kind());
-    match kind {
-        None => 0,
-        Some(ColumnKind::Numeric) => {
-            let mut seen: HashSet<u64> = HashSet::new();
-            for c in chunks {
-                if let Column::Numeric(v) = c {
-                    for x in v.iter().flatten() {
-                        seen.insert(x.to_bits());
-                    }
-                }
-            }
-            seen.len()
-        }
-        Some(ColumnKind::Categorical) => {
-            let mut seen: HashSet<u32> = HashSet::new();
-            for c in chunks {
-                if let Column::Categorical { codes, .. } = c {
-                    for code in codes.iter().flatten() {
-                        seen.insert(*code);
-                    }
-                }
-            }
-            seen.len()
-        }
-        Some(ColumnKind::Text) => {
-            let mut seen: HashSet<&str> = HashSet::new();
-            for c in chunks {
-                if let Column::Text(v) = c {
-                    for s in v.iter().flatten() {
-                        seen.insert(s.as_str());
-                    }
-                }
-            }
-            seen.len()
-        }
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csv::read_frame;
+    use crate::ColumnStats;
 
     fn sample_frame() -> DataFrame {
         read_frame(
@@ -474,9 +299,12 @@ mod tests {
         for chunk_rows in [1, 2, 3, 100] {
             let cf = ChunkedFrame::from_frame(&f, chunk_rows);
             assert_eq!(cf.num_rows(), f.num_rows());
-            let back = cf.to_frame().unwrap();
+            let back = cf.into_frame().unwrap();
             assert_eq!(back.fingerprint(), f.fingerprint());
         }
+        let empty = f.take(&[]);
+        let back = ChunkedFrame::from_frame(&empty, 3).into_frame().unwrap();
+        assert_eq!(back.fingerprint(), empty.fingerprint(), "kinds of 0 rows");
     }
 
     #[test]
@@ -493,15 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn streamed_stats_match_compute_at_any_chunk_size() {
+    fn chunked_stats_match_the_compute_oracle_at_any_chunk_size() {
         let f = sample_frame();
         for chunk_rows in [1, 2, 3, 100] {
             let cf = ChunkedFrame::from_frame(&f, chunk_rows);
             let all: Vec<usize> = (0..f.num_rows()).collect();
-            for c in 0..f.num_columns() {
-                let exact = ColumnStats::compute(&f.columns()[c]);
-                let streamed = cf.column_stats_sampled(c, &all);
-                assert_eq!(streamed, exact, "column {c} at chunk_rows {chunk_rows}");
+            for (c, column) in f.columns().iter().enumerate() {
+                let exact = crate::stats::oracle::compute(column);
+                let chunked = ColumnStats::of_chunks(cf.column_chunks(c), &all);
+                assert_eq!(
+                    format!("{chunked:?}"),
+                    format!("{exact:?}"),
+                    "column {c} at chunk_rows {chunk_rows}"
+                );
             }
         }
     }

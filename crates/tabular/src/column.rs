@@ -156,30 +156,11 @@ impl Column {
         }
     }
 
-    /// Distinct non-missing value count. For numeric columns this scans the
-    /// data; for categorical it is the dictionary size restricted to codes in
-    /// use; for text it counts distinct strings.
+    /// Distinct non-missing value count: numeric values by bit pattern,
+    /// categorical codes in use, distinct text strings. The one-chunk case
+    /// of the chunked distinct count the column statistics use.
     pub fn cardinality(&self) -> usize {
-        match self {
-            Column::Numeric(v) => {
-                let mut seen: Vec<u64> = v.iter().filter_map(|x| x.map(f64::to_bits)).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                seen.len()
-            }
-            Column::Categorical { codes, .. } => {
-                let mut seen: Vec<u32> = codes.iter().filter_map(|c| *c).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                seen.len()
-            }
-            Column::Text(v) => {
-                let mut seen: Vec<&str> = v.iter().filter_map(|s| s.as_deref()).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                seen.len()
-            }
-        }
+        crate::stats::distinct_count(std::slice::from_ref(self))
     }
 
     /// The dictionary of a categorical column, if any.

@@ -4,8 +4,9 @@
 //! (paper §3.4–3.5: the dataset node "is assumed to flow into a read_csv
 //! call"), so the substrate provides an equivalent entry point:
 //! [`read_frame`] parses a CSV document and infers a typed [`DataFrame`]
-//! from its cells. The record scanner and field parser here are shared
-//! with the chunked reader in [`crate::stream`].
+//! from its cells. It is the chunked reader of [`crate::stream`] at its
+//! default options, collected into one frame; the record scanner and field
+//! parser here are that reader's.
 //!
 //! Both scan bytes, not chars. Every structural byte (`"`, `,`, `\r`,
 //! `\n`) is ASCII, and in UTF-8 an ASCII byte never occurs inside a
@@ -19,7 +20,7 @@
 
 use crate::error::TabularError;
 use crate::frame::DataFrame;
-use crate::infer::infer_column;
+use crate::stream::{read_chunked, ChunkedReadOptions};
 use crate::Result;
 use std::borrow::Cow;
 
@@ -309,40 +310,14 @@ pub(crate) fn ragged_row_error(index: usize, expected: usize, found: usize) -> T
 }
 
 /// Parses a CSV document with a header row and infers a typed
-/// [`DataFrame`] from it. Supports quoted fields with embedded commas,
-/// newlines, and doubled quotes; `\n`, `\r\n` and bare `\r` line endings
-/// are accepted. An empty unquoted cell is missing, a quoted `""` is a
-/// present empty string. Cells stay borrowed from `input` until typed
-/// decode — no per-cell `String` is allocated for unquoted fields.
+/// [`DataFrame`] from it: [`read_chunked`] at its default options, with
+/// the chunks collected into one frame. Supports quoted fields with
+/// embedded commas, newlines, and doubled quotes; `\n`, `\r\n` and bare
+/// `\r` line endings are accepted. An empty unquoted cell is missing, a
+/// quoted `""` is a present empty string. Duplicate headers get positional
+/// suffixes.
 pub fn read_frame(input: &str) -> Result<DataFrame> {
-    let spans = scan_records(input)?;
-    let mut iter = spans.into_iter();
-    let header_span = iter.next().ok_or(TabularError::Empty("csv document"))?;
-    let header = header_names(parse_span(input, header_span)?);
-    let mut rows = Vec::new();
-    for (i, span) in iter.enumerate() {
-        let row = parse_span(input, span)?;
-        if row.len() != header.len() {
-            return Err(ragged_row_error(i, header.len(), row.len()));
-        }
-        rows.push(row);
-    }
-    let mut frame = DataFrame::new();
-    for (c, header_name) in header.iter().enumerate() {
-        let values: Vec<Option<&str>> = rows
-            .iter()
-            .map(|row| row.get(c).and_then(Option::as_deref))
-            .collect();
-        let column = infer_column(&values);
-        // Duplicate headers get positional suffixes rather than failing;
-        // keep extending until unique (a file may already contain `a.1`).
-        let mut name = header_name.clone();
-        while frame.names().contains(&name) {
-            name = format!("{name}.{c}");
-        }
-        frame.push(name, column)?;
-    }
-    Ok(frame)
+    read_chunked(input, &ChunkedReadOptions::default())?.into_frame()
 }
 
 /// Serializes a frame to CSV with a header row. Missing cells render empty;
@@ -375,6 +350,51 @@ pub fn write_csv(frame: &DataFrame) -> String {
         out.push('\n');
     }
     out
+}
+
+/// The row-major reader [`read_frame`] replaced, verbatim, kept as an
+/// independent oracle for the chunked reader: every record parsed into
+/// its own row, each column typed by `infer::oracle::infer_column` over
+/// its cells. Frames must match it fingerprint for fingerprint and errors
+/// message for message.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{header_names, parse_span, ragged_row_error, scan_records};
+    use crate::error::TabularError;
+    use crate::frame::DataFrame;
+    use crate::infer::oracle::infer_column;
+    use crate::Result;
+
+    pub(crate) fn read_frame(input: &str) -> Result<DataFrame> {
+        let spans = scan_records(input)?;
+        let mut iter = spans.into_iter();
+        let header_span = iter.next().ok_or(TabularError::Empty("csv document"))?;
+        let header = header_names(parse_span(input, header_span)?);
+        let mut rows = Vec::new();
+        for (i, span) in iter.enumerate() {
+            let row = parse_span(input, span)?;
+            if row.len() != header.len() {
+                return Err(ragged_row_error(i, header.len(), row.len()));
+            }
+            rows.push(row);
+        }
+        let mut frame = DataFrame::new();
+        for (c, header_name) in header.iter().enumerate() {
+            let values: Vec<Option<&str>> = rows
+                .iter()
+                .map(|row| row.get(c).and_then(Option::as_deref))
+                .collect();
+            let column = infer_column(&values);
+            // Duplicate headers get positional suffixes rather than failing;
+            // keep extending until unique (a file may already contain `a.1`).
+            let mut name = header_name.clone();
+            while frame.names().contains(&name) {
+                name = format!("{name}.{c}");
+            }
+            frame.push(name, column)?;
+        }
+        Ok(frame)
+    }
 }
 
 #[cfg(test)]
@@ -795,5 +815,117 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 3);
+    }
+}
+
+/// Byte fuzz of the CSV reader against the row-major oracle.
+///
+/// Starting from valid seed documents (quoted fields with embedded
+/// commas, newlines and doubled quotes; `\n`, `\r\n` and bare `\r`
+/// endings; multi-byte text; missing markers; numeric, categorical and
+/// text columns), each case applies random byte flips, a truncation, or
+/// inserted quotes, commas and line breaks. The mutated bytes are read
+/// back through `from_utf8_lossy`. [`read_frame`] and
+/// [`read_chunked`](crate::read_chunked), at chunk sizes {1, 7, whole} ×
+/// bounded {false, true}, must then agree with `oracle::read_frame`: both
+/// `Ok` with equal fingerprints, or both the same `TabularError`. Neither
+/// may panic.
+#[cfg(test)]
+mod fuzz {
+    use super::{oracle, read_frame};
+    use crate::{read_chunked, ChunkedReadOptions};
+    use proptest::prelude::*;
+
+    const SEEDS: [&str; 4] = [
+        "x,city,note,flag\n1.5,paris,\"alpha, beta\",NA\n2.5,lyon,short,?\n\
+         NA,paris,\"he said \"\"hi\"\"\",\n4.5,nice,\"two\nlines\",null\n",
+        "id,score,label\r\n1,0.25,yes\r\n2,,no\r\n3,1e3,\"\"\r\n4,-7,yes\r\n",
+        "a,b\rcafé,1\r日本,2\r🙂 smile,N/A\r,\r",
+        "n,t\n1,one two three four five\n2,six seven eight nine ten\n\
+         x,eleven twelve\n3,\"q \"\"uoted\"\" words here now\"\n",
+    ];
+
+    /// Bytes the insertion property splices in: structure and its escapes.
+    const INSERTS: [&[u8]; 6] = [b"\"", b"\"\"", b",", b"\n", b"\r", b"\r\n"];
+
+    /// Reads `bytes` (lossily decoded) with the oracle, with `read_frame`
+    /// and with the chunked reader at every chunk size × memory mode, and
+    /// requires the same outcome.
+    fn readers_agree(bytes: &[u8]) -> Result<(), String> {
+        let text = String::from_utf8_lossy(bytes);
+        let expected = oracle::read_frame(&text).map(|f| f.fingerprint());
+        let got = read_frame(&text).map(|f| f.fingerprint());
+        if got != expected {
+            return Err(format!("{text:?}: oracle {expected:?}, read_frame {got:?}"));
+        }
+        for chunk_rows in [1usize, 7, 1_000_000] {
+            for bounded_memory in [false, true] {
+                let opts = ChunkedReadOptions {
+                    chunk_rows,
+                    parallelism: 1,
+                    bounded_memory,
+                };
+                let got = read_chunked(&text, &opts)
+                    .and_then(|f| f.into_frame().map(|f| f.fingerprint()));
+                if got != expected {
+                    return Err(format!(
+                        "{text:?}: chunk_rows={chunk_rows} bounded={bounded_memory}: \
+                         oracle {expected:?}, read_chunked {got:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Position `at` ∈ [0, 1) scaled onto `0..=len`.
+    fn scaled(at: f64, len: usize) -> usize {
+        ((len as f64 * at) as usize).min(len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn byte_flips_read_like_the_oracle(
+            which in 0usize..SEEDS.len(),
+            flips in proptest::collection::vec((0.0f64..1.0, 1u32..256), 1..6),
+        ) {
+            let mut bytes = SEEDS[which].as_bytes().to_vec();
+            for (at, mask) in flips {
+                let i = scaled(at, bytes.len() - 1);
+                bytes[i] ^= mask as u8;
+            }
+            readers_agree(&bytes)?;
+        }
+
+        #[test]
+        fn truncations_read_like_the_oracle(which in 0usize..SEEDS.len(), keep in 0.0f64..1.0) {
+            let bytes = SEEDS[which].as_bytes();
+            readers_agree(&bytes[..scaled(keep, bytes.len())])?;
+        }
+
+        #[test]
+        fn inserted_structure_reads_like_the_oracle(
+            which in 0usize..SEEDS.len(),
+            inserts in proptest::collection::vec((0.0f64..1.0, 0usize..INSERTS.len()), 1..5),
+        ) {
+            let mut bytes = SEEDS[which].as_bytes().to_vec();
+            for (at, piece) in inserts {
+                let i = scaled(at, bytes.len());
+                bytes.splice(i..i, INSERTS[piece].iter().copied());
+            }
+            readers_agree(&bytes)?;
+        }
+    }
+
+    /// The fuzz starts from valid inputs: every seed reads, with rows.
+    #[test]
+    fn unmutated_seeds_read_like_the_oracle() {
+        for seed in SEEDS {
+            let frame = read_frame(seed).unwrap();
+            assert!(frame.num_rows() >= 4, "{seed:?}");
+            readers_agree(seed.as_bytes()).unwrap();
+        }
     }
 }

@@ -11,17 +11,19 @@
 //! * [`Column`] — typed columns (numeric, categorical with a dictionary,
 //!   free text) with missing-value support,
 //! * [`DataFrame`] — an ordered collection of named columns,
-//! * [`csv`] — a small RFC-4180-style reader/writer,
-//! * [`infer`] — column-type and task-type inference,
+//! * [`csv`] — a small RFC-4180-style reader/writer; [`csv::read_frame`]
+//!   is the chunked reader collected into one frame,
+//! * [`infer`] — column-type and task-type inference rules,
 //! * [`split`] — train/test and (stratified) k-fold splitting,
 //! * [`stats`] — column summary statistics shared by the dataset-embedding
-//!   and meta-feature components,
+//!   and meta-feature components: one fold over a column's row chunks,
+//!   an in-memory column being its one-chunk case,
 //! * [`parallel`] — the [`effective_parallelism`] worker-count clamp every
 //!   rayon entry point in the workspace consults,
-//! * [`chunk`] — [`ChunkedFrame`], the out-of-core chunked columnar
-//!   substrate with deterministic row sampling and streamed statistics,
-//! * [`stream`] — chunk-parallel CSV ingest, bit-identical to the
-//!   in-memory reader at any chunk size × worker count,
+//! * [`chunk`] — [`ChunkedFrame`], the chunked columnar substrate with
+//!   deterministic row sampling,
+//! * [`stream`] — chunk-parallel CSV ingest, the one CSV reader, whose
+//!   frames are identical at any chunk size × worker count,
 //! * [`Dataset`] — a feature frame plus a supervised target.
 //!
 //! Everything is deterministic given an RNG seed; nothing performs I/O
@@ -42,12 +44,12 @@ pub mod split;
 pub mod stats;
 pub mod stream;
 
-pub use chunk::{concat_column, row_priority, sample_rows, ChunkedFrame};
+pub use chunk::{concat_column, gather_sample, row_priority, sample_rows, ChunkedFrame};
 pub use column::{Column, ColumnKind};
 pub use dataset::{Dataset, Task};
 pub use error::TabularError;
 pub use frame::DataFrame;
-pub use infer::{infer_column, infer_task};
+pub use infer::infer_task;
 pub use parallel::effective_parallelism;
 pub use split::{kfold, stratified_kfold, train_test_split};
 pub use stats::{fnv1a, ColumnStats};

@@ -6,8 +6,20 @@
 //! * the meta-features used by the Auto-Sklearn-style warm start and the AL
 //!   baseline (paper §2 "Dataset embeddings" discusses meta-features such as
 //!   the number of numerical attributes or skewness).
+//!
+//! There is one fold, [`ColumnStats::of_chunks`], over a column held as
+//! row chunks: the moments, extremes and distinct count read every row in
+//! row order, the quantiles read a row sample. An in-memory column is its
+//! one-chunk case: [`ColumnStats::compute`] passes
+//! `std::slice::from_ref(column)` with every row as the sample. The fold
+//! gathers each column's present numeric views once from the typed slices
+//! and counts distinct values by sort and dedup. Its sums are
+//! `Iterator::sum`, which starts at −0.0, so a column whose present values
+//! are all `-0` has mean −0.0 however it is chunked.
 
+use crate::chunk::gather_sample;
 use crate::column::{Column, ColumnKind};
+use std::cmp::Ordering;
 
 /// 64-bit FNV-1a hash — the workspace's canonical cheap string hash
 /// (feature hashing, n-gram buckets, deterministic synthetic seeds).
@@ -50,12 +62,209 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Computes statistics for a column.
+    /// Computes statistics for a column: the one-chunk case of
+    /// [`ColumnStats::of_chunks`], with every row as the sample.
     pub fn compute(column: &Column) -> ColumnStats {
+        let rows: Vec<usize> = (0..column.len()).collect();
+        ColumnStats::of_chunks(std::slice::from_ref(column), &rows)
+    }
+
+    /// Statistics of a column held as row chunks (`chunks` in row order).
+    /// Every field but `quantiles` reads every row, so none depends on the
+    /// chunk layout. The quantiles read the rows of `sample` (ascending
+    /// global row indices, e.g. from [`crate::ChunkedFrame::sample`]); a
+    /// sample as long as the column covers every row, and then they are
+    /// exact.
+    pub fn of_chunks(chunks: &[Column], sample: &[usize]) -> ColumnStats {
+        let kind = chunks.first().map_or(ColumnKind::Numeric, Column::kind);
+        let len: usize = chunks.iter().map(Column::len).sum();
+        let mut values: Vec<f64> = Vec::new();
+        for chunk in chunks {
+            match chunk {
+                Column::Numeric(v) => values.extend(v.iter().flatten()),
+                Column::Categorical { codes, .. } => {
+                    values.extend(codes.iter().flatten().map(|&code| f64::from(code)))
+                }
+                Column::Text(_) => {}
+            }
+        }
+
+        let (mean, std, min, max, skewness, kurtosis, quantiles) = match values.first() {
+            None => (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0; 5]),
+            Some(&first) => {
+                let n = values.len() as f64;
+                let mean = values.iter().sum::<f64>() / n;
+                let var = values.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+                let std = var.sqrt();
+                let (skew, kurt) = if std > 1e-12 {
+                    let m3 = values
+                        .iter()
+                        .map(|x| ((x - mean) / std).powi(3))
+                        .sum::<f64>()
+                        / n;
+                    let m4 = values
+                        .iter()
+                        .map(|x| ((x - mean) / std).powi(4))
+                        .sum::<f64>()
+                        / n;
+                    (m3, m4 - 3.0)
+                } else {
+                    (0.0, 0.0)
+                };
+                // Strict `<` keeps the first-seen of equal minima and `>=`
+                // the last-seen of equal maxima: the two ends of a stable
+                // sort of every value.
+                let (min, max) = values.iter().fold((first, first), |(lo, hi), &x| {
+                    (if x < lo { x } else { lo }, if x >= hi { x } else { hi })
+                });
+                let mut sorted = if sample.len() == len {
+                    values
+                } else {
+                    gather_sample(chunks, sample, Column::as_f64)
+                };
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+                let last = sorted.len().saturating_sub(1);
+                let q = |p: f64| -> f64 {
+                    let idx = (p * last as f64).round() as usize;
+                    sorted.get(idx).copied().unwrap_or(0.0)
+                };
+                let quantiles = [q(0.1), q(0.3), q(0.5), q(0.7), q(0.9)];
+                (mean, std, min, max, skew, kurt, quantiles)
+            }
+        };
+
+        let mean_tokens = if kind == ColumnKind::Text {
+            let (mut tokens, mut present) = (0usize, 0usize);
+            for chunk in chunks {
+                if let Column::Text(v) = chunk {
+                    for s in v.iter().flatten() {
+                        tokens += s.split_whitespace().count();
+                        present += 1;
+                    }
+                }
+            }
+            if present > 0 {
+                tokens as f64 / present as f64
+            } else {
+                0.0
+            }
+        } else {
+            0.0
+        };
+
+        ColumnStats {
+            kind,
+            len,
+            missing: chunks.iter().map(Column::missing_count).sum(),
+            cardinality: distinct_count(chunks),
+            mean,
+            std,
+            min,
+            max,
+            skewness,
+            kurtosis,
+            quantiles,
+            mean_tokens,
+        }
+    }
+
+    /// Fraction of missing values.
+    pub fn missing_ratio(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.missing as f64 / self.len as f64
+        }
+    }
+}
+
+/// Distinct present values of a column held as row chunks, counted by sort
+/// and dedup: numeric values by bit pattern (`-0` and `0` differ),
+/// categorical codes, text strings. Chunks of another kind than the first
+/// hold none of the first kind's values and are skipped.
+pub(crate) fn distinct_count(chunks: &[Column]) -> usize {
+    fn count<T: Ord>(mut keys: Vec<T>) -> usize {
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
+    }
+    match chunks.first().map(Column::kind) {
+        None => 0,
+        Some(ColumnKind::Numeric) => count(
+            chunks
+                .iter()
+                .flat_map(|c| match c {
+                    Column::Numeric(v) => v.as_slice(),
+                    _ => &[],
+                })
+                .flatten()
+                .map(|x| x.to_bits())
+                .collect(),
+        ),
+        Some(ColumnKind::Categorical) => count(
+            chunks
+                .iter()
+                .flat_map(|c| match c {
+                    Column::Categorical { codes, .. } => codes.as_slice(),
+                    _ => &[],
+                })
+                .flatten()
+                .collect(),
+        ),
+        Some(ColumnKind::Text) => count(
+            chunks
+                .iter()
+                .flat_map(|c| match c {
+                    Column::Text(v) => v.as_slice(),
+                    _ => &[],
+                })
+                .filter_map(Option::as_deref)
+                .collect(),
+        ),
+    }
+}
+
+/// The in-memory fold [`ColumnStats::of_chunks`] replaced, verbatim, kept
+/// as an independent oracle: a column's stats reading it through
+/// `as_f64` one index at a time, a distinct count per kind, and moments
+/// over the collected values. The one fold must match it to the bit
+/// (compared by `Debug` or `to_bits`, never by `PartialEq`, which hides the
+/// sign of zero) on every column, at every chunk size, under full
+/// coverage.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::ColumnStats;
+    use crate::column::Column;
+
+    fn cardinality(column: &Column) -> usize {
+        match column {
+            Column::Numeric(v) => {
+                let mut seen: Vec<u64> = v.iter().filter_map(|x| x.map(f64::to_bits)).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len()
+            }
+            Column::Categorical { codes, .. } => {
+                let mut seen: Vec<u32> = codes.iter().filter_map(|c| *c).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len()
+            }
+            Column::Text(v) => {
+                let mut seen: Vec<&str> = v.iter().filter_map(|s| s.as_deref()).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len()
+            }
+        }
+    }
+
+    /// `ColumnStats::compute` as it was before the fold was shared.
+    pub(crate) fn compute(column: &Column) -> ColumnStats {
         let len = column.len();
         let missing = column.missing_count();
-        let cardinality = column.cardinality();
-        let values = column.numeric_values();
+        let cardinality = cardinality(column);
+        let values: Vec<f64> = (0..len).filter_map(|i| column.as_f64(i)).collect();
 
         let (mean, std, min, max, skewness, kurtosis, quantiles) = if values.is_empty() {
             (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0; 5])
@@ -98,7 +307,18 @@ impl ColumnStats {
         };
 
         let mean_tokens = match column {
-            Column::Text(values) => mean_tokens(values.iter().flatten()),
+            Column::Text(values) => {
+                let (mut token_sum, mut count) = (0usize, 0usize);
+                for s in values.iter().flatten() {
+                    token_sum += s.split_whitespace().count();
+                    count += 1;
+                }
+                if count > 0 {
+                    token_sum as f64 / count as f64
+                } else {
+                    0.0
+                }
+            }
             _ => 0.0,
         };
 
@@ -116,31 +336,6 @@ impl ColumnStats {
             quantiles,
             mean_tokens,
         }
-    }
-
-    /// Fraction of missing values.
-    pub fn missing_ratio(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.missing as f64 / self.len as f64
-        }
-    }
-}
-
-/// Mean whitespace-token count over the present cells of a text column
-/// (0 when there are none) — an exact integer fold, so any cell order
-/// gives the same result.
-pub(crate) fn mean_tokens<'s>(cells: impl Iterator<Item = &'s String>) -> f64 {
-    let (mut token_sum, mut count) = (0usize, 0usize);
-    for s in cells {
-        token_sum += s.split_whitespace().count();
-        count += 1;
-    }
-    if count > 0 {
-        token_sum as f64 / count as f64
-    } else {
-        0.0
     }
 }
 
@@ -218,5 +413,91 @@ mod tests {
         let s = ColumnStats::compute(&c);
         assert_eq!(s.len, 0);
         assert_eq!(s.missing_ratio(), 0.0);
+    }
+
+    /// `Debug` of stats: every float to the bit, sign of zero included
+    /// (`PartialEq` would equate `-0.0` and `0.0`).
+    fn bits(stats: &ColumnStats) -> String {
+        format!("{stats:?}")
+    }
+
+    /// Every column of `frame` at chunk sizes 1, 7 and whole, with every
+    /// row as the sample, against the oracle; and `compute`, the
+    /// one-chunk case.
+    fn assert_matches_oracle(frame: &crate::DataFrame, what: &str) {
+        let all: Vec<usize> = (0..frame.num_rows()).collect();
+        for (c, column) in frame.columns().iter().enumerate() {
+            let expected = bits(&oracle::compute(column));
+            assert_eq!(
+                bits(&ColumnStats::compute(column)),
+                expected,
+                "{what}: column {c}"
+            );
+            for chunk_rows in [1, 7, usize::MAX] {
+                let cf = crate::ChunkedFrame::from_frame(frame, chunk_rows);
+                assert_eq!(
+                    bits(&ColumnStats::of_chunks(cf.column_chunks(c), &all)),
+                    expected,
+                    "{what}: column {c} at chunk_rows {chunk_rows}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// With the sample covering every row, the fold reproduces the
+        /// oracle's statistics — same floating-point operation sequence,
+        /// same bits — at every chunk size.
+        #[test]
+        fn chunked_stats_match_the_oracle_under_full_coverage(
+            values in proptest::collection::vec(proptest::option::of(-1e6f64..1e6), 1..60),
+        ) {
+            let col = Column::numeric(values.clone());
+            let exact = bits(&oracle::compute(&col));
+            let frame = crate::DataFrame::from_columns(vec![("v".to_string(), col)]).unwrap();
+            for chunk_rows in [1, 7, 64, 1_000_000] {
+                let cf = crate::ChunkedFrame::from_frame(&frame, chunk_rows);
+                let sample = cf.sample(values.len(), 0);
+                let chunked = bits(&ColumnStats::of_chunks(cf.column_chunks(0), &sample));
+                proptest::prop_assert_eq!(&exact, &chunked, "chunk_rows={}", chunk_rows);
+            }
+        }
+    }
+
+    /// `Iterator::sum` starts at −0.0, so a column whose present values
+    /// are all `-0` has mean −0.0 — in the oracle and in the fold at every
+    /// chunk size (a fold starting at +0.0 would report +0.0).
+    #[test]
+    fn an_all_negative_zero_column_keeps_its_sign_like_the_oracle() {
+        let frame = crate::csv::read_frame("x\n-0\n-0.0\n\n").unwrap();
+        let stats = oracle::compute(frame.column_at(0));
+        assert_eq!(stats.mean.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(stats.cardinality, 1);
+        assert_matches_oracle(&frame, "all -0");
+    }
+
+    /// The degenerate inputs: read through `read_frame` (which must match
+    /// the row-major oracle), every column's statistics must match the
+    /// oracle fold to the bit.
+    #[test]
+    fn degenerate_inputs_match_the_oracle() {
+        for (what, doc) in [
+            ("header-only", "a,b\n"),
+            ("one-row", "n,c,t\n1.5,x,one two three four five\n"),
+            ("all-missing column", "m,v\n,1\nNA,2\n,3\n"),
+            ("constant column", "k,v\n7,1\n7,2\n7,3\n"),
+            ("all -0 column", "x\n-0\n-0.0\n\n"),
+            (
+                "one-value text column",
+                "t,v\nthe quick brown fox jumps,1\nthe quick brown fox jumps,2\n",
+            ),
+        ] {
+            let frame = crate::csv::read_frame(doc).unwrap();
+            let expected = crate::csv::oracle::read_frame(doc).unwrap();
+            assert_eq!(frame.fingerprint(), expected.fingerprint(), "{what}");
+            assert_matches_oracle(&frame, what);
+        }
     }
 }

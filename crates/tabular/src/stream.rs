@@ -1,12 +1,13 @@
-//! Streaming chunked CSV ingest.
+//! Streaming chunked CSV ingest: the one CSV reader.
 //!
 //! [`read_chunked`] parses a CSV document into a [`ChunkedFrame`] in
-//! fixed-size row chunks on a clamped rayon pool, bit-identical to
-//! [`crate::csv::read_frame`] at any chunk size × worker count:
+//! fixed-size row chunks on a clamped rayon pool; the frame is identical
+//! at any chunk size × worker count. [`crate::csv::read_frame`] is this
+//! reader at its default options, collected into one frame. The scheme:
 //!
 //! 1. a sequential quote-aware byte scan locates record boundaries (cheap:
-//!    no field is materialized) and surfaces every structural error at the
-//!    same source line the in-memory reader reports;
+//!    no field is materialized) and surfaces every structural error with
+//!    its source line;
 //! 2. **pass 1** parses each chunk of records on the pool and reduces it
 //!    to per-column accumulators: the present count and the
 //!    numeric/marker lattice flags. The token sum and the
@@ -19,9 +20,9 @@
 //!    that skipped them — from the resident cells, or by re-parsing just
 //!    those chunks in bounded mode. Numeric columns, the common case,
 //!    never build a distinct list at all;
-//! 4. the accumulators meet in chunk order, which reproduces
-//!    `infer_column`'s decisions exactly (the distinct lists merge into
-//!    the global first-appearance dictionary, built only for categorical
+//! 4. the accumulators meet in chunk order and decide each column's type
+//!    by the rules in [`crate::infer`] (the distinct lists merge into the
+//!    global first-appearance dictionary, built only for categorical
 //!    columns);
 //! 5. **pass 2** decodes each chunk into typed [`Column`]s under the
 //!    decided kinds, all categorical chunks sharing one dictionary `Arc`;
@@ -34,6 +35,10 @@
 //! source). The default mode parses once and keeps the borrowed cells
 //! between passes — cells are slices into the input, so this costs
 //! pointers, not string copies.
+//!
+//! The row-major reader this one replaced survives as the test oracle
+//! `csv::oracle::read_frame`; frames and errors match it at every chunk
+//! size × worker count × memory mode.
 
 use crate::chunk::ChunkedFrame;
 use crate::column::Column;
@@ -95,7 +100,7 @@ pub struct IngestReport {
     pub peak_resident_chunks: usize,
 }
 
-/// The inputs `infer_column` reads only for non-numeric columns, over one
+/// The inputs the type rules read only for non-numeric columns, over one
 /// column of one chunk.
 struct Details<'a> {
     /// Whitespace tokens across the present cells.
@@ -105,7 +110,7 @@ struct Details<'a> {
 }
 
 /// Per-column accumulator a chunk reduces to in pass 1. Merging these in
-/// chunk order reproduces `infer_column`'s decision inputs exactly.
+/// chunk order yields the column's type-decision inputs exactly.
 struct ColAcc<'a> {
     present: usize,
     all_num_or_marker: bool,
@@ -129,7 +134,7 @@ enum KindDecision<'s> {
 
 /// Parses one chunk of record spans into one cell buffer and ragged-checks
 /// it. `base` is the global index of the chunk's first data record (for
-/// error parity with the in-memory reader).
+/// the ragged-row error's line).
 fn parse_chunk<'a>(
     input: &'a str,
     spans: &[RecordSpan],
@@ -217,8 +222,8 @@ fn accumulate<'a>(cells: &[Cell<'a>], ncols: usize) -> Vec<ColAcc<'a>> {
         .collect()
 }
 
-/// Whether the merged flags of column `c` decide it numeric — exactly
-/// `infer_column`'s numeric branch (an all-missing column is numeric).
+/// Whether the merged flags of column `c` decide it numeric (an
+/// all-missing column is numeric).
 fn merged_numeric(chunk_accs: &[Vec<ColAcc<'_>>], c: usize) -> bool {
     let (mut present, mut all_num, mut any_real) = (0usize, true, false);
     for a in chunk_accs.iter().filter_map(|accs| accs.get(c)) {
@@ -229,8 +234,8 @@ fn merged_numeric(chunk_accs: &[Vec<ColAcc<'_>>], c: usize) -> bool {
     present == 0 || (all_num && any_real)
 }
 
-/// Merges chunk accumulators (in chunk order) and takes `infer_column`'s
-/// decision per column, building the shared dictionary for categoricals.
+/// Merges chunk accumulators (in chunk order) and decides each column's
+/// type, building the shared dictionary for categoricals.
 /// Every non-numeric column must have its details backfilled.
 fn decide<'s>(ncols: usize, chunk_accs: &'s [Vec<ColAcc<'_>>]) -> Vec<KindDecision<'s>> {
     (0..ncols)
@@ -305,9 +310,8 @@ where
 }
 
 /// Reads a CSV document into a [`ChunkedFrame`]; see the module docs for
-/// the two-pass scheme. `to_frame()` of the result is bit-identical to
-/// [`crate::csv::read_frame`] on the same input at any chunk size and
-/// worker count.
+/// the two-pass scheme. `into_frame()` of the result is the same frame at
+/// any chunk size and worker count.
 pub fn read_chunked(input: &str, opts: &ChunkedReadOptions) -> Result<ChunkedFrame> {
     read_chunked_with_report(input, opts).map(|(frame, _)| frame)
 }
@@ -444,7 +448,8 @@ pub fn read_chunked_with_report(
         }
     }
 
-    // Duplicate headers get the same positional suffixes read_frame applies.
+    // Duplicate headers get positional suffixes rather than failing; keep
+    // extending until unique (a file may already contain `a.1`).
     let mut names: Vec<String> = Vec::with_capacity(ncols);
     for (c, base_name) in header.into_iter().enumerate() {
         let mut name = base_name;
@@ -467,24 +472,35 @@ pub fn read_chunked_with_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::read_frame;
+    use crate::csv::oracle::read_frame as oracle;
+    use proptest::prelude::*;
 
     const DOC: &str = "x,city,note,empty\n1.5,paris,\"alpha, beta\",\n2.5,lyon,short,\n\
                        NA,paris,\"he said \"\"hi\"\"\",\n4.5,nice,words words words words words,\n\
                        5.5,lyon,tail text,\n";
 
+    /// Chunk sizes swept by the properties: single-row, small-prime,
+    /// medium, and whole-file-in-one-chunk.
+    const CHUNK_SIZES: [usize; 4] = [1, 7, 64, 1_000_000];
+
+    fn opts(chunk_rows: usize, parallelism: usize, bounded_memory: bool) -> ChunkedReadOptions {
+        ChunkedReadOptions {
+            chunk_rows,
+            parallelism,
+            bounded_memory,
+        }
+    }
+
     #[test]
-    fn chunked_matches_read_frame_at_every_chunk_size() {
-        let expected = read_frame(DOC).unwrap();
+    fn chunked_matches_the_oracle_at_every_chunk_size() {
+        let expected = oracle(DOC).unwrap();
         for chunk_rows in [1, 2, 3, 100] {
             for parallelism in [1, 2, 4] {
                 for bounded in [false, true] {
-                    let opts = ChunkedReadOptions {
-                        chunk_rows,
-                        parallelism,
-                        bounded_memory: bounded,
-                    };
-                    let frame = read_chunked(DOC, &opts).unwrap().to_frame().unwrap();
+                    let frame = read_chunked(DOC, &opts(chunk_rows, parallelism, bounded))
+                        .unwrap()
+                        .into_frame()
+                        .unwrap();
                     assert_eq!(
                         frame.fingerprint(),
                         expected.fingerprint(),
@@ -493,16 +509,15 @@ mod tests {
                 }
             }
         }
+        assert_eq!(
+            crate::csv::read_frame(DOC).unwrap().fingerprint(),
+            expected.fingerprint()
+        );
     }
 
     #[test]
     fn bounded_mode_caps_resident_chunks() {
-        let opts = ChunkedReadOptions {
-            chunk_rows: 1,
-            parallelism: 1,
-            bounded_memory: true,
-        };
-        let (_, report) = read_chunked_with_report(DOC, &opts).unwrap();
+        let (_, report) = read_chunked_with_report(DOC, &opts(1, 1, true)).unwrap();
         assert_eq!(report.rows, 5);
         assert_eq!(report.chunks, 5);
         assert!(
@@ -512,36 +527,185 @@ mod tests {
     }
 
     #[test]
-    fn errors_match_the_in_memory_reader() {
-        for bad in ["a,b\n1\n", "a\n\"oops\n", "a\nx\"y\"\n"] {
-            let seq = read_frame(bad).unwrap_err().to_string();
-            let chk = read_chunked(bad, &ChunkedReadOptions::default())
+    fn errors_match_the_oracle() {
+        for bad in ["a,b\n1\n", "a\n\"oops\n", "a\nx\"y\"\n", ""] {
+            let expected = oracle(bad).unwrap_err().to_string();
+            let got = read_chunked(bad, &ChunkedReadOptions::default())
                 .unwrap_err()
                 .to_string();
-            assert_eq!(seq, chk, "input {bad:?}");
+            assert_eq!(expected, got, "input {bad:?}");
         }
-        assert!(read_chunked("", &ChunkedReadOptions::default()).is_err());
     }
 
     #[test]
-    fn duplicate_headers_suffix_like_read_frame() {
+    fn duplicate_headers_suffix_like_the_oracle() {
         let doc = "a,a.1,a\n1,2,3\n";
-        let expected = read_frame(doc).unwrap();
         let frame = read_chunked(doc, &ChunkedReadOptions::default())
             .unwrap()
-            .to_frame()
+            .into_frame()
             .unwrap();
-        assert_eq!(frame.names(), expected.names());
+        assert_eq!(frame.names(), oracle(doc).unwrap().names());
     }
 
     #[test]
-    fn header_only_document_yields_empty_typed_frame() {
-        let expected = read_frame("a,b\n").unwrap();
+    fn header_only_document_matches_the_oracle() {
         let frame = read_chunked("a,b\n", &ChunkedReadOptions::default())
             .unwrap()
-            .to_frame()
+            .into_frame()
             .unwrap();
-        assert_eq!(frame.fingerprint(), expected.fingerprint());
+        assert_eq!(frame.fingerprint(), oracle("a,b\n").unwrap().fingerprint());
         assert_eq!(frame.num_rows(), 0);
+    }
+
+    /// RFC-4180-quotes a cell, doubling embedded quotes.
+    fn quote(cell: &str) -> String {
+        format!("\"{}\"", cell.replace('"', "\"\""))
+    }
+
+    /// Builds a CSV document from generated cells: `cols` named header
+    /// fields, one line per row, present cells quoted (so commas and quotes
+    /// inside them are data, not structure), missing cells empty.
+    fn doc(cols: usize, rows: &[Vec<Option<String>>]) -> String {
+        let mut text = (0..cols)
+            .map(|j| format!("h{j}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        text.push('\n');
+        for row in rows {
+            let line = row
+                .iter()
+                .take(cols)
+                .map(|c| c.as_deref().map(quote).unwrap_or_default())
+                .collect::<Vec<_>>()
+                .join(",");
+            text.push_str(&line);
+            text.push('\n');
+        }
+        text
+    }
+
+    /// Generated grid of optional printable-ASCII cells (width 4; `doc`
+    /// truncates to the generated column count).
+    fn cells() -> impl Strategy<Value = Vec<Vec<Option<String>>>> {
+        proptest::collection::vec(
+            proptest::collection::vec(proptest::option::of("[ -~]{0,10}"), 4),
+            0..25,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Chunked ingest is bit-identical to the row-major oracle at
+        /// every chunk size × parallelism × memory mode, and bounded mode
+        /// honours its residency cap.
+        #[test]
+        fn chunked_ingest_matches_the_oracle(cols in 1usize..4, rows in cells()) {
+            let text = doc(cols, &rows);
+            let expected = oracle(&text).unwrap();
+            for chunk_rows in CHUNK_SIZES {
+                for parallelism in [1usize, 2, 4] {
+                    for bounded_memory in [false, true] {
+                        let (frame, report) = read_chunked_with_report(
+                            &text,
+                            &opts(chunk_rows, parallelism, bounded_memory),
+                        )
+                        .unwrap();
+                        prop_assert_eq!(
+                            frame.into_frame().unwrap().fingerprint(),
+                            expected.fingerprint(),
+                            "chunk_rows={} parallelism={} bounded={}",
+                            chunk_rows, parallelism, bounded_memory
+                        );
+                        prop_assert_eq!(report.rows, rows.len());
+                        if bounded_memory {
+                            prop_assert!(
+                                report.peak_resident_chunks <= 2 * report.workers,
+                                "bounded mode kept {} chunks resident on {} workers",
+                                report.peak_resident_chunks, report.workers
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A malformed document (one ragged row spliced into an otherwise
+        /// valid one) fails the chunked reader with the oracle's message
+        /// at every chunk size — streaming must not change what an error
+        /// looks like.
+        #[test]
+        fn malformed_documents_error_like_the_oracle(rows in cells(), at in 0usize..26) {
+            let cols = 3usize;
+            let mut text = doc(cols, &rows);
+            let line = at.min(rows.len()) + 1; // after the header
+            let offset: usize = text
+                .split_inclusive('\n')
+                .take(line)
+                .map(str::len)
+                .sum();
+            text.insert_str(offset, "lonely\n"); // 1 field where 3 are expected
+            let expected = oracle(&text).unwrap_err().to_string();
+            for chunk_rows in CHUNK_SIZES {
+                for parallelism in [1usize, 2, 4] {
+                    let got = read_chunked(&text, &opts(chunk_rows, parallelism, false))
+                        .unwrap_err()
+                        .to_string();
+                    prop_assert_eq!(
+                        &expected, &got,
+                        "chunk_rows={} parallelism={}", chunk_rows, parallelism
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pass 1 collects a chunk's distinct list and token sum only for the
+    /// columns that chunk proves non-numeric; the rest are backfilled once
+    /// the merged flags are known. Here `late` reads numeric for its first
+    /// rows and turns categorical later, `marks` opens with missing
+    /// markers only and turns to text, and `only_marks` never holds a real
+    /// number. At every chunk size both memory modes must rebuild the
+    /// dictionaries (first-appearance order included) and the
+    /// text/categorical decision exactly as the oracle does. Without the
+    /// backfill, `late` and `only_marks` lose their early labels, and
+    /// `marks` loses the marker tokens that lift its mean above the prose
+    /// threshold.
+    #[test]
+    fn late_non_numeric_columns_are_backfilled_like_the_oracle() {
+        let text = "late,marks,only_marks\n\
+                    1,NA,NA\n\
+                    2,?,?\n\
+                    3,n/a,null\n\
+                    1,a b c d e f g h i,NA\n\
+                    cat,j k l m n o p q r,nan\n\
+                    dog,s t u v w x y z zz,?\n\
+                    2,NA,NA\n";
+        let expected = oracle(text).unwrap();
+        assert_eq!(
+            expected.column("late").unwrap().dictionary().unwrap(),
+            &["1", "2", "3", "cat", "dog"]
+        );
+        assert_eq!(
+            expected.column("marks").unwrap().kind(),
+            crate::ColumnKind::Text
+        );
+        assert_eq!(
+            expected.column("only_marks").unwrap().dictionary().unwrap(),
+            &["NA", "?", "null", "nan"]
+        );
+        for chunk_rows in [1usize, 2, 3, 1_000_000] {
+            for bounded_memory in [false, true] {
+                let frame = read_chunked(text, &opts(chunk_rows, 1, bounded_memory))
+                    .unwrap()
+                    .into_frame()
+                    .unwrap();
+                assert_eq!(
+                    frame.fingerprint(),
+                    expected.fingerprint(),
+                    "chunk_rows={chunk_rows} bounded={bounded_memory}"
+                );
+            }
+        }
     }
 }

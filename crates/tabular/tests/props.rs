@@ -1,25 +1,10 @@
 //! Property-based tests for the tabular substrate.
 
-use kgpip_tabular::{
-    infer_column, kfold, stratified_kfold, Column, ColumnStats, DataFrame, Dataset, Task,
-};
+use kgpip_tabular::{kfold, stratified_kfold, Column, ColumnStats, DataFrame, Dataset, Task};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Type inference must be total over arbitrary cell content.
-    #[test]
-    fn infer_column_never_panics(cells in proptest::collection::vec(
-        proptest::option::of("[ -~]{0,24}"), 0..50
-    )) {
-        let refs: Vec<Option<&str>> = cells.iter().map(|c| c.as_deref()).collect();
-        let col = infer_column(&refs);
-        prop_assert_eq!(col.len(), cells.len());
-        // Missing count can only grow (markers become missing).
-        let explicit_missing = cells.iter().filter(|c| c.is_none()).count();
-        prop_assert!(col.missing_count() >= explicit_missing);
-    }
 
     /// take() then take() composes like a single index composition.
     #[test]

@@ -73,11 +73,17 @@ impl WorkspaceConfig {
         };
         // kgpip-tabular: compute rules plus the serve-path panic rule on
         // the CSV decoder and the chunked reader, which read untrusted
-        // documents: a malformed file must surface as a typed
-        // `TabularError`, never a panic.
+        // documents (a malformed file must surface as a typed
+        // `TabularError`, never a panic), and on the chunk sampling and
+        // the statistics fold every served request embeds through.
         let mut tabular = compute("crates/tabular");
         tabular.rules.push("panic-in-serve-path".to_string());
-        tabular.panic_files = vec!["src/csv.rs".to_string(), "src/stream.rs".to_string()];
+        tabular.panic_files = vec![
+            "src/csv.rs".to_string(),
+            "src/stream.rs".to_string(),
+            "src/chunk.rs".to_string(),
+            "src/stats.rs".to_string(),
+        ];
         let mut crates = vec![
             tabular,
             compute("crates/learners"),
@@ -90,12 +96,17 @@ impl WorkspaceConfig {
         ];
         // kgpip-embeddings: compute rules plus the serve-path panic rule
         // on the similarity tier a serving process runs — the HNSW graph
-        // — and on the `KGVI` catalog decoder. A malformed index file or a query
-        // of any shape must surface as a Result or an empty answer, never
-        // a panic in a worker.
+        // —, on the `KGVI` catalog decoder, and on the table pooling every
+        // served request embeds through. A malformed index file, a query
+        // or a table of any shape must surface as a Result or an answer,
+        // never a panic in a worker.
         let mut embeddings = compute("crates/embeddings");
         embeddings.rules.push("panic-in-serve-path".to_string());
-        embeddings.panic_files = vec!["src/hnsw.rs".to_string(), "src/mapped.rs".to_string()];
+        embeddings.panic_files = vec![
+            "src/hnsw.rs".to_string(),
+            "src/mapped.rs".to_string(),
+            "src/table.rs".to_string(),
+        ];
         crates.push(embeddings);
         // kgpip-core: compute rules plus the serve-path panic rule on the
         // artifact read/predict path (training may still assert).
@@ -193,11 +204,19 @@ mod tests {
         assert!(tabular
             .parsed_rules()
             .contains(&Rule::NondeterministicIteration));
-        // The CSV decoder and the chunked reader read untrusted bytes:
-        // typed errors only.
+        // The CSV decoder and the chunked reader read untrusted bytes, and
+        // every served request embeds through the chunk sampling and the
+        // statistics fold: typed errors only.
         assert!(tabular.parsed_rules().contains(&Rule::PanicInServePath));
-        assert!(tabular.panic_file_in_scope("src/csv.rs"));
-        assert!(tabular.panic_file_in_scope("src/stream.rs"));
+        for file in [
+            "src/csv.rs",
+            "src/stream.rs",
+            "src/chunk.rs",
+            "src/stats.rs",
+        ] {
+            assert!(tabular.panic_file_in_scope(file), "{file}");
+        }
+        assert!(!tabular.panic_file_in_scope("src/split.rs"));
         let embeddings = cfg
             .crates
             .iter()
@@ -206,6 +225,7 @@ mod tests {
         assert!(embeddings.parsed_rules().contains(&Rule::PanicInServePath));
         assert!(embeddings.panic_file_in_scope("src/hnsw.rs"));
         assert!(embeddings.panic_file_in_scope("src/mapped.rs"));
+        assert!(embeddings.panic_file_in_scope("src/table.rs"));
         assert!(!embeddings.panic_file_in_scope("src/tsne.rs"));
     }
 

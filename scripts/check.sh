@@ -29,10 +29,11 @@ cargo test -p kgpip-nn --test props -q
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
 
-echo "==> chunked-identity suite (chunked ingest ≡ read_frame, frames and errors, at any chunk size × worker count; byte scanner ≡ char-level reference; CSV decoder fuzz)"
+echo "==> chunked-identity suite (chunked ingest, column stats and table embeddings ≡ their row-major oracles at any chunk size × worker count; byte scanner ≡ char-level reference; CSV decoder fuzz against the oracle)"
 cargo test -p kgpip-tabular --test chunked_identity -q
 cargo test -p kgpip-tabular --lib -q csv::tests
-cargo test -p kgpip-tabular --test csv_fuzz -q
+cargo test -p kgpip-tabular --lib -q oracle
+cargo test -p kgpip-embeddings --lib -q oracle
 
 echo "==> similarity-tier suite (HNSW determinism; KGVI round-trip; legacy PQ-sectioned files open and encode as before; decoder fuzz and allocation bounds; recall gate)"
 cargo test -p kgpip-embeddings --test hnsw -q
