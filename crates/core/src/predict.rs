@@ -670,4 +670,72 @@ mod tests {
             assert_eq!(answers[0], answers[1]);
         }
     }
+
+    /// One `run_k` answer reduced to comparable bits: the neighbour, the
+    /// best index, and per skeleton its generation score and searched
+    /// score; or the error's text.
+    fn run_outcome(run: Result<KgpipRun>) -> std::result::Result<String, String> {
+        run.map(|run| {
+            let searched: Vec<_> = run
+                .results
+                .iter()
+                .map(|r| {
+                    (
+                        r.skeleton.clone(),
+                        r.generation_score.to_bits(),
+                        r.hpo.as_ref().map(|h| (h.trials, h.valid_score.to_bits())),
+                    )
+                })
+                .collect();
+            format!("{} {} {searched:?}", run.neighbour, run.best_index)
+        })
+        .map_err(|e| e.to_string())
+    }
+
+    /// Degenerate training sets — 0 and 1 rows, one label class, and a
+    /// `k` beyond the two-dataset catalog — give both backends a typed
+    /// `Result` without panicking, the same at parallelism 1 and 2. A
+    /// training set too small to split fails every search
+    /// (`AllSkeletonsFailed`); one label class and a large `k` answer.
+    #[test]
+    fn degenerate_training_sets_answer_typed_and_alike_at_any_width() {
+        let model = trained_model();
+        let one_class = {
+            let f = table_like(1.0, 60);
+            Dataset::new("one-class", f, vec![1.0; 60], Task::Binary).unwrap()
+        };
+        let cases: Vec<(&str, Dataset, usize, bool)> = vec![
+            ("0 rows", unseen_dataset(0), 3, false),
+            ("1 row", unseen_dataset(1), 3, false),
+            ("one label class", one_class, 3, true),
+            ("k beyond the catalog", unseen_dataset(60), 10, true),
+        ];
+        let backends: [fn() -> Box<dyn Optimizer>; 2] =
+            [|| Box::new(Flaml::new(0)), || Box::new(AutoSklearn::new(0))];
+        for (what, ds, k, answers) in &cases {
+            for (make, name) in backends.into_iter().zip(["flaml", "autosklearn"]) {
+                let outcomes: Vec<_> = [1, 2]
+                    .into_iter()
+                    .map(|parallelism| {
+                        let model = model.clone().with_parallelism(parallelism);
+                        let mut backend = make();
+                        let budget = TimeBudget::seconds(600.0).with_trial_cap(4);
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            model.run_k(ds, backend.as_mut(), budget, *k)
+                        }));
+                        run_outcome(run.unwrap_or_else(|_| {
+                            panic!("{what} / {name} at parallelism {parallelism} panicked")
+                        }))
+                    })
+                    .collect();
+                assert_eq!(outcomes[0], outcomes[1], "{what} / {name}");
+                if *answers {
+                    assert!(outcomes[0].is_ok(), "{what} / {name}: {:?}", outcomes[0]);
+                } else {
+                    let failed = KgpipError::AllSkeletonsFailed.to_string();
+                    assert_eq!(outcomes[0], Err(failed), "{what} / {name}");
+                }
+            }
+        }
+    }
 }

@@ -12,6 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Decorrelates derived RNG streams (the 64-bit golden-ratio constant of
 /// splitmix64): attempt `i` of `generate_top_k` samples from
@@ -33,12 +35,19 @@ const SAMPLE_WAVE: usize = 8;
 /// can claim; every budget up to it (any `k ≤ 1024`) is one fan-out.
 const MAX_FAN_OUT: usize = 4096;
 
+/// Most graph states one generation call keeps in its memo. A k = 3
+/// request visits about 370 distinct states; past the cap a state is
+/// still computed, just not kept, so an untrusted `k` cannot grow the
+/// memo (each entry holds at most `max_nodes + 1` rows of `hidden`
+/// floats).
+const MEMO_CAP: usize = 1024;
+
 /// One training example's contribution: scalar loss plus its parameter
 /// gradients, exactly as returned by `Tape::backward`.
 type ExampleGrad = (f32, Vec<(ParamId, Tensor)>);
 
 /// A graph over dense type ids — the generator's native representation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct TypedGraph {
     /// Node type ids (`types[0]` is the dataset anchor).
     pub types: Vec<usize>,
@@ -313,7 +322,7 @@ impl GraphGenerator {
         let mut h = tape.tanh(h0);
         for _ in 0..self.config.prop_rounds {
             let agg = if graph.edges.is_empty() {
-                tape.input(Tensor::zeros(n, hdim))
+                tape.zeros(n, hdim)
             } else {
                 let src: Vec<usize> = graph.edges.iter().map(|(u, _)| *u).collect();
                 let dst: Vec<usize> = graph.edges.iter().map(|(_, v)| *v).collect();
@@ -340,16 +349,43 @@ impl GraphGenerator {
     }
 
     /// Everything the decision heads read about one graph state, computed
-    /// once: node states `h`, the readout `hg` and the projected dataset
-    /// embedding `ds`.
+    /// once from the projected dataset embedding `ds`: node states `h`
+    /// and the readout `hg`.
     fn shared_state(
         &self,
         tape: &mut Tape,
         graph: &TypedGraph,
-        ds_input: TensorRef,
+        ds: TensorRef,
     ) -> kgpip_nn::Result<SharedState> {
-        let ds = self.ds_proj.forward(tape, ds_input)?;
         let h = self.propagate(tape, graph, ds)?;
+        let hg = self.graph_state(tape, h)?;
+        Ok(SharedState { h, hg, ds })
+    }
+
+    /// The state after pushing a node of type `ty` onto a graph whose node
+    /// states are `prev_h`, computing only the new node's row. The new node
+    /// has no edge yet, so no message reaches or leaves it: the old rows
+    /// of the full pass equal `prev_h` bit for bit, and the new row is
+    /// `tanh(type_emb[ty])` through `prop_rounds` GRU steps on an all-zero
+    /// aggregate — the `+0.0` rows the full pass gives an isolated node.
+    /// The readout re-sums every row in order, so `h` and `hg` equal
+    /// [`GraphGenerator::shared_state`] of the grown graph.
+    fn added_node_state(
+        &self,
+        tape: &mut Tape,
+        prev_h: &Tensor,
+        ty: usize,
+        ds: TensorRef,
+    ) -> kgpip_nn::Result<SharedState> {
+        let old = tape.input_from(prev_h);
+        let table = tape.param(self.type_emb);
+        let x = tape.gather_rows(table, &[ty])?;
+        let mut row = tape.tanh(x);
+        let agg = tape.zeros(1, self.config.hidden);
+        for _ in 0..self.config.prop_rounds {
+            row = self.gru.forward(tape, row, agg)?;
+        }
+        let h = tape.concat_rows(old, row)?;
         let hg = self.graph_state(tape, h)?;
         Ok(SharedState { h, hg, ds })
     }
@@ -612,28 +648,53 @@ impl GraphGenerator {
         temperature: f64,
         rng: &mut StdRng,
     ) -> GeneratedGraph {
-        let ds = self.ds_tensor(dataset_embedding);
+        let call = self.generation(dataset_embedding);
         let mut tape = Tape::new(&self.store);
-        self.generate_with_tape(&mut tape, &ds, prefix, temperature, rng)
+        self.generate_with_tape(&mut tape, &call, prefix, temperature, rng)
+    }
+
+    /// The per-call context of one generation request: the projected
+    /// dataset embedding, the same for every graph state, and an empty
+    /// state memo.
+    fn generation(&self, dataset_embedding: &[f64]) -> Generation {
+        let mut tape = Tape::new(&self.store);
+        let input = tape.input(self.ds_tensor(dataset_embedding));
+        let ds = self
+            .ds_proj
+            .forward(&mut tape, input)
+            .expect("ds_proj takes a 1×embed_dim row");
+        Generation {
+            ds: tape.value(ds).clone(),
+            memo: Mutex::default(),
+        }
     }
 
     /// The autoregressive sampling loop, one forward pass per graph
     /// state. `tape` is reset and the shared state `(h, hg, ds)`
-    /// recomputed only when a decision needs it after a node or an edge
-    /// was pushed; every add-node, add-edge and pick-source decision on
-    /// that graph reads it, so a declined add-edge and the add-node after
-    /// it share one pass, as do an accepted add-edge and its pick. Resets
-    /// reuse the tape's buffer pool, so one generation run performs a
-    /// bounded number of heap allocations regardless of decision count.
+    /// re-established only when a decision needs it after a node or an
+    /// edge was pushed; every add-node, add-edge and pick-source decision
+    /// on that graph reads it, so a declined add-edge and the add-node
+    /// after it share one pass, as do an accepted add-edge and its pick.
+    ///
+    /// A state is first probed in the call's memo (`call`), shared by every
+    /// attempt of one [`GraphGenerator::generate_top_k`]; a hit copies the
+    /// stored `h` and `hg` onto the tape. A miss right after an add-node
+    /// runs [`GraphGenerator::added_node_state`], which computes only the
+    /// new node's row from the pre-push `h`; any other miss runs the full
+    /// propagation. Either way the state is then offered to the memo.
+    /// Resets reuse the tape's buffer pool, so a run allocates little
+    /// beyond the states it stores.
     ///
     /// Each head value is bit-identical to its teacher-forced counterpart
-    /// on the same partial graph (same kernels, same inputs), so graphs,
-    /// scores and RNG draws match a loop that recomputes the state per
-    /// decision — the `#[cfg(test)]` reference `generate_reference`.
+    /// on the same partial graph (same kernels, same inputs; the one-row
+    /// pass computes the same rows with the same row-local kernels), so
+    /// graphs, scores and RNG draws match a loop that recomputes the
+    /// state per decision — the `#[cfg(test)]` reference
+    /// `generate_reference`.
     fn generate_with_tape<'s>(
         &'s self,
         tape: &mut Tape<'s>,
-        ds_tensor: &Tensor,
+        call: &Generation,
         prefix: &TypedGraph,
         temperature: f64,
         rng: &mut StdRng,
@@ -642,16 +703,38 @@ impl GraphGenerator {
         let mut graph = prefix.clone();
         let mut log_prob = 0.0f64;
         let stop_class = self.config.vocab_size;
-        let fresh = |tape: &mut Tape<'s>, graph: &TypedGraph| {
+        // Puts the state of `graph` on the reset tape: from the memo, from
+        // the pre-push node states `parent` when the last push was a node,
+        // or from a full pass.
+        let fresh = |tape: &mut Tape<'s>, graph: &TypedGraph, parent: Option<Arc<StateValues>>| {
             tape.reset();
-            let ds = tape.input_from(ds_tensor);
-            self.shared_state(tape, graph, ds).expect(SHAPES)
+            let ds = tape.input_from(&call.ds);
+            if let Some(hit) = call.probe(graph) {
+                let h = tape.input_from(&hit.h);
+                let hg = tape.input_from(&hit.hg);
+                return (SharedState { h, hg, ds }, hit);
+            }
+            let st = match (parent, graph.types.last()) {
+                (Some(prev), Some(&ty)) => self.added_node_state(tape, &prev.h, ty, ds),
+                _ => self.shared_state(tape, graph, ds),
+            }
+            .expect(SHAPES);
+            let values = Arc::new(StateValues {
+                h: tape.value(st.h).clone(),
+                hg: tape.value(st.hg).clone(),
+            });
+            call.fill(graph, &values);
+            (st, values)
         };
         // The state of `graph`; `None` once a push has made it stale.
-        let mut shared: Option<SharedState> = None;
+        let mut shared: Option<(SharedState, Arc<StateValues>)> = None;
+        // The pre-push node states while the last push was a node.
+        let mut parent: Option<Arc<StateValues>> = None;
         while graph.types.len() < self.config.max_nodes {
             // Decide the next node type (or stop).
-            let st = *shared.get_or_insert_with(|| fresh(tape, &graph));
+            let st = shared
+                .get_or_insert_with(|| fresh(tape, &graph, parent.take()))
+                .0;
             let logits = self.addnode_head(tape, st.hg, st.ds).expect(SHAPES);
             let (choice, lp) = sample_softmax(tape.value(logits).row(0), temperature, &mut [], rng);
             log_prob += lp;
@@ -659,12 +742,14 @@ impl GraphGenerator {
                 break;
             }
             graph.types.push(choice);
-            shared = None;
+            parent = shared.take().map(|(_, values)| values);
             let newest = graph.types.len() - 1;
             // Edge loop for the new node.
             let mut edges_added = 0usize;
             while edges_added < self.config.max_edges_per_node {
-                let st = *shared.get_or_insert_with(|| fresh(tape, &graph));
+                let st = shared
+                    .get_or_insert_with(|| fresh(tape, &graph, parent.take()))
+                    .0;
                 let ht = tape.gather_rows(st.h, &[newest]).expect(SHAPES);
                 let logit = self.addedge_head(tape, st.hg, ht, st.ds).expect(SHAPES);
                 let p = sigmoid(tape.value(logit).get(0, 0) as f64 / temperature);
@@ -717,6 +802,16 @@ impl GraphGenerator {
     /// wave boundary with `t` distinct graphs collected. Both the
     /// candidate set and the early-exit point are therefore bit-for-bit
     /// identical at any worker count (proven by `tests/determinism.rs`).
+    ///
+    /// # Shared work
+    ///
+    /// Many attempts pass through the same partial graphs (every one
+    /// starts from `prefix`, most add the same first node). One memo per
+    /// call, shared by every attempt and wave across the workers, keeps
+    /// each distinct state's `h` and `hg` (up to `MEMO_CAP` states), so
+    /// each is computed about once. A state is a pure function of the
+    /// weights, the dataset embedding and the graph, so which attempt
+    /// fills an entry cannot change any value.
     pub fn generate_top_k(
         &self,
         dataset_embedding: &[f64],
@@ -731,11 +826,11 @@ impl GraphGenerator {
             None => attempts.min(MAX_FAN_OUT),
         };
         let pool = self.worker_pool();
-        let ds = self.ds_tensor(dataset_embedding);
+        let call = self.generation(dataset_embedding);
         let run_attempt = |attempt: u64| -> GeneratedGraph {
             let mut rng = StdRng::seed_from_u64(seed ^ attempt.wrapping_mul(RNG_STREAM_GOLDEN));
             let mut tape = Tape::new(&self.store);
-            self.generate_with_tape(&mut tape, &ds, prefix, temperature, &mut rng)
+            self.generate_with_tape(&mut tape, &call, prefix, temperature, &mut rng)
         };
         let mut out: Vec<GeneratedGraph> = Vec::new();
         let mut next = 0usize;
@@ -761,6 +856,44 @@ impl GraphGenerator {
         out.truncate(k);
         out
     }
+}
+
+/// The values the decision heads read about one graph state, off the
+/// tape: node states `h` (n×hidden) and the readout `hg` (1×hidden).
+struct StateValues {
+    h: Tensor,
+    hg: Tensor,
+}
+
+/// The context one generation call shares across its attempts.
+struct Generation {
+    /// `ds_proj` of the dataset embedding, 1×hidden.
+    ds: Tensor,
+    /// Graph state by partial graph, up to [`MEMO_CAP`] entries. Only
+    /// probed and filled, never iterated, and never locked across a pass.
+    memo: Mutex<HashMap<TypedGraph, Arc<StateValues>>>,
+}
+
+impl Generation {
+    fn probe(&self, graph: &TypedGraph) -> Option<Arc<StateValues>> {
+        lock(&self.memo).get(graph).cloned()
+    }
+
+    /// Keeps `values` as the state of `graph` unless the memo is full or
+    /// holds it already (another worker's equal bits).
+    fn fill(&self, graph: &TypedGraph, values: &Arc<StateValues>) {
+        let mut memo = lock(&self.memo);
+        if memo.len() < MEMO_CAP && !memo.contains_key(graph) {
+            memo.insert(graph.clone(), Arc::clone(values));
+        }
+    }
+}
+
+/// Recovers the guard of a poisoned memo lock: a worker that panicked
+/// while holding it was only probing or inserting whole entries, so the
+/// map is never torn.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Tape refs to the state every decision head reads for one graph: node
@@ -935,7 +1068,8 @@ mod tests {
 
         /// The one-pass loop is bit-identical to the per-decision reference:
         /// same graph, same `log_prob` bits, same next RNG draw, for three
-        /// consecutive generations sharing one tape and one RNG stream.
+        /// consecutive generations sharing one tape, one RNG stream and one
+        /// state memo (so the later ones replay states the first stored).
         #[test]
         fn one_pass_generation_matches_reference_loop(
             trained in proptest::bool::ANY,
@@ -960,18 +1094,172 @@ mod tests {
             generator.config.max_edges_per_node = max_edges_per_node;
             let prefix = TypedGraph::conditioning_prefix(&OpVocab::new());
             let ds = generator.ds_tensor(&embedding);
+            let call = generator.generation(&embedding);
             let mut tape = Tape::new(&generator.store);
             let mut rng_fast = StdRng::seed_from_u64(rng_seed);
             let mut rng_ref = StdRng::seed_from_u64(rng_seed);
             for _ in 0..3 {
                 let fast =
-                    generator.generate_with_tape(&mut tape, &ds, &prefix, temperature, &mut rng_fast);
+                    generator.generate_with_tape(&mut tape, &call, &prefix, temperature, &mut rng_fast);
                 let reference = generator.generate_reference(&ds, &prefix, temperature, &mut rng_ref);
                 prop_assert_eq!(&fast.graph, &reference.graph);
                 prop_assert_eq!(fast.log_prob.to_bits(), reference.log_prob.to_bits());
             }
             prop_assert_eq!(rng_fast.gen::<u64>(), rng_ref.gen::<u64>());
         }
+    }
+
+    /// `generate_top_k` as a plain loop over the per-decision reference:
+    /// attempt `i` on its own RNG stream, merged in attempt order, with the
+    /// `distinct_target` exit checked after every `SAMPLE_WAVE` attempts.
+    fn top_k_reference(
+        generator: &GraphGenerator,
+        embedding: &[f64],
+        prefix: &TypedGraph,
+        k: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<GeneratedGraph> {
+        let ds = generator.ds_tensor(embedding);
+        let mut out: Vec<GeneratedGraph> = Vec::new();
+        for i in 0..k.saturating_mul(4).max(8) {
+            let wave_done = i > 0 && i % SAMPLE_WAVE == 0;
+            if wave_done
+                && generator
+                    .config
+                    .distinct_target
+                    .is_some_and(|t| out.len() >= t)
+            {
+                break;
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(RNG_STREAM_GOLDEN));
+            let g = generator.generate_reference(&ds, prefix, temperature, &mut rng);
+            if !out.iter().any(|o| o.graph == g.graph) {
+                out.push(g);
+            }
+        }
+        out.sort_by(|a, b| b.log_prob.partial_cmp(&a.log_prob).unwrap());
+        out.truncate(k);
+        out
+    }
+
+    /// A random graph over `vocab` types with node 0 as the anchor and
+    /// forward edges only, as generation builds them.
+    fn random_graph(types: &[usize], edge_seeds: &[(usize, usize)]) -> TypedGraph {
+        let n = types.len();
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        for &(a, b) in edge_seeds {
+            let (u, v) = (a % n, b % n);
+            let edge = (u.min(v), u.max(v));
+            if edge.0 != edge.1 && !edges.contains(&edge) {
+                edges.push(edge);
+            }
+        }
+        TypedGraph {
+            types: types.to_vec(),
+            edges,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The memoized top-K, at widths 1 and 2 and with or without a
+        /// `distinct_target`, returns exactly what the per-decision
+        /// reference returns run once per attempt on the same RNG
+        /// streams: same graphs, same `log_prob` bits, same order.
+        #[test]
+        fn memo_top_k_matches_reference_per_attempt(
+            trained in proptest::bool::ANY,
+            k in 1usize..=4,
+            distinct_target in proptest::option::of(0usize..=6),
+            temperature in 0.5f64..2.0,
+            prop_rounds in 1usize..=2,
+            seed in 0u64..u64::MAX,
+            embedding in proptest::collection::vec(-1.0f64..1.0, 48),
+        ) {
+            let mut generator = if trained {
+                trained_generator(prop_rounds).clone()
+            } else {
+                GraphGenerator::new(GeneratorConfig { prop_rounds, ..small_config() })
+            };
+            generator.config.distinct_target = distinct_target;
+            let prefix = TypedGraph::conditioning_prefix(&OpVocab::new());
+            let reference = top_k_reference(&generator, &embedding, &prefix, k, temperature, seed);
+            for width in [1, 2] {
+                generator.set_parallelism(width);
+                let memo = generator.generate_top_k(&embedding, &prefix, k, temperature, seed);
+                prop_assert_eq!(memo.len(), reference.len(), "width {}", width);
+                for (m, r) in memo.iter().zip(&reference) {
+                    prop_assert_eq!(&m.graph, &r.graph, "width {}", width);
+                    prop_assert_eq!(m.log_prob.to_bits(), r.log_prob.to_bits(), "width {}", width);
+                }
+            }
+        }
+
+        /// The one-row state after an add-node equals the full
+        /// propagation of the grown graph, `h` and `hg` to the bit, on
+        /// random graphs (with and without edges, down to the lone anchor).
+        #[test]
+        fn memo_one_row_add_node_state_matches_full_pass(
+            trained in proptest::bool::ANY,
+            prop_rounds in 1usize..=2,
+            types in proptest::collection::vec(0usize..OpVocab::new().len(), 1..10),
+            edge_seeds in proptest::collection::vec((0usize..10, 0usize..10), 0..14),
+            added in 0usize..OpVocab::new().len(),
+            embedding in proptest::collection::vec(-1.0f64..1.0, 48),
+        ) {
+            let generator = if trained {
+                trained_generator(prop_rounds).clone()
+            } else {
+                GraphGenerator::new(GeneratorConfig { prop_rounds, ..small_config() })
+            };
+            let graph = random_graph(&types, &edge_seeds);
+            let mut grown = graph.clone();
+            grown.types.push(added);
+            let call = generator.generation(&embedding);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let mut tape = Tape::new(&generator.store);
+            let ds = tape.input_from(&call.ds);
+            let prev = generator.shared_state(&mut tape, &graph, ds).unwrap();
+            let prev_h = tape.value(prev.h).clone();
+            tape.reset();
+            let ds = tape.input_from(&call.ds);
+            let full = generator.shared_state(&mut tape, &grown, ds).unwrap();
+            let (full_h, full_hg) = (tape.value(full.h).clone(), tape.value(full.hg).clone());
+            tape.reset();
+            let ds = tape.input_from(&call.ds);
+            let one_row = generator.added_node_state(&mut tape, &prev_h, added, ds).unwrap();
+            prop_assert_eq!(tape.value(one_row.h).rows(), grown.types.len());
+            prop_assert_eq!(bits(tape.value(one_row.h)), bits(&full_h));
+            prop_assert_eq!(bits(tape.value(one_row.hg)), bits(&full_hg));
+        }
+    }
+
+    /// The memo stops growing at `MEMO_CAP`; a state past the cap is
+    /// computed and returned but not kept, and a kept entry is never
+    /// replaced.
+    #[test]
+    fn memo_is_capped() {
+        let generator = GraphGenerator::new(small_config());
+        let call = generator.generation(&[0.0; 48]);
+        let values = |x: f32| {
+            Arc::new(StateValues {
+                h: Tensor::full(1, 1, x),
+                hg: Tensor::full(1, 1, x),
+            })
+        };
+        let graph = |i: usize| TypedGraph {
+            types: vec![i],
+            edges: Vec::new(),
+        };
+        for i in 0..MEMO_CAP + 5 {
+            call.fill(&graph(i), &values(1.0));
+        }
+        call.fill(&graph(0), &values(2.0));
+        assert_eq!(lock(&call.memo).len(), MEMO_CAP);
+        assert!(call.probe(&graph(MEMO_CAP)).is_none());
+        assert_eq!(call.probe(&graph(0)).unwrap().h.get(0, 0), 1.0);
     }
 
     /// A tiny deterministic corpus: dataset A always uses

@@ -257,6 +257,13 @@ impl<'a> Tape<'a> {
         self.push(v, Op::Leaf(None))
     }
 
+    /// Registers a zero-filled constant input (no gradient) in a pooled
+    /// buffer.
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> TensorRef {
+        let v = self.alloc_zeroed(rows, cols);
+        self.push(v, Op::Leaf(None))
+    }
+
     /// Matrix product.
     pub fn matmul(&mut self, a: TensorRef, b: TensorRef) -> Result<TensorRef> {
         let (ar, bc) = (self.values[a.0].rows(), self.values[b.0].cols());

@@ -1,7 +1,8 @@
 //! Property-based tests for the autodiff substrate: gradient checks on
-//! randomly-shaped composite graphs.
+//! randomly-shaped composite graphs, and the row-locality of the layers
+//! that lets generation compute one new node's row instead of a full pass.
 
-use kgpip_nn::{ParamStore, Tape, Tensor};
+use kgpip_nn::{GruCell, Linear, Mlp, ParamStore, Tape, Tensor, TensorRef};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -185,5 +186,99 @@ proptest! {
         for (x, y) in before.as_slice().iter().zip(after.as_slice()) {
             prop_assert!((y - s * x).abs() < 1e-4);
         }
+    }
+
+    /// `Linear`, `Mlp` and `GruCell::forward` are row-local: run on a
+    /// subset of the rows (down to one row), they compute the same rows
+    /// of the full call bit for bit, including all-zero rows, whose
+    /// matmul terms the kernel skips.
+    #[test]
+    fn row_subset_layers_match_the_full_call(
+        seed in 0u64..1000,
+        rows in 1usize..9,
+        in_dim in 1usize..7,
+        hidden in 1usize..7,
+        zero_rows in proptest::collection::vec(0u8..10, 8),
+        picks in proptest::collection::vec(0usize..8, 1..5),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = ParamStore::new();
+        let linear = Linear::new(&mut store, "lin", in_dim, hidden, &mut rng);
+        let mlp = Mlp::new(&mut store, "mlp", in_dim, hidden, 3, &mut rng);
+        let gru = GruCell::new(&mut store, "gru", in_dim, hidden, &mut rng);
+        let matrix = |cols: usize, salt: f64| -> Tensor {
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|i| {
+                    if zero_rows[i / cols] < 3 {
+                        0.0
+                    } else {
+                        ((i as f64 + salt) * 0.7391 + seed as f64).sin() as f32
+                    }
+                })
+                .collect();
+            Tensor::from_vec(data, rows, cols).unwrap()
+        };
+        let x = matrix(in_dim, 0.0);
+        let h = matrix(hidden, 0.5);
+        let subset: Vec<usize> = picks.iter().map(|p| p % rows).collect();
+        let layers = |tape: &mut Tape, x: TensorRef, h: TensorRef| -> [TensorRef; 3] {
+            [
+                linear.forward(tape, x).unwrap(),
+                mlp.forward(tape, x).unwrap(),
+                gru.forward(tape, h, x).unwrap(),
+            ]
+        };
+        let mut full_tape = Tape::new(&store);
+        let (xf, hf) = (full_tape.input_from(&x), full_tape.input_from(&h));
+        let full = layers(&mut full_tape, xf, hf);
+        let mut sub_tape = Tape::new(&store);
+        let (xs, hs) = (sub_tape.input_from(&x), sub_tape.input_from(&h));
+        let xs = sub_tape.gather_rows(xs, &subset).unwrap();
+        let hs = sub_tape.gather_rows(hs, &subset).unwrap();
+        let sub = layers(&mut sub_tape, xs, hs);
+        for (layer, (f, s)) in full.iter().zip(&sub).enumerate() {
+            let (f, s) = (full_tape.value(*f), sub_tape.value(*s));
+            prop_assert_eq!(s.rows(), subset.len());
+            for (i, &r) in subset.iter().enumerate() {
+                let fb: Vec<u32> = f.row(r).iter().map(|v| v.to_bits()).collect();
+                let sb: Vec<u32> = s.row(i).iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(fb, sb, "layer {} row {}", layer, r);
+            }
+        }
+    }
+
+    /// `sum_rows` of `[h; row]` (`concat_rows`) is the in-order sum of
+    /// every row from `+0.0`, the readout of a grown graph.
+    #[test]
+    fn row_subset_sum_of_appended_row_is_the_in_order_sum(
+        rows in 1usize..9,
+        cols in 1usize..7,
+        data in proptest::collection::vec(-2.0f32..2.0, 9 * 6),
+        zero_row in proptest::bool::ANY,
+    ) {
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let h = Tensor::from_vec(data[..rows * cols].to_vec(), rows, cols).unwrap();
+        let row_data: Vec<f32> = if zero_row {
+            vec![0.0; cols]
+        } else {
+            data[rows * cols..(rows + 1) * cols].to_vec()
+        };
+        let row = Tensor::from_vec(row_data.clone(), 1, cols).unwrap();
+        let (hi, ri) = (tape.input_from(&h), tape.input_from(&row));
+        let grown = tape.concat_rows(hi, ri).unwrap();
+        let sum = tape.sum_rows(grown);
+        let mut expected = vec![0.0f32; cols];
+        for r in 0..rows {
+            for (e, v) in expected.iter_mut().zip(h.row(r)) {
+                *e += v;
+            }
+        }
+        for (e, v) in expected.iter_mut().zip(&row_data) {
+            *e += v;
+        }
+        let got: Vec<u32> = tape.value(sum).row(0).iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -23,6 +23,10 @@
 //!   The vendored pool lets each caller drain its own fan-out and hands
 //!   out one attempt at a time, so under a burst, when the helpers are
 //!   busy, each worker runs its own attempts and no request's work grows.
+//! * **Panic isolation.** Each job's embedding and generation run under
+//!   `catch_unwind`. A panic answers that job with
+//!   [`ServeError::Internal`]; the rest of the batch is answered and the
+//!   worker keeps looping, so the pool never shrinks.
 //! * **Determinism.** The house invariant — concurrency and caches change
 //!   cost, never answers — holds end to end: at any worker count and any
 //!   batch size, `predict` returns bit-for-bit what
@@ -131,6 +135,10 @@ pub enum ServeError {
     Shutdown,
     /// The prediction itself failed (empty catalog, `k == 0`, …).
     Predict(KgpipError),
+    /// Computing this request's answer panicked. Only this request fails:
+    /// the rest of its batch is answered and the worker keeps serving.
+    /// Carries the panic message.
+    Internal(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -138,6 +146,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Shutdown => write!(f, "server shut down before answering"),
             ServeError::Predict(e) => write!(f, "prediction failed: {e}"),
+            ServeError::Internal(m) => write!(f, "prediction panicked: {m}"),
         }
     }
 }
@@ -339,8 +348,9 @@ impl Drop for ServeHandle {
 }
 
 /// Recovers the guard from a poisoned serve lock instead of propagating
-/// the panic. A worker that panics mid-batch abandons its own jobs but
-/// never leaves the protected state torn — queue mutations are single
+/// the panic. A request's own stages cannot poison a lock (their panics
+/// are caught per job), and a panic anywhere else never leaves the
+/// protected state torn — queue mutations are single
 /// `VecDeque` calls and the model slot is an `(Arc, epoch)` pair swapped
 /// whole — so continuing to serve the remaining traffic beats letting one
 /// bad request take the whole service down.
@@ -415,9 +425,15 @@ fn process_batch(shared: &Shared, batch: Vec<Job>) {
     // Stage 2: the embedding wave — embed every miss's table before any
     // generation runs (each embedding is pure in its own table, so order
     // is irrelevant to results).
-    let queries: Vec<Vec<f64>> = misses
+    let queries: Vec<Result<Vec<f64>, ServeError>> = misses
         .iter()
-        .map(|(job, _)| model.embed_table(&job.request.table))
+        .map(|(job, _)| {
+            isolated(|| {
+                #[cfg(test)]
+                tests::inject_panic(job.request.seed, tests::PANIC_IN_EMBED);
+                model.embed_table(&job.request.table)
+            })
+        })
         .collect();
 
     // Stage 3: generation per miss. Identical requests inside one batch
@@ -437,15 +453,21 @@ fn process_batch(shared: &Shared, batch: Vec<Job>) {
             );
             continue;
         }
-        let outcome = model.predict_from_query_embedding(
-            &query,
-            job.request.task,
-            job.request.k,
-            &shared.capabilities,
-            job.request.seed,
-        );
+        let outcome = query.and_then(|query| {
+            isolated(|| {
+                #[cfg(test)]
+                tests::inject_panic(job.request.seed, tests::PANIC_IN_PREDICT);
+                model.predict_from_query_embedding(
+                    &query,
+                    job.request.task,
+                    job.request.k,
+                    &shared.capabilities,
+                    job.request.seed,
+                )
+            })
+        });
         let response = match outcome {
-            Ok((skeletons, neighbour)) => {
+            Ok(Ok((skeletons, neighbour))) => {
                 shared
                     .cache
                     .insert(key, (skeletons.clone(), neighbour.clone()));
@@ -457,14 +479,182 @@ fn process_batch(shared: &Shared, batch: Vec<Job>) {
                     model_epoch: epoch,
                 })
             }
-            Err(e) => Err(ServeError::Predict(e)),
+            Ok(Err(e)) => Err(ServeError::Predict(e)),
+            Err(e) => Err(e),
         };
         respond(shared, job, response);
     }
+}
+
+/// Runs one request's stage, turning a panic into
+/// [`ServeError::Internal`] for that request alone. The model is an
+/// immutable snapshot that every stage reads through `&self`, so a panic
+/// leaves nothing half-written for the batch-mates that follow.
+fn isolated<T>(stage: impl FnOnce() -> T) -> Result<T, ServeError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(stage)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        ServeError::Internal(message)
+    })
 }
 
 fn respond(shared: &Shared, job: Job, response: Result<ServeResponse, ServeError>) {
     shared.served.fetch_add(1, Ordering::Relaxed);
     // A dropped receiver just means the client stopped waiting.
     let _ = job.reply.send(response);
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
+    use kgpip_tabular::Column;
+
+    /// Request seeds whose embedding or generation stage panics.
+    pub(crate) const PANIC_IN_EMBED: u64 = 0x0bad_e3be;
+    pub(crate) const PANIC_IN_PREDICT: u64 = 0x0bad_9e11;
+
+    /// The injection point the two stages call: panics for its seed.
+    pub(crate) fn inject_panic(seed: u64, at: u64) {
+        if seed == at {
+            panic!("injected panic for seed {seed:#x}");
+        }
+    }
+
+    fn table_like(offset: f64, n: usize) -> DataFrame {
+        DataFrame::from_columns(vec![
+            (
+                "f0".to_string(),
+                Column::from_f64((0..n).map(|i| offset + (i % 10) as f64).collect::<Vec<_>>()),
+            ),
+            (
+                "f1".to_string(),
+                Column::from_f64((0..n).map(|i| offset + (i % 7) as f64).collect::<Vec<_>>()),
+            ),
+        ])
+        .unwrap()
+    }
+
+    fn trained_artifact() -> TrainedModel {
+        let profiles = vec![
+            DatasetProfile::new("alpha", false),
+            DatasetProfile::new("beta", false),
+        ];
+        let scripts = generate_corpus(
+            &profiles,
+            &CorpusConfig {
+                scripts_per_dataset: 6,
+                unsupported_fraction: 0.0,
+                ..CorpusConfig::default()
+            },
+        );
+        let tables = vec![
+            ("alpha".to_string(), table_like(0.0, 30)),
+            ("beta".to_string(), table_like(500.0, 30)),
+        ];
+        let config =
+            kgpip::KgpipConfig::default().with_generator(kgpip_graphgen::GeneratorConfig {
+                hidden: 10,
+                prop_rounds: 1,
+                epochs: 3,
+                ..kgpip_graphgen::GeneratorConfig::default()
+            });
+        kgpip::Kgpip::train(&scripts, &tables, config)
+            .unwrap()
+            .into_artifact()
+    }
+
+    fn request(i: usize, seed: u64) -> ServeRequest {
+        ServeRequest {
+            table: table_like(i as f64 * 37.0, 20 + i),
+            task: Task::Binary,
+            k: 3,
+            seed,
+        }
+    }
+
+    /// Enqueues every request under one queue lock, so a single worker
+    /// drains them as one batch.
+    fn submit_as_one_batch(server: &ServeHandle, requests: Vec<ServeRequest>) -> Vec<Pending> {
+        let pending = {
+            let mut queue = recover(server.shared.queue.lock());
+            requests
+                .into_iter()
+                .map(|request| {
+                    let (reply, receiver) = mpsc::channel();
+                    queue.jobs.push_back(Job { request, reply });
+                    Pending { receiver }
+                })
+                .collect()
+        };
+        server.shared.available.notify_all();
+        pending
+    }
+
+    /// A panic in one request's embedding or generation answers that
+    /// request with `ServeError::Internal`; its batch-mates get the
+    /// answers direct prediction gives, and afterwards every worker is
+    /// alive and a burst is served in full.
+    #[test]
+    fn a_panicking_request_fails_alone_and_every_worker_keeps_serving() {
+        let model = trained_artifact();
+        let caps = Flaml::new(0).capabilities();
+        let workers = 2;
+        let server = ServeHandle::start(
+            model.share(),
+            ServeConfig::default()
+                .with_workers(workers)
+                .with_cache_capacity(0),
+        );
+        let direct = |r: &ServeRequest| {
+            model
+                .predict_table(&r.table, r.task, r.k, &caps, r.seed)
+                .unwrap()
+        };
+        let assert_answers = |r: &ServeRequest, response: ServeResponse| {
+            let (skeletons, neighbour) = direct(r);
+            assert_eq!(response.neighbour, neighbour);
+            assert_eq!(response.skeletons.len(), skeletons.len());
+            for ((a, ga), (b, gb)) in response.skeletons.iter().zip(&skeletons) {
+                assert_eq!(a, b);
+                assert_eq!(ga.to_bits(), gb.to_bits());
+            }
+        };
+
+        let batch = vec![
+            request(0, 5),
+            request(1, PANIC_IN_PREDICT),
+            request(2, 6),
+            request(3, PANIC_IN_EMBED),
+            request(4, 7),
+        ];
+        let pending = submit_as_one_batch(&server, batch.clone());
+        for (r, p) in batch.iter().zip(pending) {
+            let answer = p.wait();
+            if r.seed == PANIC_IN_EMBED || r.seed == PANIC_IN_PREDICT {
+                match answer {
+                    Err(ServeError::Internal(m)) => assert!(m.contains("injected"), "{m}"),
+                    other => panic!("seed {:#x}: {other:?}", r.seed),
+                }
+            } else {
+                let response = answer.unwrap();
+                assert_eq!(response.batch_size, batch.len());
+                assert_answers(r, response);
+            }
+        }
+
+        let burst: Vec<ServeRequest> = (0..4 * workers)
+            .map(|i| request(i, 100 + i as u64))
+            .collect();
+        let pending: Vec<Pending> = burst.iter().map(|r| server.submit(r.clone())).collect();
+        for (r, p) in burst.iter().zip(pending) {
+            assert_answers(r, p.wait().unwrap());
+        }
+        assert_eq!(server.workers.len(), workers);
+        assert!(server.workers.iter().all(|w| !w.is_finished()));
+        assert_eq!(server.shutdown().served, (batch.len() + 4 * workers) as u64);
+    }
 }

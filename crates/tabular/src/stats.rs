@@ -12,8 +12,11 @@
 //! row order, the quantiles read a row sample. An in-memory column is its
 //! one-chunk case: [`ColumnStats::compute`] passes
 //! `std::slice::from_ref(column)` with every row as the sample. The fold
-//! gathers each column's present numeric views once from the typed slices
-//! and counts distinct values by sort and dedup. Its sums are
+//! gathers each column's present numeric views once from the typed slices.
+//! When the quantile sort holds every present value, the distinct count is
+//! read off it (runs of equal values, with `-0` and `+0` two values);
+//! otherwise — a sampled column, text, a NaN — it is a sort and dedup of
+//! its own. Its sums are
 //! `Iterator::sum`, which starts at −0.0, so a column whose present values
 //! are all `-0` has mean −0.0 however it is chunked.
 
@@ -89,6 +92,9 @@ impl ColumnStats {
             }
         }
 
+        // A distinct count read off the quantile sort, when that sort holds
+        // every present value of one numeric view; else `distinct_count`.
+        let mut sorted_cardinality: Option<usize> = None;
         let (mean, std, min, max, skewness, kurtosis, quantiles) = match values.first() {
             None => (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0; 5]),
             Some(&first) => {
@@ -117,12 +123,16 @@ impl ColumnStats {
                 let (min, max) = values.iter().fold((first, first), |(lo, hi), &x| {
                     (if x < lo { x } else { lo }, if x >= hi { x } else { hi })
                 });
-                let mut sorted = if sample.len() == len {
+                let full = sample.len() == len;
+                let mut sorted = if full {
                     values
                 } else {
                     gather_sample(chunks, sample, Column::as_f64)
                 };
                 sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+                if full && chunks.iter().all(|c| c.kind() == kind) {
+                    sorted_cardinality = sorted_distinct_bits(&sorted);
+                }
                 let last = sorted.len().saturating_sub(1);
                 let q = |p: f64| -> f64 {
                     let idx = (p * last as f64).round() as usize;
@@ -156,7 +166,7 @@ impl ColumnStats {
             kind,
             len,
             missing: chunks.iter().map(Column::missing_count).sum(),
-            cardinality: distinct_count(chunks),
+            cardinality: sorted_cardinality.unwrap_or_else(|| distinct_count(chunks)),
             mean,
             std,
             min,
@@ -176,6 +186,25 @@ impl ColumnStats {
             self.missing as f64 / self.len as f64
         }
     }
+}
+
+/// Distinct bit patterns among `sorted`, a `partial_cmp` sort of every
+/// present value: the runs of `==` values, plus one for a zero run that
+/// holds both `-0` and `+0` (equal, but two bit patterns; a sorted slice
+/// keeps all its zeros in one run). `None` when a NaN is present: it ties
+/// with everything, so its runs are not bit classes.
+fn sorted_distinct_bits(sorted: &[f64]) -> Option<usize> {
+    if sorted.iter().any(|x| x.is_nan()) {
+        return None;
+    }
+    let neighbours = sorted.iter().zip(sorted.iter().skip(1));
+    let runs = usize::from(!sorted.is_empty()) + neighbours.filter(|(a, b)| a != b).count();
+    let (mut negative_zero, mut positive_zero) = (false, false);
+    for x in sorted.iter().filter(|x| **x == 0.0) {
+        negative_zero |= x.is_sign_negative();
+        positive_zero |= x.is_sign_positive();
+    }
+    Some(runs + usize::from(negative_zero && positive_zero))
 }
 
 /// Distinct present values of a column held as row chunks, counted by sort
@@ -454,16 +483,72 @@ mod tests {
         fn chunked_stats_match_the_oracle_under_full_coverage(
             values in proptest::collection::vec(proptest::option::of(-1e6f64..1e6), 1..60),
         ) {
-            let col = Column::numeric(values.clone());
-            let exact = bits(&oracle::compute(&col));
-            let frame = crate::DataFrame::from_columns(vec![("v".to_string(), col)]).unwrap();
-            for chunk_rows in [1, 7, 64, 1_000_000] {
-                let cf = crate::ChunkedFrame::from_frame(&frame, chunk_rows);
-                let sample = cf.sample(values.len(), 0);
-                let chunked = bits(&ColumnStats::of_chunks(cf.column_chunks(0), &sample));
-                proptest::prop_assert_eq!(&exact, &chunked, "chunk_rows={}", chunk_rows);
-            }
+            assert_chunked_stats_match_the_oracle(values)?;
         }
+
+        /// The same on columns dense in ties: repeated values, `-0` next
+        /// to `+0` (equal, yet two distinct values), and columns whose
+        /// present values are all equal.
+        #[test]
+        fn chunked_stats_match_the_oracle_on_ties_and_signed_zeros(
+            values in proptest::collection::vec(
+                proptest::option::of(tie_prone()),
+                1..60,
+            ),
+            constant in tie_prone(),
+            constant_len in 1usize..40,
+        ) {
+            assert_chunked_stats_match_the_oracle(values)?;
+            assert_chunked_stats_match_the_oracle(vec![Some(constant); constant_len])?;
+        }
+    }
+
+    /// Values drawn mostly from a few ties: `+0`, `-0`, 1.5 and −3, else
+    /// anywhere in ±1e6.
+    fn tie_prone() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::strategy::Strategy;
+        (0u8..6, -1e6f64..1e6).prop_map(|(pick, x)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.5,
+            3 => -3.0,
+            _ => x,
+        })
+    }
+
+    /// With the sample covering every row, `of_chunks` at chunk sizes 1,
+    /// 7, 64 and whole matches the oracle to the bit.
+    fn assert_chunked_stats_match_the_oracle(values: Vec<Option<f64>>) -> Result<(), String> {
+        let col = Column::numeric(values.clone());
+        let exact = bits(&oracle::compute(&col));
+        let frame = crate::DataFrame::from_columns(vec![("v".to_string(), col)]).unwrap();
+        for chunk_rows in [1, 7, 64, 1_000_000] {
+            let cf = crate::ChunkedFrame::from_frame(&frame, chunk_rows);
+            let sample = cf.sample(values.len(), 0);
+            let chunked = bits(&ColumnStats::of_chunks(cf.column_chunks(0), &sample));
+            proptest::prop_assert_eq!(&exact, &chunked, "chunk_rows={}", chunk_rows);
+        }
+        Ok(())
+    }
+
+    /// A NaN ties with every value under `partial_cmp`, so the sorted runs
+    /// are not bit classes: a column holding one (built from the variant,
+    /// since `Column::numeric` maps NaN to missing) keeps the bit-pattern
+    /// count.
+    #[test]
+    fn a_nan_column_counts_distinct_bit_patterns() {
+        let col = Column::Numeric(
+            [1.0, f64::NAN, 1.0, 2.0, f64::NAN, -0.0, 0.0]
+                .into_iter()
+                .map(Some)
+                .collect(),
+        );
+        assert_eq!(sorted_distinct_bits(&[1.0, f64::NAN]), None);
+        assert_eq!(ColumnStats::compute(&col).cardinality, 5);
+        assert_eq!(
+            ColumnStats::compute(&col).cardinality,
+            distinct_count(&[col])
+        );
     }
 
     /// `Iterator::sum` starts at −0.0, so a column whose present values

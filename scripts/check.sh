@@ -22,10 +22,12 @@ cargo bench --workspace --no-run
 echo "==> vendored parallel runtime (one persistent pool: order, nesting, panics, no per-call threads)"
 cargo test -p rayon -q
 
-echo "==> determinism suite (parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; GBT fits identical with or without an installed width; mining identical at any worker count)"
+echo "==> determinism suite (parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; the per-call state memo and the one-row add-node pass ≡ the reference at widths 1 and 2; layers row-local; GBT fits identical with or without an installed width; mining identical at any worker count)"
 cargo test -p kgpip-graphgen --test determinism -q
 cargo test -p kgpip-graphgen --lib -q
+cargo test -p kgpip-graphgen --lib -q memo
 cargo test -p kgpip-nn --test props -q
+cargo test -p kgpip-nn --test props -q row_subset
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
 
