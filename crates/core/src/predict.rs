@@ -293,6 +293,10 @@ impl TrainedModel {
     /// share rolls forward). With `parallelism > 1` skeletons run on
     /// concurrent lanes, each with an upfront `(T − t)/K` sub-budget drawn
     /// from the same shared trial pool, so the global cap stays exact.
+    ///
+    /// Every backend searches on a holdout split of `train`, so a training
+    /// set too small to split fails with that split's typed error before
+    /// any skeleton is generated.
     pub fn run_k(
         &self,
         train: &Dataset,
@@ -300,6 +304,7 @@ impl TrainedModel {
         budget: TimeBudget,
         k: usize,
     ) -> Result<KgpipRun> {
+        kgpip_tabular::ensure_splittable(train)?;
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): measures the paper's generation time `t`, reported in KgpipRun; budget accounting lives in TimeBudget
         let started = std::time::Instant::now();
@@ -692,11 +697,12 @@ mod tests {
         .map_err(|e| e.to_string())
     }
 
-    /// Degenerate training sets — 0 and 1 rows, one label class, and a
-    /// `k` beyond the two-dataset catalog — give both backends a typed
-    /// `Result` without panicking, the same at parallelism 1 and 2. A
-    /// training set too small to split fails every search
-    /// (`AllSkeletonsFailed`); one label class and a large `k` answer.
+    /// Degenerate training sets — 0 and 1 rows, one label class, an
+    /// all-NaN feature column, and a `k` beyond the two-dataset catalog —
+    /// give both backends a typed `Result` without panicking, the same at
+    /// parallelism 1 and 2. A training set too small for the searches'
+    /// holdout split fails with the split's own error before generation;
+    /// the others answer.
     #[test]
     fn degenerate_training_sets_answer_typed_and_alike_at_any_width() {
         let model = trained_model();
@@ -704,10 +710,17 @@ mod tests {
             let f = table_like(1.0, 60);
             Dataset::new("one-class", f, vec![1.0; 60], Task::Binary).unwrap()
         };
+        let all_nan = {
+            let mut ds = unseen_dataset(60);
+            let gone = Column::numeric(vec![Some(f64::NAN); 60]);
+            ds.features.push("gone", gone).unwrap();
+            ds
+        };
         let cases: Vec<(&str, Dataset, usize, bool)> = vec![
             ("0 rows", unseen_dataset(0), 3, false),
             ("1 row", unseen_dataset(1), 3, false),
             ("one label class", one_class, 3, true),
+            ("an all-NaN feature column", all_nan, 3, true),
             ("k beyond the catalog", unseen_dataset(60), 10, true),
         ];
         let backends: [fn() -> Box<dyn Optimizer>; 2] =
@@ -732,8 +745,10 @@ mod tests {
                 if *answers {
                     assert!(outcomes[0].is_ok(), "{what} / {name}: {:?}", outcomes[0]);
                 } else {
-                    let failed = KgpipError::AllSkeletonsFailed.to_string();
-                    assert_eq!(outcomes[0], Err(failed), "{what} / {name}");
+                    let too_small = KgpipError::Tabular(kgpip_tabular::TabularError::Empty(
+                        "dataset with at least 2 rows",
+                    ));
+                    assert_eq!(outcomes[0], Err(too_small.to_string()), "{what} / {name}");
                 }
             }
         }

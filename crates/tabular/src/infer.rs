@@ -51,11 +51,9 @@ pub fn is_missing_marker(s: &str) -> bool {
 }
 
 /// Parses a cell as a number, accepting surrounding whitespace and treating
-/// common missing markers (`NA`, `N/A`, `null`, `nan`, `?`) as missing.
+/// common missing markers (`NA`, `N/A`, `null`, `nan`, `?`) as missing:
+/// each of them fails to parse or parses to NaN, which is not finite.
 pub fn parse_number(s: &str) -> Option<f64> {
-    if is_missing_marker(s) {
-        return None;
-    }
     s.trim().parse::<f64>().ok().filter(|x| x.is_finite())
 }
 
@@ -235,6 +233,34 @@ mod tests {
             // Missing count can only grow (markers become missing).
             let explicit_missing = cells.iter().filter(|c| c.is_none()).count();
             prop_assert!(col.missing_count() >= explicit_missing);
+        }
+    }
+
+    /// Markers in several cases, the float parser's own specials, and
+    /// numbers, for the marker-first property.
+    const CELLS: [&str; 16] = [
+        "NA", "na", "N/A", "null", "NULL", "nan", "NaN", "?", "inf", "-inf", "Infinity", "+nan",
+        "", "-2.5", "1e3", "1e999",
+    ];
+
+    proptest! {
+        /// Without a marker check of its own, `parse_number` reads every
+        /// cell as the marker-first parse it replaced does: markers, float
+        /// specials, numbers and random near misses, in any padding.
+        #[test]
+        fn oracle_parse_number_matches_the_marker_first_parse(
+            pick in 0usize..CELLS.len() + 1,
+            noise in "[0-9naNAulLfiIty?/.eE+-]{0,6}",
+            pad in "[ \t]{0,2}",
+        ) {
+            let body = CELLS.get(pick).copied().unwrap_or(&noise);
+            let s = format!("{pad}{body}{pad}");
+            let marker_first = if is_missing_marker(&s) {
+                None
+            } else {
+                s.trim().parse::<f64>().ok().filter(|x| x.is_finite())
+            };
+            prop_assert_eq!(parse_number(&s).map(f64::to_bits), marker_first.map(f64::to_bits));
         }
     }
 

@@ -51,7 +51,7 @@ pub use error::TabularError;
 pub use frame::DataFrame;
 pub use infer::infer_task;
 pub use parallel::effective_parallelism;
-pub use split::{kfold, stratified_kfold, train_test_split};
+pub use split::{ensure_splittable, kfold, stratified_kfold, train_test_split};
 pub use stats::{fnv1a, ColumnStats};
 pub use stream::{read_chunked, read_chunked_with_report, ChunkedReadOptions, IngestReport};
 

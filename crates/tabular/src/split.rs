@@ -15,15 +15,22 @@ pub fn train_test_split(ds: &Dataset, test_fraction: f64, seed: u64) -> Result<(
             "test_fraction must be in (0, 1), got {test_fraction}"
         )));
     }
+    ensure_splittable(ds)?;
     let n = ds.num_rows();
-    if n < 2 {
-        return Err(TabularError::Empty("dataset with at least 2 rows"));
-    }
     let mut rows: Vec<usize> = (0..n).collect();
     rows.shuffle(&mut StdRng::seed_from_u64(seed));
     let test_n = ((n as f64 * test_fraction).round() as usize).clamp(1, n - 1);
     let (test_rows, train_rows) = rows.split_at(test_n);
     Ok((ds.take(train_rows), ds.take(test_rows)))
+}
+
+/// Checks that `ds` can be split at all: a split needs a row on each side.
+/// At any valid fraction, [`train_test_split`] fails exactly when this does.
+pub fn ensure_splittable(ds: &Dataset) -> Result<()> {
+    if ds.num_rows() < 2 {
+        return Err(TabularError::Empty("dataset with at least 2 rows"));
+    }
+    Ok(())
 }
 
 /// Produces `k` folds of `(train_rows, validation_rows)` index pairs over

@@ -23,6 +23,7 @@
 use crate::chunk::gather_sample;
 use crate::column::{Column, ColumnKind};
 use std::cmp::Ordering;
+use std::collections::HashSet;
 
 /// 64-bit FNV-1a hash — the workspace's canonical cheap string hash
 /// (feature hashing, n-gram buckets, deterministic synthetic seeds).
@@ -207,10 +208,11 @@ fn sorted_distinct_bits(sorted: &[f64]) -> Option<usize> {
     Some(runs + usize::from(negative_zero && positive_zero))
 }
 
-/// Distinct present values of a column held as row chunks, counted by sort
-/// and dedup: numeric values by bit pattern (`-0` and `0` differ),
-/// categorical codes, text strings. Chunks of another kind than the first
-/// hold none of the first kind's values and are skipped.
+/// Distinct present values of a column held as row chunks: numeric values
+/// by bit pattern (`-0` and `0` differ) and categorical codes counted by
+/// sort and dedup, text strings by hashing (a count reads no order).
+/// Chunks of another kind than the first hold none of the first kind's
+/// values and are skipped.
 pub(crate) fn distinct_count(chunks: &[Column]) -> usize {
     fn count<T: Ord>(mut keys: Vec<T>) -> usize {
         keys.sort_unstable();
@@ -240,16 +242,16 @@ pub(crate) fn distinct_count(chunks: &[Column]) -> usize {
                 .flatten()
                 .collect(),
         ),
-        Some(ColumnKind::Text) => count(
-            chunks
-                .iter()
-                .flat_map(|c| match c {
-                    Column::Text(v) => v.as_slice(),
-                    _ => &[],
-                })
-                .filter_map(Option::as_deref)
-                .collect(),
-        ),
+        Some(ColumnKind::Text) => {
+            // Sized for one value per row, so no string is hashed twice.
+            let mut seen = HashSet::with_capacity(chunks.iter().map(Column::len).sum());
+            for chunk in chunks {
+                if let Column::Text(v) = chunk {
+                    seen.extend(v.iter().filter_map(Option::as_deref));
+                }
+            }
+            seen.len()
+        }
     }
 }
 

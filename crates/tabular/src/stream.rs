@@ -3,38 +3,39 @@
 //! [`read_chunked`] parses a CSV document into a [`ChunkedFrame`] in
 //! fixed-size row chunks on a clamped rayon pool; the frame is identical
 //! at any chunk size × worker count. [`crate::csv::read_frame`] is this
-//! reader at its default options, collected into one frame. The scheme:
+//! reader at its default options, collected into one frame. Each cell is
+//! parsed once, bar the backfill's re-parse in bounded mode; the scheme:
 //!
 //! 1. a sequential quote-aware byte scan locates record boundaries (cheap:
 //!    no field is materialized) and surfaces every structural error with
 //!    its source line;
-//! 2. **pass 1** parses each chunk of records on the pool and reduces it
-//!    to per-column accumulators: the present count and the
-//!    numeric/marker lattice flags. The token sum and the
-//!    first-appearance distinct list (cells borrowed from the input) are
-//!    only read for non-numeric columns, so a chunk collects them only
-//!    for the columns where one of its own cells broke the lattice;
+//! 2. **pass 1** parses each chunk of records on the pool, reduces it to
+//!    per-column accumulators (the present count and the numeric/marker
+//!    lattice flags) and decodes each column under the kind the chunk
+//!    shows: the parsed `f64`s while its cells stay in the lattice, else
+//!    a chunk-local code per row into its first-appearance distinct list
+//!    (cells borrowed from the input), with the token sum;
 //! 3. **backfill**: once the flags of every chunk are merged, a column
 //!    that turns out non-numeric (a later chunk broke the lattice, or no
-//!    chunk holds a real number) gets the missing details from the chunks
-//!    that skipped them — from the resident cells, or by re-parsing just
-//!    those chunks in bounded mode. Numeric columns, the common case,
-//!    never build a distinct list at all;
+//!    chunk holds a real number) gets codes from the chunks that kept
+//!    numbers for it — from the resident cells, or by re-parsing just
+//!    those chunks in bounded mode, the one re-parse left. Numeric
+//!    columns, the common case, never build a distinct list at all;
 //! 4. the accumulators meet in chunk order and decide each column's type
 //!    by the rules in [`crate::infer`] (the distinct lists merge into the
 //!    global first-appearance dictionary, built only for categorical
 //!    columns);
-//! 5. **pass 2** decodes each chunk into typed [`Column`]s under the
-//!    decided kinds, all categorical chunks sharing one dictionary `Arc`;
-//!    chunks merge in submission order.
+//! 5. **convert**: each chunk's decode becomes typed [`Column`]s under the
+//!    decided kinds — numbers move, categorical codes are remapped through
+//!    the dictionary's lookup (chunks share one dictionary `Arc`), text
+//!    codes expand to their strings; chunks merge in submission order.
 //!
-//! With [`ChunkedReadOptions::bounded_memory`] the reader trades extra
-//! parses for bounded buffering: chunks are processed in waves of at most
-//! `2 × workers`, so no more than two chunks of parsed cells are resident
-//! per worker at any time (the backfill and pass 2 re-parse from the
-//! source). The default mode parses once and keeps the borrowed cells
-//! between passes — cells are slices into the input, so this costs
-//! pointers, not string copies.
+//! With [`ChunkedReadOptions::bounded_memory`] chunks are parsed in waves
+//! of at most `2 × workers` and each wave's cells dropped once decoded, so
+//! no more than two chunks of parsed cells are resident per worker at any
+//! time. The default mode keeps the borrowed cells until the backfill —
+//! cells are slices into the input, so this costs pointers, not string
+//! copies.
 //!
 //! The row-major reader this one replaced survives as the test oracle
 //! `csv::oracle::read_frame`; frames and errors match it at every chunk
@@ -45,14 +46,14 @@ use crate::column::Column;
 use crate::csv::{
     header_names, parse_span, parse_span_into, ragged_row_error, scan_records, RecordSpan,
 };
+use crate::error::TabularError;
 use crate::infer::{is_missing_marker, is_text, parse_number};
 use crate::parallel::effective_parallelism;
 use crate::Result;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One parsed cell, borrowed from the input; `None` = missing. A chunk's
 /// cells sit in one row-major buffer, one entry per column.
@@ -69,9 +70,10 @@ pub struct ChunkedReadOptions {
     pub chunk_rows: usize,
     /// Requested worker count; clamped through [`effective_parallelism`].
     pub parallelism: usize,
-    /// When set, parse in waves of `2 × workers` chunks and re-parse in
-    /// pass 2, bounding resident parse buffers instead of keeping every
-    /// chunk's cells alive between passes.
+    /// When set, parse in waves of `2 × workers` chunks and drop each
+    /// wave's cells once decoded, bounding resident parse buffers (a
+    /// backfilled chunk is parsed again) instead of keeping every chunk's
+    /// cells alive until the backfill.
     pub bounded_memory: bool,
 }
 
@@ -100,35 +102,39 @@ pub struct IngestReport {
     pub peak_resident_chunks: usize,
 }
 
-/// The inputs the type rules read only for non-numeric columns, over one
-/// column of one chunk.
+/// One column of one chunk decoded as labels: the inputs the type rules
+/// read only for non-numeric columns, and the rows as codes.
 struct Details<'a> {
     /// Whitespace tokens across the present cells.
     token_sum: usize,
     /// Distinct present values in first-appearance order within the chunk.
     distinct: Vec<Cow<'a, str>>,
+    /// Per row, the index of its value in `distinct`; `None` = missing.
+    codes: Vec<Option<u32>>,
 }
 
-/// Per-column accumulator a chunk reduces to in pass 1. Merging these in
-/// chunk order yields the column's type-decision inputs exactly.
+/// Per-column accumulator a chunk reduces to in pass 1: the type-decision
+/// inputs (merging these in chunk order yields the column's exactly) and
+/// the chunk's decode of the column.
 struct ColAcc<'a> {
     present: usize,
-    all_num_or_marker: bool,
     any_real: bool,
-    /// Collected in pass 1 only when this chunk broke the numeric lattice;
-    /// otherwise left for the backfill, which fills it only when the
-    /// column's merged flags turn out non-numeric.
+    /// Every row's number, kept while the chunk's cells stay in the
+    /// numeric lattice; `None` once one of them broke it.
+    numbers: Option<Vec<Option<f64>>>,
+    /// Collected in pass 1 when this chunk broke the numeric lattice (or
+    /// holds no present cell); otherwise left for the backfill, which
+    /// fills it only when the column's merged flags turn out non-numeric.
     details: Option<Details<'a>>,
 }
 
-/// The decided kind of a column, carried into pass-2 decode. A
-/// categorical `lookup` borrows its keys from the pass-1 distinct lists.
-enum KindDecision<'s> {
+/// The decided kind of a column, carried into the conversion.
+enum KindDecision {
     Numeric,
     Text,
     Categorical {
         dictionary: Arc<Vec<String>>,
-        lookup: HashMap<&'s str, u32>,
+        lookup: HashMap<String, u32>,
     },
 }
 
@@ -160,61 +166,61 @@ fn column_cells<'r, 'a>(
     cells.iter().skip(c).step_by(ncols.max(1))
 }
 
-/// The present cells of column `c`, in row order.
-fn present_cells<'r, 'a>(
-    cells: &'r [Cell<'a>],
-    ncols: usize,
-    c: usize,
-) -> impl Iterator<Item = &'r Cow<'a, str>> + 'r {
-    column_cells(cells, ncols, c).filter_map(Option::as_ref)
-}
-
-/// Token sum and first-appearance distinct list of column `c` over a
-/// parsed chunk. The distinct cells are copies of the borrowed `Cow`s, so
-/// they outlive the chunk's rows.
+/// Column `c` of a parsed chunk decoded as labels. The distinct cells are
+/// copies of the borrowed `Cow`s, so they outlive the chunk's rows.
 fn details<'a>(cells: &[Cell<'a>], ncols: usize, c: usize) -> Details<'a> {
-    // Chunk-local membership; the set is never iterated.
-    let mut seen: HashSet<&str> = HashSet::new();
+    // Chunk-local codes; the map is never iterated. Sized for one value
+    // per row, so a column of distinct labels never re-hashes them.
+    let mut local: HashMap<&str, u32> = HashMap::with_capacity(cells.len() / ncols.max(1));
     let mut token_sum = 0usize;
     let mut distinct = Vec::new();
-    for cell in present_cells(cells, ncols, c) {
-        token_sum += cell.split_whitespace().count();
-        if seen.insert(cell) {
-            distinct.push(cell.clone());
-        }
-    }
+    let codes = column_cells(cells, ncols, c)
+        .map(|cell| {
+            let cell = cell.as_ref()?;
+            token_sum += cell.split_whitespace().count();
+            Some(*local.entry(cell).or_insert_with(|| {
+                distinct.push(cell.clone());
+                (distinct.len() - 1) as u32
+            }))
+        })
+        .collect();
     Details {
         token_sum,
         distinct,
+        codes,
     }
 }
 
-/// Reduces a parsed chunk to per-column accumulators: the numeric-lattice
-/// flags for every column, and [`Details`] for the columns this chunk
-/// alone proves non-numeric.
+/// Reduces a parsed chunk to per-column accumulators, decoding each
+/// column as numbers while its cells stay in the numeric lattice and as
+/// labels ([`Details`]) once one of them breaks it.
 fn accumulate<'a>(cells: &[Cell<'a>], ncols: usize) -> Vec<ColAcc<'a>> {
+    let rows = cells.len() / ncols.max(1);
     (0..ncols)
         .map(|c| {
             let mut acc = ColAcc {
                 present: 0,
-                all_num_or_marker: true,
                 any_real: false,
+                numbers: Some(Vec::with_capacity(rows)),
                 details: None,
             };
-            for cell in present_cells(cells, ncols, c) {
-                acc.present += 1;
+            for cell in column_cells(cells, ncols, c) {
+                acc.present += usize::from(cell.is_some());
                 // Once one cell breaks the numeric lattice the column can
                 // never be numeric (`decide` tests `all_num && any_real`),
                 // so the remaining cells skip the parse probe entirely.
-                if acc.all_num_or_marker {
-                    if parse_number(cell).is_some() {
-                        acc.any_real = true;
-                    } else if !is_missing_marker(cell) {
-                        acc.all_num_or_marker = false;
-                    }
+                let Some(numbers) = acc.numbers.as_mut() else {
+                    continue;
+                };
+                let value = cell.as_deref().and_then(parse_number);
+                if value.is_none() && cell.as_deref().is_some_and(|s| !is_missing_marker(s)) {
+                    acc.numbers = None;
+                    continue;
                 }
+                acc.any_real |= value.is_some();
+                numbers.push(value);
             }
-            if !acc.all_num_or_marker {
+            if acc.numbers.is_none() || acc.present == 0 {
                 acc.details = Some(details(cells, ncols, c));
             }
             acc
@@ -228,7 +234,7 @@ fn merged_numeric(chunk_accs: &[Vec<ColAcc<'_>>], c: usize) -> bool {
     let (mut present, mut all_num, mut any_real) = (0usize, true, false);
     for a in chunk_accs.iter().filter_map(|accs| accs.get(c)) {
         present += a.present;
-        all_num &= a.all_num_or_marker;
+        all_num &= a.numbers.is_some();
         any_real |= a.any_real;
     }
     present == 0 || (all_num && any_real)
@@ -237,7 +243,7 @@ fn merged_numeric(chunk_accs: &[Vec<ColAcc<'_>>], c: usize) -> bool {
 /// Merges chunk accumulators (in chunk order) and decides each column's
 /// type, building the shared dictionary for categoricals.
 /// Every non-numeric column must have its details backfilled.
-fn decide<'s>(ncols: usize, chunk_accs: &'s [Vec<ColAcc<'_>>]) -> Vec<KindDecision<'s>> {
+fn decide(ncols: usize, chunk_accs: &[Vec<ColAcc<'_>>]) -> Vec<KindDecision> {
     (0..ncols)
         .map(|c| {
             if merged_numeric(chunk_accs, c) {
@@ -254,19 +260,19 @@ fn decide<'s>(ncols: usize, chunk_accs: &'s [Vec<ColAcc<'_>>]) -> Vec<KindDecisi
             }
             // Global first-appearance order: chunk lists merged in chunk
             // order reproduce row-order first appearance.
-            let mut lookup: HashMap<&str, u32> = HashMap::new();
-            let mut order: Vec<&str> = Vec::new();
+            let mut lookup: HashMap<String, u32> = HashMap::new();
+            let mut dictionary: Vec<String> = Vec::new();
             for s in merged().flat_map(|d| d.distinct.iter()) {
-                lookup.entry(s).or_insert_with(|| {
-                    order.push(s);
-                    (order.len() - 1) as u32
-                });
+                if !lookup.contains_key(s.as_ref()) {
+                    lookup.insert(s.to_string(), dictionary.len() as u32);
+                    dictionary.push(s.to_string());
+                }
             }
-            if is_text(order.len(), present, token_sum) {
+            if is_text(dictionary.len(), present, token_sum) {
                 KindDecision::Text
             } else {
                 KindDecision::Categorical {
-                    dictionary: Arc::new(order.iter().map(|s| s.to_string()).collect()),
+                    dictionary: Arc::new(dictionary),
                     lookup,
                 }
             }
@@ -274,24 +280,37 @@ fn decide<'s>(ncols: usize, chunk_accs: &'s [Vec<ColAcc<'_>>]) -> Vec<KindDecisi
         .collect()
 }
 
-/// Decodes a parsed chunk into typed columns under the decided kinds.
-fn decode_chunk(cells: &[Cell<'_>], decisions: &[KindDecision<'_>]) -> Vec<Column> {
-    let ncols = decisions.len();
-    decisions
-        .iter()
-        .enumerate()
-        .map(|(c, decision)| {
-            let column = column_cells(cells, ncols, c).map(Option::as_deref);
+/// Converts a chunk's pass-1 decode into typed columns under the decided
+/// kinds. Every column decided numeric kept its numbers in every chunk,
+/// and every other column has its details after the backfill.
+fn convert(accs: Vec<ColAcc<'_>>, decisions: &[KindDecision]) -> Result<Vec<Column>> {
+    accs.into_iter()
+        .zip(decisions)
+        .map(|(acc, decision)| {
             match decision {
-                KindDecision::Numeric => Column::numeric(column.map(|v| v.and_then(parse_number))),
-                KindDecision::Text => Column::text(column),
-                KindDecision::Categorical { dictionary, lookup } => Column::Categorical {
-                    codes: column
-                        .map(|v| v.and_then(|s| lookup.get(s).copied()))
-                        .collect(),
-                    dictionary: Arc::clone(dictionary),
-                },
+                KindDecision::Numeric => acc.numbers.map(Column::numeric),
+                KindDecision::Text => acc.details.map(|d| {
+                    let label =
+                        |code: &Option<u32>| Some(d.distinct.get((*code)? as usize)?.to_string());
+                    Column::Text(d.codes.iter().map(label).collect())
+                }),
+                KindDecision::Categorical { dictionary, lookup } => acc.details.map(|d| {
+                    let global: Vec<Option<u32>> = d
+                        .distinct
+                        .iter()
+                        .map(|s| lookup.get(s.as_ref()).copied())
+                        .collect();
+                    Column::Categorical {
+                        codes: d
+                            .codes
+                            .iter()
+                            .map(|code| code.and_then(|k| global.get(k as usize).copied()?))
+                            .collect(),
+                        dictionary: Arc::clone(dictionary),
+                    }
+                }),
             }
+            .ok_or_else(|| TabularError::InvalidArgument("undecoded chunk".to_string()))
         })
         .collect()
 }
@@ -310,8 +329,8 @@ where
 }
 
 /// Reads a CSV document into a [`ChunkedFrame`]; see the module docs for
-/// the two-pass scheme. `into_frame()` of the result is the same frame at
-/// any chunk size and worker count.
+/// the scheme. `into_frame()` of the result is the same frame at any chunk
+/// size and worker count.
 pub fn read_chunked(input: &str, opts: &ChunkedReadOptions) -> Result<ChunkedFrame> {
     read_chunked_with_report(input, opts).map(|(frame, _)| frame)
 }
@@ -325,7 +344,7 @@ pub fn read_chunked_with_report(
     let mut span_iter = spans.iter();
     let header_span = span_iter
         .next()
-        .ok_or(crate::error::TabularError::Empty("csv document"))?;
+        .ok_or(TabularError::Empty("csv document"))?;
     let header = header_names(parse_span(input, *header_span)?);
     let ncols = header.len();
     let data_spans: &[RecordSpan] = span_iter.as_slice();
@@ -353,8 +372,8 @@ pub fn read_chunked_with_report(
         tasks.len().max(1)
     };
 
-    // Pass 1 in waves: parse and accumulate; the default mode keeps the
-    // borrowed cells, bounded mode drops them with the wave.
+    // Pass 1 in waves: parse, decode and accumulate; the default mode
+    // keeps the borrowed cells, bounded mode drops them with the wave.
     let mut chunk_accs: Vec<Vec<ColAcc<'_>>> = Vec::with_capacity(tasks.len());
     let mut resident: Vec<Vec<Cell<'_>>> = Vec::new();
     let mut peak_resident = 0usize;
@@ -374,8 +393,7 @@ pub fn read_chunked_with_report(
     }
 
     // Backfill: details for the non-numeric columns, from the chunks
-    // whose own cells left the lattice intact (a chunk without present
-    // cells has empty details and needs none).
+    // whose own cells left the lattice intact.
     let non_numeric: Vec<usize> = (0..ncols)
         .filter(|&c| !merged_numeric(&chunk_accs, c))
         .collect();
@@ -387,10 +405,7 @@ pub fn read_chunked_with_report(
             let cols: Vec<usize> = non_numeric
                 .iter()
                 .copied()
-                .filter(|&c| {
-                    accs.get(c)
-                        .is_some_and(|a| a.details.is_none() && a.present > 0)
-                })
+                .filter(|&c| accs.get(c).is_some_and(|a| a.details.is_none()))
                 .collect();
             (!cols.is_empty()).then_some((k, task, cols))
         })
@@ -419,34 +434,24 @@ pub fn read_chunked_with_report(
             }
         }
     }
+    drop(resident);
     let decisions = decide(ncols, &chunk_accs);
 
-    // Pass 2: decode the resident cells, or re-parse in waves.
+    // Convert each chunk's decode on the pool, the parse buffers freed
+    // first. The pool maps by reference, so each chunk sits in a slot its
+    // one conversion empties.
+    let slots: Vec<Mutex<Vec<ColAcc<'_>>>> = chunk_accs.into_iter().map(Mutex::new).collect();
+    let converted = map_ordered(pool.as_ref(), &slots, |slot| {
+        let accs = std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
+        convert(accs, &decisions)
+    });
     let mut columns: Vec<Vec<Column>> = (0..ncols).map(|_| Vec::new()).collect();
-    let mut chunk_sizes: Vec<usize> = Vec::with_capacity(tasks.len());
-    let mut push_chunk = |len: usize, chunk: Vec<Column>| {
-        chunk_sizes.push(len);
-        for (col, chunks) in chunk.into_iter().zip(columns.iter_mut()) {
+    for chunk in converted {
+        for (col, chunks) in chunk?.into_iter().zip(columns.iter_mut()) {
             chunks.push(col);
         }
-    };
-    if opts.bounded_memory {
-        for wave in tasks.chunks(wave_len) {
-            let decoded = map_ordered(pool.as_ref(), wave, |&(b, g)| {
-                parse_chunk(input, g, b, ncols).map(|cells| decode_chunk(&cells, &decisions))
-            });
-            for (&(_, g), chunk) in wave.iter().zip(decoded) {
-                push_chunk(g.len(), chunk?);
-            }
-        }
-    } else {
-        let decoded = map_ordered(pool.as_ref(), &resident, |cells| {
-            decode_chunk(cells, &decisions)
-        });
-        for (&(_, g), chunk) in tasks.iter().zip(decoded) {
-            push_chunk(g.len(), chunk);
-        }
     }
+    let chunk_sizes: Vec<usize> = tasks.iter().map(|(_, g)| g.len()).collect();
 
     // Duplicate headers get positional suffixes rather than failing; keep
     // extending until unique (a file may already contain `a.1`).
@@ -593,6 +598,51 @@ mod tests {
         )
     }
 
+    /// What the kind-switching property draws cells from: numbers (signed
+    /// zeros and padded values included), missing markers (absent, `NA`,
+    /// `?`, quoted-empty), and labels — short ones and prose, so a label
+    /// column can land on either side of the text rule.
+    const POOLS: [&[Option<&str>]; 3] = [
+        &[
+            Some("1"),
+            Some("2.5"),
+            Some("-3"),
+            Some("0"),
+            Some("-0"),
+            Some(" 7 "),
+        ],
+        &[None, Some("NA"), Some("?"), Some("")],
+        &[
+            Some("red"),
+            Some("blue"),
+            Some("green b"),
+            Some("a b c d e f g h"),
+            Some("i j k l m n o p"),
+            Some("NA q r s t u v w"),
+        ],
+    ];
+
+    /// Rows whose column `c` draws from pool `kinds[c].0` before row
+    /// `kinds[c].2` and from pool `kinds[c].1` from there on.
+    fn switching_rows(
+        kinds: &[(usize, usize, usize)],
+        picks: &[Vec<usize>],
+    ) -> Vec<Vec<Option<String>>> {
+        picks
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                row.iter()
+                    .zip(kinds)
+                    .map(|(&pick, &(before, after, switch))| {
+                        let pool = POOLS[if r < switch { before } else { after }];
+                        pool[pick % pool.len()].map(str::to_string)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -625,6 +675,40 @@ mod tests {
                                 report.peak_resident_chunks, report.workers
                             );
                         }
+                    }
+                }
+            }
+        }
+
+        /// Columns whose kind switches part-way through the document —
+        /// numbers, missing markers and labels in any order — read like
+        /// the oracle at every chunk size × width × memory mode. This
+        /// drives every conversion: chunks whose own decode agrees with
+        /// the decided kind, chunks that kept numbers for a column a later
+        /// chunk broke (backfilled), all-missing chunks of label columns,
+        /// and all-marker columns.
+        #[test]
+        fn kind_switching_columns_match_the_oracle(
+            cols in 1usize..=4,
+            kinds in proptest::collection::vec((0usize..3, 0usize..3, 0usize..40), 4),
+            picks in proptest::collection::vec(proptest::collection::vec(0usize..12, 4), 0..40),
+        ) {
+            let text = doc(cols, &switching_rows(&kinds, &picks));
+            let expected = oracle(&text).unwrap().fingerprint();
+            for chunk_rows in CHUNK_SIZES {
+                for parallelism in [1usize, 2, 4] {
+                    for bounded_memory in [false, true] {
+                        let frame =
+                            read_chunked(&text, &opts(chunk_rows, parallelism, bounded_memory))
+                                .unwrap()
+                                .into_frame()
+                                .unwrap();
+                        prop_assert_eq!(
+                            frame.fingerprint(),
+                            expected,
+                            "chunk_rows={} parallelism={} bounded={}",
+                            chunk_rows, parallelism, bounded_memory
+                        );
                     }
                 }
             }

@@ -31,11 +31,14 @@ cargo test -p kgpip-nn --test props -q row_subset
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
 
-echo "==> chunked-identity suite (chunked ingest, column stats and table embeddings ≡ their row-major oracles at any chunk size × worker count; byte scanner ≡ char-level reference; CSV decoder fuzz against the oracle)"
+echo "==> chunked-identity suite (chunked ingest, column stats and table embeddings ≡ their row-major oracles at any chunk size × worker count; columns switching between numbers, missing markers and labels part-way through ≡ the oracle in both memory modes; byte scanner ≡ char-level reference; CSV decoder fuzz against the oracle)"
 cargo test -p kgpip-tabular --test chunked_identity -q
 cargo test -p kgpip-tabular --lib -q csv::tests
 cargo test -p kgpip-tabular --lib -q oracle
 cargo test -p kgpip-embeddings --lib -q oracle
+
+echo "==> degenerate inputs (run_k on 0- and 1-row training sets fails with the holdout split's typed error before generation; one label class, an all-NaN feature column and k beyond the catalog answer; every outcome alike at widths 1 and 2, no panics)"
+cargo test -p kgpip --lib -q degenerate_training_sets_answer_typed_and_alike_at_any_width
 
 echo "==> similarity-tier suite (HNSW determinism; KGVI round-trip; legacy PQ-sectioned files open and encode as before; decoder fuzz and allocation bounds; recall gate)"
 cargo test -p kgpip-embeddings --test hnsw -q
