@@ -3,7 +3,7 @@
 //! budget. The redesign's acceptance bar is ≥ 2× trials/sec at
 //! parallelism ≥ 4 over the sequential path.
 //!
-//! Two arm families:
+//! Three arm families:
 //!
 //! * `flaml_skeleton_*` — single-skeleton search (the `(T−t)/K` unit of
 //!   work KGpip parallelizes). Every trial fits the same learner, so the
@@ -13,18 +13,14 @@
 //!   intentionally explores several learner families per round, so the
 //!   per-trial work mix differs from the sequential arm; these arms
 //!   document overhead parity at parallelism 1, not speedup.
-//! * `*_nocache` — the same search with trial caching disabled (the
-//!   literal pre-cache raw-frame path). The cached/nocache ratio is the
-//!   trial hot-path speedup; the cache-equivalence suite proves the two
-//!   arms compute bit-identical results.
 //! * `flaml_chain_*` — fixed skeleton with a transformer chain, so every
-//!   trial re-fits the same scaler prefix: the arm that exercises the
-//!   transformer-prefix cache (bare skeletons bypass it).
+//!   trial fits a scaler before its learner (bare skeletons feed the
+//!   encoded matrix to the learner directly).
 //!
 //! After the criterion arms, the harness runs one instrumented search per
-//! configuration and emits `BENCH_JSON` summary lines with trials/sec and
-//! the transform-cache hit rate — `scripts/bench.sh` collects these into
-//! `BENCH_hpo.json`.
+//! skeleton and emits `BENCH_JSON` summary lines with trials/sec and the
+//! number of trials that ran on the pre-encoded splits —
+//! `scripts/bench.sh` collects these into `BENCH_hpo.json`.
 //!
 //! Run `cargo bench --bench hpo_parallel -- --bench` for timed results;
 //! the smoke mode (plain `cargo bench`) only checks the harness runs.
@@ -88,40 +84,22 @@ fn bench_parallel_hpo(c: &mut Criterion) {
         });
     }
 
-    // --- Cached vs uncached: the trial hot-path speedup itself ---
-    group.bench_function("flaml_skeleton_p1_24_trials_nocache", |b| {
+    // --- A transformer chain on every trial ---
+    let chain = Skeleton {
+        transformers: vec![TransformerKind::StandardScaler],
+        estimator: EstimatorKind::Lgbm,
+    };
+    group.bench_function("flaml_chain_p1_24_trials", |b| {
         b.iter_batched(
-            || Flaml::new(0).with_trial_cache(false),
+            || Flaml::new(0),
             |mut engine| {
                 engine
-                    .optimize_skeleton(black_box(&ds), &skeleton, &budget())
+                    .optimize_skeleton(black_box(&ds), &chain, &budget())
                     .unwrap()
             },
             BatchSize::SmallInput,
         )
     });
-    let chain = Skeleton {
-        transformers: vec![TransformerKind::StandardScaler],
-        estimator: EstimatorKind::Lgbm,
-    };
-    for cache in [true, false] {
-        let id = if cache {
-            "flaml_chain_p1_24_trials"
-        } else {
-            "flaml_chain_p1_24_trials_nocache"
-        };
-        group.bench_function(id, |b| {
-            b.iter_batched(
-                || Flaml::new(0).with_trial_cache(cache),
-                |mut engine| {
-                    engine
-                        .optimize_skeleton(black_box(&ds), &chain, &budget())
-                        .unwrap()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
 
     // --- Overhead-parity arms: historical sequential loop vs the
     // engine at parallelism 1 (the determinism tests prove the trial
@@ -146,29 +124,24 @@ fn bench_parallel_hpo(c: &mut Criterion) {
     });
     group.finish();
 
-    // --- Machine-readable summary: trials/sec + cache hit rate ---
-    // One instrumented search per configuration, reported in the same
+    // --- Machine-readable summary: trials/sec + encoded trials ---
+    // One instrumented search per skeleton, reported in the same
     // `BENCH_JSON` stream the criterion arms use so `scripts/bench.sh`
     // folds everything into one BENCH_hpo.json.
-    let configs: [(&str, &Skeleton, bool); 4] = [
-        ("hpo_summary_skeleton_cached", &skeleton, true),
-        ("hpo_summary_skeleton_nocache", &skeleton, false),
-        ("hpo_summary_chain_cached", &chain, true),
-        ("hpo_summary_chain_nocache", &chain, false),
+    let configs: [(&str, &Skeleton); 2] = [
+        ("hpo_summary_skeleton", &skeleton),
+        ("hpo_summary_chain", &chain),
     ];
-    for (id, sk, cache) in configs {
+    for (id, sk) in configs {
         // One warm-up search, then best-of-3: a single 24-trial search
         // finishes in milliseconds, so a one-shot timing is dominated by
         // scheduler jitter — the best of three repeats is the stable
         // estimate of the hot path (the searches are deterministic, so
         // every repeat runs identical trials).
-        let mut result = Flaml::new(0)
-            .with_trial_cache(cache)
-            .optimize_skeleton(&ds, sk, &budget())
-            .unwrap();
+        let mut result = Flaml::new(0).optimize_skeleton(&ds, sk, &budget()).unwrap();
         let mut best_secs = f64::INFINITY;
         for _ in 0..3 {
-            let mut engine = Flaml::new(0).with_trial_cache(cache);
+            let mut engine = Flaml::new(0);
             let started = Instant::now();
             result = engine.optimize_skeleton(&ds, sk, &budget()).unwrap();
             let secs = started.elapsed().as_secs_f64();
@@ -177,20 +150,10 @@ fn bench_parallel_hpo(c: &mut Criterion) {
             }
         }
         let trials_per_sec = result.trials as f64 / best_secs.max(1e-9);
-        // Bare-skeleton searches never consult the transform cache (no
-        // transformer chain to memoize) — their hit rate is `null`, not
-        // 0%. `encoded_trials` shows the caching that did happen there.
-        let hit_rate = result
-            .report
-            .cache_hit_rate()
-            .map_or("null".to_string(), |r| format!("{r:.4}"));
         println!(
             "BENCH_JSON {{\"id\":{id:?},\"trials\":{},\"trials_per_sec\":{trials_per_sec:.1},\
-             \"encoded_trials\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{hit_rate}}}",
-            result.trials,
-            result.report.encoded_trials,
-            result.report.cache_hits,
-            result.report.cache_misses,
+             \"encoded_trials\":{}}}",
+            result.trials, result.report.encoded_trials,
         );
     }
 }

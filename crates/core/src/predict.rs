@@ -308,7 +308,6 @@ impl TrainedModel {
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): measures the paper's generation time `t`, reported in KgpipRun; budget accounting lives in TimeBudget
         let started = std::time::Instant::now();
-        backend.set_trial_cache(!self.config.disable_trial_cache);
         let capabilities = backend.capabilities();
         let (skeletons, neighbour) =
             self.predict_skeletons(train, k, &capabilities, self.config.seed)?;
@@ -716,16 +715,17 @@ mod tests {
             ds.features.push("gone", gone).unwrap();
             ds
         };
-        let cases: Vec<(&str, Dataset, usize, bool)> = vec![
-            ("0 rows", unseen_dataset(0), 3, false),
-            ("1 row", unseen_dataset(1), 3, false),
-            ("one label class", one_class, 3, true),
-            ("an all-NaN feature column", all_nan, 3, true),
-            ("k beyond the catalog", unseen_dataset(60), 10, true),
+        // `None`: the case answers; `Some(rows)`: it is too small to split.
+        let cases: Vec<(&str, Dataset, usize, Option<usize>)> = vec![
+            ("0 rows", unseen_dataset(0), 3, Some(0)),
+            ("1 row", unseen_dataset(1), 3, Some(1)),
+            ("one label class", one_class, 3, None),
+            ("an all-NaN feature column", all_nan, 3, None),
+            ("k beyond the catalog", unseen_dataset(60), 10, None),
         ];
         let backends: [fn() -> Box<dyn Optimizer>; 2] =
             [|| Box::new(Flaml::new(0)), || Box::new(AutoSklearn::new(0))];
-        for (what, ds, k, answers) in &cases {
+        for (what, ds, k, too_small) in &cases {
             for (make, name) in backends.into_iter().zip(["flaml", "autosklearn"]) {
                 let outcomes: Vec<_> = [1, 2]
                     .into_iter()
@@ -742,13 +742,15 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(outcomes[0], outcomes[1], "{what} / {name}");
-                if *answers {
-                    assert!(outcomes[0].is_ok(), "{what} / {name}: {:?}", outcomes[0]);
-                } else {
-                    let too_small = KgpipError::Tabular(kgpip_tabular::TabularError::Empty(
-                        "dataset with at least 2 rows",
-                    ));
-                    assert_eq!(outcomes[0], Err(too_small.to_string()), "{what} / {name}");
+                match too_small {
+                    None => assert!(outcomes[0].is_ok(), "{what} / {name}: {:?}", outcomes[0]),
+                    Some(rows) => {
+                        let err =
+                            KgpipError::Tabular(kgpip_tabular::TabularError::InvalidArgument(
+                                format!("a train/test split needs at least 2 rows, got {rows}"),
+                            ));
+                        assert_eq!(outcomes[0], Err(err.to_string()), "{what} / {name}");
+                    }
                 }
             }
         }

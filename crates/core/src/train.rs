@@ -41,10 +41,9 @@ pub struct KgpipConfig {
     /// Worker threads for the `(T − t)/K` skeleton searches and their
     /// trial evaluation (1 = fully sequential, the historical behaviour).
     pub parallelism: usize,
-    /// Disables trial caching (pre-encoded datasets + transformer-prefix
-    /// memoization) in the HPO backends. Off (caching on) by default;
-    /// caching changes trial cost, never trial values. Stored inverted so
-    /// configs serialized before this field existed keep caching on.
+    /// Read by nothing: there is no trial cache to disable. Kept only
+    /// because the perfbench harness reads it; it goes with the benchmark
+    /// change listed in ROADMAP item 9.
     #[serde(default)]
     pub disable_trial_cache: bool,
 }
@@ -93,13 +92,6 @@ impl KgpipConfig {
     pub fn with_parallelism(mut self, parallelism: usize) -> KgpipConfig {
         self.parallelism = parallelism.max(1);
         self.generator.parallelism = self.parallelism;
-        self
-    }
-
-    /// Enables or disables trial caching in the HPO backends (on by
-    /// default).
-    pub fn with_trial_cache(mut self, enabled: bool) -> KgpipConfig {
-        self.disable_trial_cache = !enabled;
         self
     }
 }

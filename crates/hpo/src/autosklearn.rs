@@ -52,8 +52,6 @@ pub struct AutoSklearn {
     pub ensembling: bool,
     /// Concurrent trials per round (1 = sequential).
     parallelism: usize,
-    /// Trial caching (encoded datasets + transformer-prefix memo).
-    trial_cache: bool,
 }
 
 impl AutoSklearn {
@@ -65,20 +63,12 @@ impl AutoSklearn {
             knowledge: builtin_knowledge(),
             ensembling: true,
             parallelism: 1,
-            trial_cache: true,
         }
     }
 
     /// Builder-style parallelism knob (clamped to ≥ 1).
     pub fn with_parallelism(mut self, parallelism: usize) -> AutoSklearn {
         self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Builder-style trial-cache knob (on by default; off runs every
-    /// trial on the original raw-frame path).
-    pub fn with_trial_cache(mut self, enabled: bool) -> AutoSklearn {
-        self.trial_cache = enabled;
         self
     }
 
@@ -149,9 +139,8 @@ impl AutoSklearn {
     /// The search's evaluator; an ensembling search keeps its top trials'
     /// holdout predictions.
     fn evaluator(&self, train: &Dataset, budget: &TimeBudget) -> Result<Evaluator> {
-        let evaluator = Evaluator::new(train, self.seed, budget)?
-            .with_parallelism(self.parallelism)
-            .with_cache(self.trial_cache);
+        let evaluator =
+            Evaluator::new(train, self.seed, budget)?.with_parallelism(self.parallelism);
         Ok(if self.ensembling {
             evaluator.keeping_predictions()
         } else {
@@ -381,10 +370,6 @@ impl Optimizer for AutoSklearn {
 
     fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    fn set_trial_cache(&mut self, enabled: bool) {
-        self.trial_cache = enabled;
     }
 
     fn clone_boxed(&self) -> Box<dyn Optimizer + Send> {
@@ -630,21 +615,17 @@ mod tests {
         let mut adopted = 0;
         for task in [Task::Binary, Task::MultiClass(3), Task::Regression] {
             let ds = noisy_dataset(160, task);
-            for caching in [true, false] {
-                for parallelism in [1, 2] {
-                    let engine = AutoSklearn::new(5)
-                        .with_parallelism(parallelism)
-                        .with_trial_cache(caching);
-                    let budget = TimeBudget::seconds(600.0).with_trial_cap(16);
-                    let learners = engine.warm_start_order(&ds);
-                    let portfolio: Vec<EstimatorKind> =
-                        learners.iter().copied().take(PORTFOLIO_SIZE).collect();
-                    let evaluator = engine.evaluator(&ds, &budget).unwrap();
-                    engine
-                        .search(&evaluator, Skeleton::bare, &portfolio, &learners)
-                        .unwrap();
-                    adopted += usize::from(assert_matches_refit_oracle(&evaluator));
-                }
+            for parallelism in [1, 2] {
+                let engine = AutoSklearn::new(5).with_parallelism(parallelism);
+                let budget = TimeBudget::seconds(600.0).with_trial_cap(16);
+                let learners = engine.warm_start_order(&ds);
+                let portfolio: Vec<EstimatorKind> =
+                    learners.iter().copied().take(PORTFOLIO_SIZE).collect();
+                let evaluator = engine.evaluator(&ds, &budget).unwrap();
+                engine
+                    .search(&evaluator, Skeleton::bare, &portfolio, &learners)
+                    .unwrap();
+                adopted += usize::from(assert_matches_refit_oracle(&evaluator));
             }
         }
         assert!(
@@ -677,30 +658,26 @@ mod tests {
             default(EstimatorKind::Ridge),
             with_depth(EstimatorKind::ExtraTrees, 1.0),
         ];
-        for caching in [true, false] {
-            for parallelism in [1, 2] {
-                let engine = AutoSklearn::new(5)
-                    .with_parallelism(parallelism)
-                    .with_trial_cache(caching);
-                let budget = TimeBudget::seconds(600.0);
-                let evaluator = engine.evaluator(&ds, &budget).unwrap();
-                evaluator.evaluate_batch(&batch);
-                let history = evaluator.history();
-                let mut ranked: Vec<&TrialOutcome> =
-                    history.iter().filter(|t| t.score.is_some()).collect();
-                ranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
-                assert_eq!(ranked[7].score, ranked[8].score, "a tie at rank 8");
-                assert_ne!(ranked[7].spec, ranked[8].spec);
-                assert!(
-                    ranked[..8]
-                        .iter()
-                        .filter(|t| t.spec == history[2].spec)
-                        .count()
-                        == 2,
-                    "a repeated spec inside the top 8"
-                );
-                assert_matches_refit_oracle(&evaluator);
-            }
+        for parallelism in [1, 2] {
+            let engine = AutoSklearn::new(5).with_parallelism(parallelism);
+            let budget = TimeBudget::seconds(600.0);
+            let evaluator = engine.evaluator(&ds, &budget).unwrap();
+            evaluator.evaluate_batch(&batch);
+            let history = evaluator.history();
+            let mut ranked: Vec<&TrialOutcome> =
+                history.iter().filter(|t| t.score.is_some()).collect();
+            ranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
+            assert_eq!(ranked[7].score, ranked[8].score, "a tie at rank 8");
+            assert_ne!(ranked[7].spec, ranked[8].spec);
+            assert!(
+                ranked[..8]
+                    .iter()
+                    .filter(|t| t.spec == history[2].spec)
+                    .count()
+                    == 2,
+                "a repeated spec inside the top 8"
+            );
+            assert_matches_refit_oracle(&evaluator);
         }
     }
 

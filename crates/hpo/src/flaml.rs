@@ -90,8 +90,6 @@ pub struct Flaml {
     estimators: Vec<EstimatorKind>,
     /// Concurrent trials per round (1 = sequential).
     parallelism: usize,
-    /// Trial caching (encoded datasets + transformer-prefix memo).
-    trial_cache: bool,
 }
 
 impl Flaml {
@@ -101,7 +99,6 @@ impl Flaml {
             seed,
             estimators: EstimatorKind::ALL.to_vec(),
             parallelism: 1,
-            trial_cache: true,
         }
     }
 
@@ -111,20 +108,12 @@ impl Flaml {
             seed,
             estimators,
             parallelism: 1,
-            trial_cache: true,
         }
     }
 
     /// Builder-style parallelism knob (clamped to ≥ 1).
     pub fn with_parallelism(mut self, parallelism: usize) -> Flaml {
         self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Builder-style trial-cache knob (on by default; off runs every
-    /// trial on the original raw-frame path).
-    pub fn with_trial_cache(mut self, enabled: bool) -> Flaml {
-        self.trial_cache = enabled;
         self
     }
 
@@ -165,9 +154,8 @@ impl Flaml {
         if threads.is_empty() {
             return Err(HpoError::NoUsableLearner);
         }
-        let evaluator = Evaluator::new(train, self.seed, budget)?
-            .with_parallelism(self.parallelism)
-            .with_cache(self.trial_cache);
+        let evaluator =
+            Evaluator::new(train, self.seed, budget)?.with_parallelism(self.parallelism);
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x1f1a_4d1f));
 
         loop {
@@ -270,7 +258,7 @@ impl Flaml {
         if threads.is_empty() {
             return Err(HpoError::NoUsableLearner);
         }
-        let evaluator = Evaluator::new(train, self.seed, budget)?.with_cache(self.trial_cache);
+        let evaluator = Evaluator::new(train, self.seed, budget)?;
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x1f1a_4d1f));
         let mut history: Vec<TrialOutcome> = Vec::new();
         let mut best: Option<(usize, f64)> = None; // (history index, score)
@@ -366,10 +354,6 @@ impl Optimizer for Flaml {
 
     fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    fn set_trial_cache(&mut self, enabled: bool) {
-        self.trial_cache = enabled;
     }
 
     fn clone_boxed(&self) -> Box<dyn Optimizer + Send> {

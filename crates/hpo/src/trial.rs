@@ -10,22 +10,25 @@
 //! sequential evaluation order bit-for-bit, which keeps seeded runs
 //! deterministic.
 //!
-//! A trial fits its pipeline once, predicts the holdout once, and scores
-//! those predictions. An ensembling search keeps the holdout predictions
-//! of its best [`KEPT_TRIALS`] trials as they are recorded, so ensemble
-//! selection reads them instead of refitting anything after the budget
-//! gate has closed.
+//! Both splits are encoded once per evaluator ([`EncodedDataset`]), and
+//! every trial fits its pipeline on the encoded training split
+//! ([`Pipeline::fit_predict_encoded`]), predicts the holdout once, and
+//! scores those predictions. The raw-frame `fit` + `predict` path computes
+//! the same bits; the identity suites use it as the oracle.
+//!
+//! An ensembling search keeps the holdout predictions of its best
+//! [`KEPT_TRIALS`] trials as they are recorded, so ensemble selection
+//! reads them instead of refitting anything after the budget gate has
+//! closed.
 
 use crate::budget::{BudgetGate, TimeBudget};
 use crate::space::Skeleton;
 use crate::Result;
 use kgpip_learners::pipeline::{score_predictions, Pipeline, PipelineSpec};
-use kgpip_learners::{EncodedDataset, Params, TransformCache};
+use kgpip_learners::{EncodedDataset, Params};
 use kgpip_tabular::{effective_parallelism, train_test_split, Dataset};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Fraction of training rows held out for trial validation.
@@ -47,15 +50,14 @@ pub struct TrialOutcome {
     /// Validation score (macro-F1 / R²); `None` when the fit failed.
     pub score: Option<f64>,
     /// The learner error when the fit failed (set iff `score` is `None`),
-    /// so degenerate configs and cache bugs leave a trace.
+    /// so degenerate configs leave a trace.
     pub error: Option<String>,
     /// Wall-clock cost of the trial.
     pub cost: Duration,
 }
 
-/// Aggregate diagnostics of a search run: trial and failure counts, a
-/// capped sample of distinct failure messages, and the transform-cache
-/// hit/miss counters.
+/// Aggregate diagnostics of a search run: trial and failure counts and a
+/// capped sample of distinct failure messages.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchReport {
     /// Trials recorded in the history.
@@ -64,20 +66,22 @@ pub struct SearchReport {
     pub failures: usize,
     /// Distinct failure messages, at most [`MAX_REPORT_ERRORS`].
     pub errors: Vec<String>,
-    /// Transformer-prefix cache hits.
+    /// Always 0: there is no transformer-prefix cache. Kept only because
+    /// the perfbench harness reads it; it goes with the benchmark change
+    /// listed in ROADMAP item 9.
     pub cache_hits: u64,
-    /// Transformer-prefix cache misses.
+    /// Always 0, like [`cache_hits`](SearchReport::cache_hits), and kept
+    /// for the same reason.
     pub cache_misses: u64,
-    /// Trials that ran against the pre-encoded splits (the encode-once
-    /// fast path). Skeleton-only searches with no transformers never
-    /// consult the transform cache — this counter shows the caching that
-    /// *did* happen there, instead of a misleading 0% hit rate.
+    /// Trials that ran against the pre-encoded splits. Every trial an
+    /// [`Evaluator`] records does, so this equals `trials` for a search
+    /// and stays 0 in a report built by [`SearchReport::from_history`].
     pub encoded_trials: u64,
 }
 
 impl SearchReport {
-    /// Failure accounting from a trial history (cache counters stay 0; the
-    /// [`Evaluator`] fills them in).
+    /// Failure accounting from a trial history (`encoded_trials` stays 0;
+    /// [`Evaluator::report`] fills it in).
     pub fn from_history(history: &[TrialOutcome]) -> SearchReport {
         let mut report = SearchReport {
             trials: history.len(),
@@ -96,25 +100,6 @@ impl SearchReport {
         }
         report
     }
-
-    /// Total transform-cache lookups (hits + misses). Zero means the
-    /// search never consulted the cache at all — a hit *rate* is
-    /// meaningless then, not 0%.
-    pub fn cache_lookups(&self) -> u64 {
-        self.cache_hits + self.cache_misses
-    }
-
-    /// Transform-cache hit rate in `[0, 1]`; `None` when the cache was
-    /// never looked up (e.g. skeleton-only searches with no transformer
-    /// chains), so callers cannot mistake "unused" for "0% effective".
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_lookups();
-        if total == 0 {
-            None
-        } else {
-            Some(self.cache_hits as f64 / total as f64)
-        }
-    }
 }
 
 /// The result of a full optimization run.
@@ -131,7 +116,7 @@ pub struct HpoResult {
     /// Optional ensemble members (Auto-Sklearn-style greedy selection);
     /// empty means deploy `spec` alone. Members may repeat (weighting).
     pub ensemble: Vec<PipelineSpec>,
-    /// Failure and cache diagnostics for the run.
+    /// Failure and encoded-trial diagnostics for the run.
     pub report: SearchReport,
 }
 
@@ -153,32 +138,20 @@ impl HpoResult {
     /// test set with the paper's metric. Member refits run in parallel
     /// (rayon) but predictions are combined — and the first error
     /// surfaced — in member order, so the result does not depend on
-    /// completion order.
+    /// completion order. Both sets are encoded once, with `train`'s
+    /// encoder; a `test` frame that encoder rejects is an error, as it is
+    /// for the raw-frame `predict`.
     pub fn refit_score(&self, train: &Dataset, test: &Dataset) -> Result<f64> {
         let members: Vec<&PipelineSpec> = if self.ensemble.is_empty() {
             vec![&self.spec]
         } else {
             self.ensemble.iter().collect()
         };
-        // Encode once and share a transform cache across member refits;
-        // fall back to the raw-dataset path if encoding itself fails.
-        let encoded = EncodedDataset::from_dataset(train).ok().and_then(|tr| {
-            EncodedDataset::with_encoder(tr.encoder(), test)
-                .ok()
-                .map(|te| (tr, te))
-        });
-        let cache = TransformCache::default();
+        let (train_x, test_x) = encode_pair(train, test)?;
         let refit = |spec: &&PipelineSpec| -> std::result::Result<Vec<f64>, String> {
-            let mut pipeline = Pipeline::from_spec((*spec).clone()).map_err(|e| e.to_string())?;
-            match &encoded {
-                Some((tr, te)) => pipeline
-                    .fit_predict_encoded(tr, te, Some(&cache))
-                    .map_err(|e| e.to_string()),
-                None => pipeline
-                    .fit(train)
-                    .and_then(|()| pipeline.predict(test))
-                    .map_err(|e| e.to_string()),
-            }
+            Pipeline::from_spec((*spec).clone())
+                .and_then(|mut pipeline| pipeline.fit_predict_encoded(&train_x, &test_x))
+                .map_err(|e| e.to_string())
         };
         // Member refits ride the global rayon pool, gated on the clamp so
         // a 1-CPU host takes the sequential path outright.
@@ -195,6 +168,13 @@ impl HpoResult {
         let combined = combine_predictions(&all_preds, train.task.is_classification());
         Ok(score_predictions(test, &combined))
     }
+}
+
+/// Encodes `train` and, with `train`'s encoder, `test`.
+fn encode_pair(train: &Dataset, test: &Dataset) -> Result<(EncodedDataset, EncodedDataset)> {
+    EncodedDataset::from_dataset(train)
+        .and_then(|tr| EncodedDataset::with_encoder(tr.encoder(), test).map(|te| (tr, te)))
+        .map_err(|e| crate::HpoError::Learner(e.to_string()))
 }
 
 /// Combines member predictions: majority vote for classification, mean
@@ -250,10 +230,9 @@ pub trait Optimizer {
         1
     }
 
-    /// Enables or disables the trial caches (pre-encoded datasets +
-    /// transformer-prefix memoization). On by default; caching changes
-    /// trial cost, never trial values. Engines without an evaluator may
-    /// ignore it.
+    /// Does nothing: every trial runs on the pre-encoded splits and there
+    /// is no trial cache to switch. Kept only because the perfbench harness
+    /// calls it; it goes with the benchmark change listed in ROADMAP item 9.
     fn set_trial_cache(&mut self, _enabled: bool) {}
 
     /// An owned copy of this engine, for running skeletons on parallel
@@ -296,18 +275,11 @@ impl Candidate {
 pub struct Evaluator {
     train: Dataset,
     valid: Dataset,
-    /// Train/holdout splits pre-encoded with the training split's encoder
-    /// (`None` when encoding failed; trials then fall back to raw frames).
-    encoded: Option<(Arc<EncodedDataset>, Arc<EncodedDataset>)>,
-    /// Transformer-prefix memo shared by all trials of this evaluator.
-    cache: Arc<TransformCache>,
-    caching: bool,
+    /// Train/holdout splits encoded with the training split's encoder.
+    encoded: (EncodedDataset, EncodedDataset),
     gate: BudgetGate,
     record: Mutex<Record>,
     parallelism: usize,
-    /// Trials that took the pre-encoded fast path (see
-    /// [`SearchReport::encoded_trials`]).
-    encoded_trials: AtomicU64,
 }
 
 /// The trial history and, for an ensembling search, the holdout
@@ -347,44 +319,26 @@ impl Record {
 
 impl Evaluator {
     /// Builds an evaluator with a seeded holdout split, gated by the
-    /// given budget. Starts sequential with trial caching on; see
-    /// [`with_parallelism`] and [`with_cache`].
+    /// given budget. Starts sequential; see [`with_parallelism`].
     ///
     /// [`with_parallelism`]: Evaluator::with_parallelism
-    /// [`with_cache`]: Evaluator::with_cache
     pub fn new(train: &Dataset, seed: u64, budget: &TimeBudget) -> Result<Evaluator> {
         let (fit_part, valid) = train_test_split(train, HOLDOUT_FRACTION, seed)
             .map_err(|e| crate::HpoError::Learner(e.to_string()))?;
-        let encoded = EncodedDataset::from_dataset(&fit_part).ok().and_then(|tr| {
-            EncodedDataset::with_encoder(tr.encoder(), &valid)
-                .ok()
-                .map(|va| (Arc::new(tr), Arc::new(va)))
-        });
+        let encoded = encode_pair(&fit_part, &valid)?;
         Ok(Evaluator {
             train: fit_part,
             valid,
             encoded,
-            cache: Arc::new(TransformCache::default()),
-            caching: true,
             gate: BudgetGate::new(budget),
             record: Mutex::new(Record::default()),
             parallelism: 1,
-            encoded_trials: AtomicU64::new(0),
         })
     }
 
     /// Sets the number of concurrent trial evaluations (clamped to ≥ 1).
     pub fn with_parallelism(mut self, parallelism: usize) -> Evaluator {
         self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Enables or disables trial caching. Disabled, every trial runs the
-    /// original raw-frame `fit` + `predict` path — caching can only change
-    /// what a trial *costs*, never what it scores (the cache-equivalence
-    /// suite pins this down bit-for-bit).
-    pub fn with_cache(mut self, enabled: bool) -> Evaluator {
-        self.caching = enabled;
         self
     }
 
@@ -397,11 +351,6 @@ impl Evaluator {
     pub(crate) fn keeping_predictions(mut self) -> Evaluator {
         self.record.get_mut().kept = Some(Vec::new());
         self
-    }
-
-    /// Whether trial caching is enabled.
-    pub fn caching(&self) -> bool {
-        self.caching
     }
 
     /// The configured evaluation parallelism.
@@ -453,13 +402,11 @@ impl Evaluator {
             .unwrap_or_default()
     }
 
-    /// Failure accounting over the recorded history plus the live
-    /// transform-cache counters.
+    /// Failure accounting over the recorded history; every recorded trial
+    /// ran encoded.
     pub fn report(&self) -> SearchReport {
         let mut report = SearchReport::from_history(&self.history());
-        report.cache_hits = self.cache.hits();
-        report.cache_misses = self.cache.misses();
-        report.encoded_trials = self.encoded_trials.load(Ordering::Relaxed);
+        report.encoded_trials = report.trials as u64;
         report
     }
 
@@ -507,10 +454,6 @@ impl Evaluator {
     /// paths that account for budgets themselves). Learner errors become
     /// `score: None` with the message in `error` rather than aborting the
     /// search (an optimizer must survive bad configurations).
-    ///
-    /// With caching on, the trial runs against the pre-encoded splits and
-    /// the shared transform cache — bit-for-bit the score of the raw
-    /// `fit` + `predict` path, minus the repeated encode/preprocess work.
     pub fn evaluate(&self, skeleton: &Skeleton, params: Params) -> TrialOutcome {
         self.run_trial(skeleton, params).0
     }
@@ -531,15 +474,8 @@ impl Evaluator {
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): trial duration is a reported statistic on the HPO result; the search never branches on it
         let started = std::time::Instant::now();
-        let fit = Pipeline::from_spec(spec.clone()).and_then(|mut p| {
-            match (self.caching, &self.encoded) {
-                (true, Some((tr, va))) => {
-                    self.encoded_trials.fetch_add(1, Ordering::Relaxed);
-                    p.fit_predict_encoded(tr, va, Some(&self.cache))
-                }
-                _ => p.fit(&self.train).and_then(|()| p.predict(&self.valid)),
-            }
-        });
+        let (tr, va) = &self.encoded;
+        let fit = Pipeline::from_spec(spec.clone()).and_then(|mut p| p.fit_predict_encoded(tr, va));
         let (score, error, predictions) = match fit {
             Ok(pred) => (
                 Some(score_predictions(&self.valid, &pred)),
@@ -583,17 +519,12 @@ impl Evaluator {
 #[cfg(test)]
 impl Evaluator {
     /// Test oracle: the refit that ensemble selection ran before trials
-    /// kept their predictions — fit `spec` again and predict the holdout
-    /// on the same path its trial took.
+    /// kept their predictions — fit `spec` again on the raw fitting part
+    /// and predict the raw holdout.
     pub(crate) fn refit_predictions(&self, spec: &PipelineSpec) -> Option<Vec<f64>> {
         let mut p = Pipeline::from_spec(spec.clone()).ok()?;
-        match (self.caching, &self.encoded) {
-            (true, Some((tr, va))) => p.fit_predict_encoded(tr, va, Some(&self.cache)).ok(),
-            _ => {
-                p.fit(&self.train).ok()?;
-                p.predict(&self.valid).ok()
-            }
-        }
+        p.fit(&self.train).ok()?;
+        p.predict(&self.valid).ok()
     }
 }
 
@@ -787,28 +718,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn report_surfaces_cache_counters() {
-        let ds = toy(200);
-        let budget = wide_budget();
-        let ev = Evaluator::new(&ds, 0, &budget).unwrap();
-        let skel = Skeleton {
-            transformers: vec![kgpip_learners::TransformerKind::StandardScaler],
-            estimator: EstimatorKind::DecisionTree,
-        };
-        ev.evaluate_batch(&[
-            Candidate::new(skel.clone(), Params::new()),
-            Candidate::new(skel, Params::new()),
-        ]);
-        let report = ev.report();
-        // Same chain prefix twice: first trial misses, second hits.
-        assert_eq!(report.cache_misses, 1);
-        assert_eq!(report.cache_hits, 1);
-        assert_eq!(report.encoded_trials, 2, "both trials took the fast path");
-        let rate = report.cache_hit_rate().expect("cache was consulted");
-        assert!((rate - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn record_keeps_the_top_trials_of_a_stable_descending_sort() {
         let scores: Vec<Option<f64>> = [
             0.5, 0.9, 0.7, 0.9, 0.1, 0.7, 0.8, 0.7, 0.3, 0.9, 0.7, 0.6, 0.95, 0.7,
@@ -843,16 +752,5 @@ pub(crate) mod tests {
             .map(|(i, _)| (i, vec![i as f64]))
             .collect();
         assert_eq!(record.kept.unwrap(), expected);
-    }
-
-    #[test]
-    fn unused_cache_reports_no_hit_rate() {
-        let report = SearchReport::default();
-        assert_eq!(report.cache_lookups(), 0);
-        assert_eq!(
-            report.cache_hit_rate(),
-            None,
-            "an unconsulted cache has no hit rate, not a 0% one"
-        );
     }
 }

@@ -111,25 +111,22 @@ impl FeatureEncoder {
     }
 }
 
-/// A dataset pre-encoded into matrix form: the trial hot path's unit of
-/// caching. Built once per evaluator (or refit) and shared via [`Arc`], it
-/// lets every trial skip `FeatureEncoder::fit`/`transform` on the raw frame
+/// A dataset pre-encoded into matrix form: the unit a search's trials
+/// share. Built once per evaluator (or refit), it lets every trial skip `FeatureEncoder::fit`/`transform` on the raw frame
 /// and start at the transformer chain instead.
 ///
 /// Encoding is *schema-driven* ([`FeatureEncoder`] records column kinds,
 /// not values; categorical codes come from each column's own shared
 /// dictionary), so encoding a holdout split with the training split's
-/// encoder is bit-for-bit identical to the per-trial path that fits a fresh
+/// encoder is bit-for-bit identical to the raw path that fits a fresh
 /// encoder on the training split and transforms both — the invariant the
-/// cache-equivalence suite pins down.
+/// encoded-trial identity suite in `kgpip-hpo` pins down.
 #[derive(Debug, Clone)]
 pub struct EncodedDataset {
     encoder: Arc<FeatureEncoder>,
-    x: Arc<Matrix>,
-    roles: Arc<Vec<FeatureRole>>,
-    target: Arc<Vec<f64>>,
+    x: Matrix,
+    target: Vec<f64>,
     task: Task,
-    fingerprint: u64,
     has_nan: bool,
 }
 
@@ -150,15 +147,12 @@ impl EncodedDataset {
 
     fn build(encoder: Arc<FeatureEncoder>, ds: &Dataset) -> Result<EncodedDataset> {
         let x = encoder.transform(&ds.features)?;
-        let fingerprint = content_fingerprint(&x, &ds.target, ds.task);
         let has_nan = x.has_nan();
         Ok(EncodedDataset {
-            roles: Arc::new(encoder.roles().to_vec()),
             encoder,
-            x: Arc::new(x),
-            target: Arc::new(ds.target.clone()),
+            x,
+            target: ds.target.clone(),
             task: ds.task,
-            fingerprint,
             has_nan,
         })
     }
@@ -169,13 +163,13 @@ impl EncodedDataset {
     }
 
     /// The encoded feature matrix.
-    pub fn x(&self) -> &Arc<Matrix> {
+    pub fn x(&self) -> &Matrix {
         &self.x
     }
 
     /// Roles of the matrix columns.
-    pub fn roles(&self) -> &Arc<Vec<FeatureRole>> {
-        &self.roles
+    pub fn roles(&self) -> &[FeatureRole] {
+        self.encoder.roles()
     }
 
     /// The target vector.
@@ -188,46 +182,13 @@ impl EncodedDataset {
         self.task
     }
 
-    /// Content fingerprint over the encoded matrix bits, target bits and
-    /// task — the cache-key component identifying this input.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Whether the encoded matrix contains NaN (missing values), computed
     /// once at encode time. The trial hot path consults this instead of
     /// rescanning the matrix per trial: for bare-estimator specs on
-    /// NaN-free data it lets the whole transformer-chain bookkeeping be
-    /// skipped.
+    /// NaN-free data it lets the transformer chain be skipped outright.
     pub fn has_nan(&self) -> bool {
         self.has_nan
     }
-}
-
-/// FNV-1a over the matrix dimensions and raw `f64` bit patterns (NaN cells
-/// hash by their bit pattern, so missing values are covered too).
-fn content_fingerprint(x: &Matrix, target: &[f64], task: Task) -> u64 {
-    let mut h = fnv1a(b"encoded-dataset");
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(x.rows() as u64);
-    mix(x.cols() as u64);
-    for v in x.as_slice() {
-        mix(v.to_bits());
-    }
-    for v in target {
-        mix(v.to_bits());
-    }
-    mix(match task {
-        Task::Regression => 1,
-        Task::Binary => 2,
-        Task::MultiClass(k) => 3 + k as u64,
-    });
-    h
 }
 
 /// Hashes a text cell into `TEXT_HASH_DIMS` signed token counts, normalized

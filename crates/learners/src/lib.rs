@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod encode;
 pub mod estimators;
 pub mod matrix;
@@ -37,7 +36,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod preprocess;
 
-pub use cache::TransformCache;
 pub use encode::{EncodedDataset, FeatureEncoder};
 pub use estimators::{build_estimator, Estimator, EstimatorKind, Params};
 pub use matrix::Matrix;

@@ -12,15 +12,19 @@
 //!    values"),
 //! 3. fits each transformer in order, threading feature roles through,
 //! 4. fits the estimator on the transformed matrix.
+//!
+//! Steps 2–3 are one private function, `fit_chain`, shared by the raw-frame
+//! [`Pipeline::fit`] and the pre-encoded [`Pipeline::fit_predict_encoded`],
+//! and both predict through one `apply_steps`, so the two paths cannot
+//! drift apart.
 
-use crate::cache::{ChainKey, ChainState, StepId, TransformCache};
 use crate::encode::{EncodedDataset, FeatureEncoder, FeatureRole};
 use crate::estimators::{build_estimator, Estimator, EstimatorKind, Params};
 use crate::matrix::Matrix;
 use crate::preprocess::{build_transformer, Transformer, TransformerKind};
 use crate::{metrics, LearnError, Result};
 use kgpip_tabular::{Dataset, Task};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// Declarative description of a pipeline: transformer steps then estimator,
 /// each with hyperparameters. This is what HPO engines and the KGpip graph
@@ -54,11 +58,14 @@ impl PipelineSpec {
     }
 }
 
+/// A fitted transformer chain, in application order.
+type Steps = Vec<Box<dyn Transformer>>;
+
 /// A fitted (or fittable) pipeline.
 pub struct Pipeline {
     spec: PipelineSpec,
     encoder: Option<FeatureEncoder>,
-    steps: Vec<Box<dyn Transformer>>,
+    steps: Steps,
     estimator: Box<dyn Estimator>,
     task: Option<Task>,
 }
@@ -88,74 +95,40 @@ impl Pipeline {
             return Err(LearnError::UnsupportedTask(self.spec.estimator.name()));
         }
         let encoder = FeatureEncoder::fit(&ds.features);
-        let mut x = encoder.transform(&ds.features)?;
-        let mut roles = encoder.roles().to_vec();
+        let x = encoder.transform(&ds.features)?;
+        let (steps, x) = fit_chain(
+            &self.spec.transformers,
+            &x,
+            x.has_nan(),
+            &ds.target,
+            encoder.roles(),
+        )?;
         self.encoder = Some(encoder);
-        self.steps.clear();
-
-        // Guarantee NaN-free input for estimators.
-        let user_starts_with_imputer = self
-            .spec
-            .transformers
-            .first()
-            .is_some_and(|(k, _)| *k == TransformerKind::SimpleImputer);
-        if x.has_nan() && !user_starts_with_imputer {
-            let mut imputer = build_transformer(TransformerKind::SimpleImputer, &Params::new())?;
-            roles = imputer.fit(&x, &ds.target, &roles)?;
-            x = imputer.transform(&x)?;
-            self.steps.push(imputer);
-        }
-        for (kind, params) in &self.spec.transformers {
-            let mut step = build_transformer(*kind, params)?;
-            roles = step.fit(&x, &ds.target, &roles)?;
-            x = step.transform(&x)?;
-            self.steps.push(step);
-        }
-        // A transformer chain can reintroduce nothing, but be defensive: the
-        // estimator contract is NaN-free.
-        if x.has_nan() {
-            let mut imputer = build_transformer(TransformerKind::SimpleImputer, &Params::new())?;
-            imputer.fit(&x, &ds.target, &roles)?;
-            x = imputer.transform(&x)?;
-            self.steps.push(imputer);
-        }
+        self.steps = steps;
         self.estimator.fit(&x, &ds.target, ds.task)?;
         self.task = Some(ds.task);
         Ok(())
     }
 
-    /// Applies the fitted transformer chain to a feature frame.
-    fn transform(&self, ds: &Dataset) -> Result<Matrix> {
-        let encoder = self
-            .encoder
+    /// Encodes a feature frame with the fitted encoder.
+    fn encode(&self, ds: &Dataset) -> Result<Matrix> {
+        self.encoder
             .as_ref()
-            .ok_or(LearnError::NotFitted("pipeline"))?;
-        let mut x = encoder.transform(&ds.features)?;
-        for step in &self.steps {
-            x = step.transform(&x)?;
-        }
-        // NaN can appear at predict time even if absent at fit time.
-        if x.has_nan() {
-            for r in 0..x.rows() {
-                for c in 0..x.cols() {
-                    if x.get(r, c).is_nan() {
-                        x.set(r, c, 0.0);
-                    }
-                }
-            }
-        }
-        Ok(x)
+            .ok_or(LearnError::NotFitted("pipeline"))?
+            .transform(&ds.features)
     }
 
     /// Predicts class indices / regression values for a dataset's features.
     pub fn predict(&self, ds: &Dataset) -> Result<Vec<f64>> {
-        let x = self.transform(ds)?;
+        let x = self.encode(ds)?;
+        let x = apply_steps(&self.steps, &x)?;
         self.estimator.predict(&x)
     }
 
     /// Predicts class probabilities (classification only).
     pub fn predict_proba(&self, ds: &Dataset) -> Result<Matrix> {
-        let x = self.transform(ds)?;
+        let x = self.encode(ds)?;
+        let x = apply_steps(&self.steps, &x)?;
         self.estimator.predict_proba(&x)
     }
 
@@ -168,17 +141,15 @@ impl Pipeline {
     }
 
     /// The trial hot path: fits the chain + estimator on a pre-encoded
-    /// training split and predicts a pre-encoded test split, optionally
-    /// memoizing transformer-chain prefixes in `cache`.
+    /// training split and predicts a pre-encoded test split.
     ///
     /// Produces bit-for-bit the predictions of [`fit`] + [`predict`] on the
     /// source datasets (both splits encoded with the *training* encoder,
-    /// the same implicit-imputer rules, the same predict-time NaN fill) —
-    /// it only skips re-encoding the raw frames and, on cache hits,
-    /// re-fitting chain prefixes. The fitted transformer steps are *not*
-    /// retained (a cache hit never materializes them), so the pipeline is
-    /// not usable for later [`predict`] calls on raw frames; callers that
-    /// need a deployable pipeline use [`fit`].
+    /// the same effective chain, the same predict-time NaN fill) — it only
+    /// skips re-encoding the raw frames. The fitted transformer steps are
+    /// *not* retained, so the pipeline is not usable for later [`predict`]
+    /// calls on raw frames; callers that need a deployable pipeline use
+    /// [`fit`].
     ///
     /// [`fit`]: Pipeline::fit
     /// [`predict`]: Pipeline::predict
@@ -186,7 +157,6 @@ impl Pipeline {
         &mut self,
         train: &EncodedDataset,
         test: &EncodedDataset,
-        cache: Option<&TransformCache>,
     ) -> Result<Vec<f64>> {
         if !self.spec.estimator.supports(train.task()) {
             return Err(LearnError::UnsupportedTask(self.spec.estimator.name()));
@@ -194,118 +164,96 @@ impl Pipeline {
         // Bare-estimator fast path: with no transformer steps and a NaN-free
         // training matrix, the effective chain is provably empty (no
         // implicit imputer can trigger), so the encoded matrices feed the
-        // estimator directly — no chain-key hashing, no cache probes, no
-        // per-trial NaN rescans.
-        let bare = self.spec.transformers.is_empty() && !train.has_nan();
-        let (x_train, x_test) = if bare {
-            (Arc::clone(train.x()), Arc::clone(test.x()))
+        // estimator directly, and the precomputed NaN flag spares the test
+        // matrix a rescan.
+        let steps = if self.spec.transformers.is_empty() && !train.has_nan() {
+            self.estimator
+                .fit(train.x(), train.target(), train.task())?;
+            Vec::new()
         } else {
-            run_chain(&self.spec.transformers, train, test, cache)?
+            let (steps, x) = fit_chain(
+                &self.spec.transformers,
+                train.x(),
+                train.has_nan(),
+                train.target(),
+                train.roles(),
+            )?;
+            self.estimator.fit(&x, train.target(), train.task())?;
+            steps
         };
-        self.estimator.fit(&x_train, train.target(), train.task())?;
         self.task = Some(train.task());
-        let test_has_nan = if bare {
-            test.has_nan()
-        } else {
-            x_test.has_nan()
-        };
-        if !test_has_nan {
-            return self.estimator.predict(&x_test);
+        if steps.is_empty() && !test.has_nan() {
+            return self.estimator.predict(test.x());
         }
-        // Predict-time NaN fill, as in `transform`.
-        let mut filled = (*x_test).clone();
-        for r in 0..filled.rows() {
-            for c in 0..filled.cols() {
-                if filled.get(r, c).is_nan() {
-                    filled.set(r, c, 0.0);
-                }
-            }
-        }
-        self.estimator.predict(&filled)
+        let x_test = apply_steps(&steps, test.x())?;
+        self.estimator.predict(&x_test)
     }
 }
 
-/// Runs the *effective* transformer chain (implicit imputers included) on
-/// pre-encoded train/test matrices, memoizing each chain prefix in `cache`
-/// when given. Mirrors `Pipeline::fit` exactly: an imputer is prepended
-/// when the training matrix has NaN and the user chain does not start with
-/// one, and a defensive imputer is appended when NaN survives the chain.
-fn run_chain(
+/// Fits the *effective* transformer chain on an encoded training matrix
+/// and returns the fitted steps with the transformed matrix. The effective
+/// chain is:
+///
+/// 1. an implicit [`TransformerKind::SimpleImputer`] when the matrix has
+///    NaN (`has_nan`, known to the caller) and the user chain does not
+///    start with one;
+/// 2. the user chain, in order;
+/// 3. a defensive imputer when NaN survives the chain, since estimators
+///    take NaN-free input.
+fn fit_chain<'a>(
     transformers: &[(TransformerKind, Params)],
-    train: &EncodedDataset,
-    test: &EncodedDataset,
-    cache: Option<&TransformCache>,
-) -> Result<(Arc<Matrix>, Arc<Matrix>)> {
-    let mut x_train = Arc::clone(train.x());
-    let mut x_test = Arc::clone(test.x());
-    let mut roles: Arc<Vec<FeatureRole>> = Arc::clone(train.roles());
-    let mut applied: Vec<StepId> = Vec::with_capacity(transformers.len() + 2);
-    let default_params = Params::new();
-
-    let mut apply = |kind: TransformerKind,
-                     params: &Params,
-                     x_train: &mut Arc<Matrix>,
-                     x_test: &mut Arc<Matrix>,
-                     roles: &mut Arc<Vec<FeatureRole>>|
-     -> Result<()> {
-        applied.push(StepId::new(kind, params));
-        let key = cache.map(|_| ChainKey {
-            train_fingerprint: train.fingerprint(),
-            valid_fingerprint: test.fingerprint(),
-            steps: applied.clone(),
-        });
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if let Some(state) = cache.get(key) {
-                *x_train = state.x_train;
-                *x_test = state.x_valid;
-                *roles = state.roles;
-                return Ok(());
-            }
-        }
-        let mut step = build_transformer(kind, params)?;
-        *roles = Arc::new(step.fit(x_train, train.target(), roles)?);
-        *x_train = Arc::new(step.transform(x_train)?);
-        *x_test = Arc::new(step.transform(x_test)?);
-        if let (Some(cache), Some(key)) = (cache, key) {
-            cache.insert(
-                key,
-                ChainState {
-                    x_train: Arc::clone(x_train),
-                    x_valid: Arc::clone(x_test),
-                    roles: Arc::clone(roles),
-                },
-            );
-        }
-        Ok(())
-    };
-
+    x: &'a Matrix,
+    has_nan: bool,
+    target: &[f64],
+    roles: &[FeatureRole],
+) -> Result<(Steps, Cow<'a, Matrix>)> {
     let user_starts_with_imputer = transformers
         .first()
         .is_some_and(|(k, _)| *k == TransformerKind::SimpleImputer);
-    // `x_train` is still the encoded matrix here, so the precomputed flag
-    // answers the implicit-imputer question without a scan.
-    if train.has_nan() && !user_starts_with_imputer {
-        apply(
-            TransformerKind::SimpleImputer,
-            &default_params,
-            &mut x_train,
-            &mut x_test,
-            &mut roles,
-        )?;
+    let default_params = Params::new();
+    let implicit = (has_nan && !user_starts_with_imputer)
+        .then_some((TransformerKind::SimpleImputer, &default_params));
+    let chain = implicit
+        .into_iter()
+        .chain(transformers.iter().map(|(kind, params)| (*kind, params)));
+    let mut steps = Vec::with_capacity(transformers.len() + 2);
+    let mut x = Cow::Borrowed(x);
+    let mut roles = roles.to_vec();
+    let mut fit_step =
+        |kind: TransformerKind, params: &Params, x: &mut Cow<'a, Matrix>| -> Result<()> {
+            let mut step = build_transformer(kind, params)?;
+            roles = step.fit(x, target, &roles)?;
+            *x = Cow::Owned(step.transform(x)?);
+            steps.push(step);
+            Ok(())
+        };
+    for (kind, params) in chain {
+        fit_step(kind, params, &mut x)?;
     }
-    for (kind, params) in transformers {
-        apply(*kind, params, &mut x_train, &mut x_test, &mut roles)?;
+    if x.has_nan() {
+        fit_step(TransformerKind::SimpleImputer, &default_params, &mut x)?;
     }
-    if x_train.has_nan() {
-        apply(
-            TransformerKind::SimpleImputer,
-            &default_params,
-            &mut x_train,
-            &mut x_test,
-            &mut roles,
-        )?;
+    Ok((steps, x))
+}
+
+/// Applies fitted steps in order, then fills any NaN left with 0: NaN can
+/// appear at predict time even when the training matrix had none.
+fn apply_steps<'a>(steps: &[Box<dyn Transformer>], x: &'a Matrix) -> Result<Cow<'a, Matrix>> {
+    let mut x = Cow::Borrowed(x);
+    for step in steps {
+        x = Cow::Owned(step.transform(&x)?);
     }
-    Ok((x_train, x_test))
+    if x.has_nan() {
+        let x = x.to_mut();
+        for r in 0..x.rows() {
+            for c in 0..x.cols() {
+                if x.get(r, c).is_nan() {
+                    x.set(r, c, 0.0);
+                }
+            }
+        }
+    }
+    Ok(x)
 }
 
 /// Scores predictions with the paper's metric for the dataset's task.

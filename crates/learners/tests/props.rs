@@ -2,9 +2,10 @@
 
 use kgpip_learners::estimators::{build_estimator, EstimatorKind, Params};
 use kgpip_learners::matrix::Matrix;
+use kgpip_learners::pipeline::PipelineSpec;
 use kgpip_learners::preprocess::{build_transformer, TransformerKind};
-use kgpip_learners::{metrics, FeatureEncoder};
-use kgpip_tabular::{Column, DataFrame, Task};
+use kgpip_learners::{metrics, EncodedDataset, FeatureEncoder, Pipeline};
+use kgpip_tabular::{Column, DataFrame, Dataset, Task};
 use proptest::prelude::*;
 
 fn matrix_strategy() -> impl Strategy<Value = Matrix> {
@@ -14,8 +15,96 @@ fn matrix_strategy() -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// A mixed frame with a target: a numeric column, a categorical column,
+/// optionally a NaN-bearing numeric column, and labels drawn for `task`.
+fn mixed_dataset_strategy() -> impl Strategy<Value = Dataset> {
+    let tasks = [Task::Binary, Task::MultiClass(3), Task::Regression];
+    (8usize..40, 0usize..tasks.len(), 0usize..2).prop_flat_map(move |(n, task, with_nan)| {
+        let task = tasks[task];
+        (
+            proptest::collection::vec(-50.0f64..50.0, n),
+            proptest::collection::vec(0usize..4, n),
+            proptest::collection::vec(proptest::option::of(-5.0f64..5.0), n),
+            proptest::collection::vec(0usize..3, n),
+            proptest::collection::vec(-10.0f64..10.0, n),
+        )
+            .prop_map(move |(num, cats, gappy, labels, values)| {
+                let cats: Vec<Option<&str>> = cats
+                    .iter()
+                    .map(|&c| Some(["a", "b", "c", "d"][c]))
+                    .collect();
+                let mut columns = vec![
+                    ("num".to_string(), Column::from_f64(num)),
+                    ("cat".to_string(), Column::categorical(cats)),
+                ];
+                if with_nan == 1 {
+                    columns.push(("gappy".to_string(), Column::numeric(gappy)));
+                }
+                let classes = match task {
+                    Task::MultiClass(k) => k,
+                    _ => 2,
+                };
+                let target: Vec<f64> = match task {
+                    Task::Regression => values,
+                    _ => labels.iter().map(|&l| (l % classes) as f64).collect(),
+                };
+                let frame = DataFrame::from_columns(columns).unwrap();
+                Dataset::new("drawn", frame, target, task).unwrap()
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The encode-once trial path equals the raw-frame oracle: for drawn
+    /// frames (numeric, categorical, NaN-bearing columns), chains of 0–3
+    /// transformers (sometimes led by an imputer) and an estimator that
+    /// supports the task, `fit_predict_encoded` on the encoded splits
+    /// predicts `fit` + `predict`'s bits, or both fail with one message.
+    #[test]
+    fn encoded_fit_predict_equals_the_raw_path(
+        ds in mixed_dataset_strategy(),
+        chain in proptest::collection::vec(0usize..TransformerKind::ALL.len(), 0..=3),
+        lead_with_imputer in 0usize..2,
+        estimator_idx in 0usize..EstimatorKind::ALL.len(),
+    ) {
+        let mut transformers: Vec<TransformerKind> =
+            chain.iter().map(|&i| TransformerKind::ALL[i]).collect();
+        if lead_with_imputer == 1 {
+            transformers.insert(0, TransformerKind::SimpleImputer);
+            transformers.truncate(3);
+        }
+        let supported: Vec<EstimatorKind> = EstimatorKind::ALL
+            .iter()
+            .copied()
+            .filter(|k| k.supports(ds.task))
+            .collect();
+        let spec = PipelineSpec {
+            transformers: transformers.iter().map(|k| (*k, Params::new())).collect(),
+            estimator: supported[estimator_idx % supported.len()],
+            params: Params::new(),
+        };
+        let cut = ds.num_rows() * 2 / 3;
+        let rows: Vec<usize> = (0..ds.num_rows()).collect();
+        let (train, test) = (ds.take(&rows[..cut]), ds.take(&rows[cut..]));
+
+        let raw = Pipeline::from_spec(spec.clone()).and_then(|mut p| {
+            p.fit(&train)?;
+            p.predict(&test)
+        });
+        let encoded_train = EncodedDataset::from_dataset(&train).unwrap();
+        let encoded_test = EncodedDataset::with_encoder(encoded_train.encoder(), &test).unwrap();
+        let encoded = Pipeline::from_spec(spec.clone())
+            .and_then(|mut p| p.fit_predict_encoded(&encoded_train, &encoded_test));
+        let bits = |pred: Vec<f64>| pred.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            raw.map(bits).map_err(|e| e.to_string()),
+            encoded.map(bits).map_err(|e| e.to_string()),
+            "{}",
+            spec.describe()
+        );
+    }
 
     /// Every transformer preserves row count and produces finite output on
     /// finite input.

@@ -27,8 +27,11 @@ pub fn train_test_split(ds: &Dataset, test_fraction: f64, seed: u64) -> Result<(
 /// Checks that `ds` can be split at all: a split needs a row on each side.
 /// At any valid fraction, [`train_test_split`] fails exactly when this does.
 pub fn ensure_splittable(ds: &Dataset) -> Result<()> {
-    if ds.num_rows() < 2 {
-        return Err(TabularError::Empty("dataset with at least 2 rows"));
+    let n = ds.num_rows();
+    if n < 2 {
+        return Err(TabularError::InvalidArgument(format!(
+            "a train/test split needs at least 2 rows, got {n}"
+        )));
     }
     Ok(())
 }

@@ -47,8 +47,9 @@ cargo test -p kgpip-embeddings --test decode_fuzz -q
 cargo test -p kgpip-embeddings --test decode_alloc -q
 cargo test -p kgpip-benchdata --test recall -q
 
-echo "==> cache-equivalence suite (trial caches change cost, never results; ensemble selection from kept predictions equals the refit oracle, and only an ensembling search keeps any)"
-cargo test -p kgpip-hpo --test cache_equivalence -q
+echo "==> encoded-trial identity suite (every trial on the encode-once path equals its raw-frame fit + predict replay, score bits and error strings; each search deploys its earliest best spec with the oracle's validation score, an adopted ensemble's members refitted on raw frames; encoded fit_predict equals fit + predict on drawn frames and chains; ensemble selection from kept predictions equals the refit oracle, and only an ensembling search keeps any)"
+cargo test -p kgpip-hpo --test encoded_identity -q
+cargo test -p kgpip-learners --test props -q encoded_fit_predict_equals_the_raw_path
 cargo test -p kgpip-hpo --lib -q -- refit_oracle keeps_predictions
 
 echo "==> artifact suite (snapshot round-trips bit-for-bit; decoder fuzz and allocation bounds; serving is bit-identical at any serve width)"
