@@ -9,9 +9,10 @@
 //! its *resolved* dotted API path (import aliases and receiver types are
 //! chased); dataflow edges connect producers to consumers, control-flow
 //! edges chain consecutive calls, and the same classes of noise nodes that
-//! GraphGen4Code emits (locations, parameters, documentation, constants,
-//! transitive-dataflow closure) are attached so that the §3.4 filter has
-//! realistic work to do.
+//! GraphGen4Code emits (locations, parameters, documentation, constants)
+//! are attached so that the §3.4 filter has realistic work to do.
+//! GraphGen4Code's transitive-dataflow closure edges are counted by
+//! [`CodeGraph::transitive_dataflow_pairs`], not stored.
 //!
 //! # Interprocedural pass
 //!
@@ -78,7 +79,6 @@ pub fn analyze_module_with_diagnostics(module: &Module) -> (CodeGraph, Vec<Diagn
         sink: DiagnosticSink::new(),
     };
     a.walk_block(&module.body);
-    a.add_transitive_closure();
     debug_assert!(
         crate::lint::lint_code_graph(&a.graph).is_empty(),
         "analysis produced a graph violating codegraph invariants: {:?}",
@@ -494,55 +494,6 @@ impl Analyzer {
         let (p, _) = self.visit_expr(func, span);
         ("object.call".to_string(), p)
     }
-
-    /// Adds GraphGen4Code-style transitive dataflow closure edges: for each
-    /// node, an edge to every node reachable through 2+ dataflow hops. This
-    /// is what makes raw code graphs an order of magnitude denser than the
-    /// filtered graphs (Table 3: 252,486 edges over 29,139 nodes).
-    fn add_transitive_closure(&mut self) {
-        let direct: Vec<(NodeId, NodeId)> = self
-            .graph
-            .edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::DataFlow || e.kind == EdgeKind::ConstantArg)
-            .map(|e| (e.from, e.to))
-            .collect();
-        let n = self.graph.num_nodes();
-        let mut succ: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (f, t) in &direct {
-            succ[*f].push(*t);
-        }
-        let mut new_edges = Vec::new();
-        for start in 0..n {
-            // BFS from each node; nodes at depth >= 2 get closure edges.
-            let mut seen = vec![false; n];
-            seen[start] = true;
-            let mut frontier: Vec<NodeId> = succ[start].clone();
-            for f in &frontier {
-                seen[*f] = true;
-            }
-            let mut depth = 1usize;
-            while !frontier.is_empty() {
-                depth += 1;
-                let mut next = Vec::new();
-                for &at in &frontier {
-                    for &to in &succ[at] {
-                        if !seen[to] {
-                            seen[to] = true;
-                            if depth >= 2 {
-                                new_edges.push((start, to));
-                            }
-                            next.push(to);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-        }
-        for (f, t) in new_edges {
-            self.graph.add_edge(f, t, EdgeKind::TransitiveDataFlow);
-        }
-    }
 }
 
 fn module_root(module: &str, alias: &str) -> String {
@@ -660,15 +611,29 @@ model.fit(X, df_train['Y'])
     }
 
     #[test]
-    fn transitive_closure_adds_reachability_edges() {
-        // read -> split -> fit: closure should add read -> fit.
+    fn transitive_dataflow_pairs_count_reachability() {
+        // read -> split -> fit: read reaches fit in two hops.
         let g = analyze(FIG2).unwrap();
-        let trans = g
-            .edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::TransitiveDataFlow)
-            .count();
-        assert!(trans >= 1, "expected closure edges, got {trans}");
+        let pairs = g.transitive_dataflow_pairs();
+        assert!(pairs >= 1, "expected transitive pairs, got {pairs}");
+    }
+
+    #[test]
+    fn a_long_dataflow_chain_stores_linear_edges() {
+        // Each line extends one dataflow chain, so the closure has a pair
+        // per two calls on it: ~2 million pairs, counted but not stored.
+        let lines = 2_000;
+        let mut src = String::from("import pandas as pd\ndf = pd.read_csv('a.csv')\n");
+        for _ in 0..lines {
+            src.push_str("df = df.fillna(0)\n");
+        }
+        let (g, _) = analyze_with_diagnostics(&src);
+        assert!(
+            g.num_edges() < 10 * lines,
+            "{} edges for {lines} lines",
+            g.num_edges()
+        );
+        assert!(g.transitive_dataflow_pairs() > lines * lines / 2);
     }
 
     #[test]
@@ -854,7 +819,8 @@ secret.describe()
     #[test]
     fn graph_scale_matches_graphgen4code_profile() {
         // A realistic ~30-line script should produce hundreds of nodes and
-        // an edge count dominated by noise + closure, as in paper §3.3.
+        // a raw edge count (stored edges plus the counted closure)
+        // dominated by noise + closure, as in paper §3.3.
         let mut src = String::from(
             "import pandas as pd\nfrom sklearn.preprocessing import StandardScaler\nfrom sklearn.ensemble import RandomForestClassifier\ndf = pd.read_csv('data.csv')\n",
         );
@@ -865,10 +831,10 @@ secret.describe()
         src.push_str("s = StandardScaler()\nx = s.fit_transform(df)\nm = RandomForestClassifier(n_estimators=50, max_depth=4)\nm.fit(x, df)\n");
         let g = analyze(&src).unwrap();
         assert!(g.num_nodes() > 100, "nodes = {}", g.num_nodes());
+        let raw_edges = g.num_edges() + g.transitive_dataflow_pairs();
         assert!(
-            g.num_edges() > 5 * g.num_nodes(),
-            "edges = {} for {} nodes",
-            g.num_edges(),
+            raw_edges > 5 * g.num_nodes(),
+            "edges = {raw_edges} for {} nodes",
             g.num_nodes()
         );
     }

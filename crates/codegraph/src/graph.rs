@@ -190,9 +190,6 @@ pub enum EdgeKind {
     DataFlow,
     /// Execution order between consecutive calls.
     ControlFlow,
-    /// Transitive closure of data flow (GraphGen4Code's `flowsTo`-style
-    /// reachability edges; the bulk of raw-graph edge volume).
-    TransitiveDataFlow,
     /// Call → parameter-node linkage — filter noise.
     Parameter,
     /// Call → location-node linkage — filter noise.
@@ -270,6 +267,59 @@ impl CodeGraph {
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
+    }
+
+    /// Number of GraphGen4Code-style transitive dataflow pairs: node
+    /// pairs `(a, b)` where `b` is reachable from `a` through 2 or more
+    /// [`EdgeKind::DataFlow`]/[`EdgeKind::ConstantArg`] hops and through
+    /// no single one. GraphGen4Code stores one `flowsTo`-style closure
+    /// edge per such pair — the bulk of its raw-graph edge volume (Table
+    /// 3). They are counted here rather than stored, because their number
+    /// grows with the square of a dataflow chain's length and nothing
+    /// downstream follows them. One BFS per node, sharing one `seen`
+    /// buffer; edges whose endpoints are out of bounds are ignored.
+    pub fn transitive_dataflow_pairs(&self) -> usize {
+        let n = self.nodes.len();
+        let mut succ: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for e in &self.edges {
+            if matches!(e.kind, EdgeKind::DataFlow | EdgeKind::ConstantArg) && e.to < n {
+                if let Some(out) = succ.get_mut(e.from) {
+                    out.push(e.to);
+                }
+            }
+        }
+        // `seen[v] == start + 1` marks `v` as reached from `start`.
+        let mut seen = vec![0usize; n];
+        let mut frontier: Vec<NodeId> = Vec::new();
+        let mut next: Vec<NodeId> = Vec::new();
+        let mut pairs = 0usize;
+        for (start, direct) in succ.iter().enumerate() {
+            let mark = start + 1;
+            seen[start] = mark;
+            frontier.clear();
+            for &to in direct {
+                if seen[to] != mark {
+                    seen[to] = mark;
+                    frontier.push(to);
+                }
+            }
+            // Everything first reached beyond the direct successors is a
+            // pair.
+            while !frontier.is_empty() {
+                for &at in &frontier {
+                    for &to in &succ[at] {
+                        if seen[to] != mark {
+                            seen[to] = mark;
+                            pairs += 1;
+                            next.push(to);
+                        }
+                    }
+                }
+                std::mem::swap(&mut frontier, &mut next);
+                next.clear();
+            }
+        }
+        pairs
     }
 
     /// Ids of nodes of a given kind.

@@ -17,7 +17,7 @@
 //! * [`analysis`] — import-resolving dataflow + control-flow analysis
 //!   producing a [`graph::CodeGraph`] with the same noise profile as
 //!   GraphGen4Code (location, parameter, constant and documentation nodes;
-//!   transitive dataflow closure edges),
+//!   transitive dataflow closure pairs counted, not stored),
 //! * [`filter`] — the paper's §3.4 filter: keep only nodes from the target
 //!   ML libraries reachable by dataflow from `read_csv`, producing compact
 //!   [`filter::PipelineGraph`]s (≥96% node/edge reduction on realistic

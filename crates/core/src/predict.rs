@@ -13,13 +13,11 @@ use crate::artifact::TrainedModel;
 use crate::skeleton::{decode_skeleton, validate_against_capabilities};
 use crate::{KgpipError, Result};
 use kgpip_embeddings::{table_embedding, table_embedding_chunked};
-use kgpip_graphgen::effective_parallelism;
 use kgpip_graphgen::model::TypedGraph;
 use kgpip_hpo::{HpoResult, Optimizer, Skeleton, TimeBudget};
 use kgpip_learners::EstimatorKind;
-use kgpip_tabular::{ChunkedFrame, DataFrame, Dataset, Task};
+use kgpip_tabular::{effective_parallelism, map_ordered, ChunkedFrame, DataFrame, Dataset, Task};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::time::Duration;
 
 /// Row-sample bound for chunked table embeddings: tables at or below this
@@ -356,8 +354,8 @@ impl TrainedModel {
     /// Parallel lanes for the per-skeleton `(T − t)/K` searches: each
     /// skeleton gets a fresh engine clone (configuration only, no search
     /// state) and a sub-budget sharing the parent's trial pool. The
-    /// effective parallelism is split across lanes, with the remainder
-    /// given to each lane's own trial evaluation.
+    /// caller's clamped `workers` are split across lanes, with the
+    /// remainder given to each lane's own trial evaluation.
     fn run_skeletons_parallel(
         &self,
         train: &Dataset,
@@ -367,10 +365,6 @@ impl TrainedModel {
         workers: usize,
     ) -> Vec<SkeletonResult> {
         let total = skeletons.len();
-        // Re-clamp at the fan-out site: `workers` already passed through
-        // the caller's clamp, but re-applying is idempotent and keeps
-        // this function safe to call from new paths.
-        let workers = effective_parallelism(workers);
         let lanes = workers.min(total).max(1);
         let per_engine = (workers / lanes).max(1);
         let engines: Vec<Mutex<Box<dyn Optimizer + Send>>> = (0..total)
@@ -396,14 +390,7 @@ impl TrainedModel {
                 hpo,
             }
         };
-        match rayon::ThreadPoolBuilder::new().num_threads(lanes).build() {
-            Ok(pool) => pool.install(|| work.par_iter().map(run_lane).collect()),
-            // Pool construction only fails on thread-resource exhaustion;
-            // the lanes are order-independent and each carries its own
-            // upfront sub-budget, so running them sequentially returns
-            // the same results rather than killing the serving thread.
-            Err(_) => work.iter().map(run_lane).collect(),
-        }
+        map_ordered(lanes, &work, run_lane)
     }
 }
 

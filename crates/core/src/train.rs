@@ -7,9 +7,8 @@ use kgpip_codegraph::corpus::ScriptRecord;
 use kgpip_codegraph::{mine_script, source_fingerprint, Graph4Ml, MineOutcome, OpVocab};
 use kgpip_embeddings::{table_embeddings, VectorIndex};
 use kgpip_graphgen::model::TypedGraph;
-use kgpip_graphgen::{effective_parallelism, GeneratorConfig, GraphGenerator, TrainExample};
-use kgpip_tabular::DataFrame;
-use rayon::prelude::*;
+use kgpip_graphgen::{GeneratorConfig, GraphGenerator, TrainExample};
+use kgpip_tabular::{map_ordered, DataFrame};
 use std::collections::{HashMap, HashSet};
 
 /// KGpip system configuration.
@@ -160,12 +159,6 @@ impl Kgpip {
         tables: &[(String, DataFrame)],
         config: KgpipConfig,
     ) -> Result<Kgpip> {
-        // Directly-constructed configs can carry `parallelism: 0`,
-        // bypassing the builder's clamp; treat that as sequential. The
-        // clamp also caps at the CPUs actually available, so an
-        // over-provisioned config on a small host takes the sequential
-        // path instead of paying pool overhead.
-        let workers = effective_parallelism(config.parallelism);
         let vocab = OpVocab::new();
 
         // Content embeddings + similarity index over training datasets,
@@ -173,7 +166,7 @@ impl Kgpip {
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): stage timing feeds TrainingStats only, never a computed value
         let embedding_started = std::time::Instant::now();
-        let vectors = table_embeddings(tables, workers);
+        let vectors = table_embeddings(tables, config.parallelism);
         let mut embeddings: HashMap<String, Vec<f64>> = HashMap::new();
         let mut index = VectorIndex::new();
         for ((name, _), e) in tables.iter().zip(vectors) {
@@ -188,10 +181,10 @@ impl Kgpip {
         // Static analysis + filtering → Graph4ML. Mining an individual
         // script is pure in its source, so the corpus is deduplicated by
         // source fingerprint in first-occurrence order and only the
-        // distinct sources are analyzed — on a rayon pool when
-        // `workers > 1`, merged back in submission order. Assembly then
-        // walks the corpus in input order, so the Graph4ML, indices, and
-        // stats are identical to the historical sequential loop.
+        // distinct sources are analyzed — through `map_ordered`, merged
+        // back in submission order. Assembly then walks the corpus in
+        // input order, so the Graph4ML, indices, and stats are identical
+        // to the historical sequential loop.
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): stage timing feeds TrainingStats only, never a computed value
         let mining_started = std::time::Instant::now();
@@ -219,20 +212,7 @@ impl Kgpip {
         // handle is skipped with a warning count, exactly as the paper's
         // pipeline drops unusable scripts, rather than failing the whole
         // training run.
-        let mined: Vec<MineOutcome> = if workers > 1 && to_mine.len() > 1 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("thread pool construction");
-            pool.install(|| {
-                to_mine
-                    .par_iter()
-                    .map(|(_, src)| mine_script(src))
-                    .collect()
-            })
-        } else {
-            to_mine.iter().map(|(_, src)| mine_script(src)).collect()
-        };
+        let mined = map_ordered(config.parallelism, &to_mine, |(_, src)| mine_script(src));
         let analyzed_scripts = to_mine.len();
         let outcomes: HashMap<u64, MineOutcome> =
             to_mine.iter().map(|(fp, _)| *fp).zip(mined).collect();

@@ -7,8 +7,7 @@
 //! chunks and its seeded sample.
 
 use crate::column::{chunks_embedding, EMBED_DIM};
-use kgpip_tabular::{effective_parallelism, ChunkedFrame, Column, DataFrame};
-use rayon::prelude::*;
+use kgpip_tabular::{map_ordered, ChunkedFrame, Column, DataFrame};
 
 /// Embeds a table by mean-pooling its column embeddings and L2-normalizing
 /// the result (paper §3.2: "Table embeddings are computed by pooling over
@@ -61,38 +60,12 @@ fn pool<'c>(columns: impl ExactSizeIterator<Item = &'c [Column]>, sample: &[usiz
     pooled
 }
 
-/// Embeds every table of a named catalog, in input order. With
-/// `parallelism > 1` the per-table embeddings are computed on a rayon
-/// worker pool of that many threads; results are merged back in input
-/// order, so the output is bit-for-bit identical at any worker count
-/// (each embedding depends only on its own table). The worker count is
-/// clamped to the CPUs actually available, so over-provisioned configs
-/// (e.g. `parallelism = 2` on a 1-CPU host) take the sequential path
-/// instead of paying pool-construction and contention overhead.
+/// Embeds every table of a named catalog, in input order, on up to
+/// `parallelism` workers through [`map_ordered`]. Each embedding depends
+/// only on its own table, so the output is bit-for-bit identical at any
+/// worker count.
 pub fn table_embeddings(tables: &[(String, DataFrame)], parallelism: usize) -> Vec<Vec<f64>> {
-    let parallelism = effective_parallelism(parallelism);
-    // A pool that cannot be built leaves the sequential path, which
-    // computes the same vectors.
-    let pool = if parallelism > 1 && tables.len() > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(parallelism)
-            .build()
-            .ok()
-    } else {
-        None
-    };
-    match pool {
-        Some(pool) => pool.install(|| {
-            tables
-                .par_iter()
-                .map(|(_, frame)| table_embedding(frame))
-                .collect()
-        }),
-        None => tables
-            .iter()
-            .map(|(_, frame)| table_embedding(frame))
-            .collect(),
-    }
+    map_ordered(parallelism, tables, |(_, frame)| table_embedding(frame))
 }
 
 #[cfg(test)]

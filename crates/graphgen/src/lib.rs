@@ -29,7 +29,5 @@
 pub mod model;
 pub mod sequence;
 
-pub use model::{
-    effective_parallelism, GeneratedGraph, GeneratorConfig, GraphGenerator, TrainExample,
-};
+pub use model::{GeneratedGraph, GeneratorConfig, GraphGenerator, TrainExample};
 pub use sequence::{decisions_for, Decision};

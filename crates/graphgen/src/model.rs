@@ -8,10 +8,9 @@
 use crate::sequence::{decisions_for, Decision};
 use kgpip_codegraph::{OpVocab, PipelineGraph, PipelineOp};
 use kgpip_nn::{Adam, GruCell, Linear, Mlp, ParamId, ParamStore, Tape, Tensor, TensorRef};
+use kgpip_tabular::{effective_parallelism, map_ordered};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -234,22 +233,17 @@ impl GraphGenerator {
         self.config.parallelism = workers.max(1);
     }
 
-    /// A worker pool when `parallelism > 1`, else `None` (sequential).
-    ///
-    /// The requested worker count is clamped to the CPUs actually
-    /// available: on a 1-CPU host, `parallelism = 2` used to *cost* (pool
-    /// threads contending for one core plus per-batch scheduling) without
-    /// buying any concurrency. Clamping routes such configs onto the exact
-    /// sequential path — a pure cost change; results are bit-for-bit
-    /// identical at every worker count by construction.
-    fn worker_pool(&self) -> Option<ThreadPool> {
+    /// Maps `idxs` through `f` in one contiguous chunk per worker (one
+    /// tape each) and flattens the results in index order, so the output
+    /// is identical at any worker count. The chunk length comes from the
+    /// clamped width: at width 1 the whole slice is one chunk.
+    fn map_chunks<U: Send>(&self, idxs: &[usize], f: impl Fn(&[usize]) -> Vec<U> + Sync) -> Vec<U> {
         let workers = effective_parallelism(self.config.parallelism);
-        (workers > 1).then(|| {
-            ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("thread pool construction")
-        })
+        let chunks: Vec<&[usize]> = idxs.chunks(idxs.len().div_ceil(workers).max(1)).collect();
+        map_ordered(workers, &chunks, |c| f(c))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Parameter tensors with their names, in registration order — the
@@ -539,42 +533,14 @@ impl GraphGenerator {
             .collect()
     }
 
-    /// Per-example `(loss, grads)` for one mini-batch, in batch order.
-    /// With a pool, the batch is split into contiguous chunks (one tape
-    /// per worker) and results are re-flattened in batch-index order, so
-    /// the output is identical to the sequential path.
-    // xlint: allow(unclamped-rayon): the pool argument is built by worker_pool(), which clamps through effective_parallelism; `None` means sequential
-    fn batch_forward(
-        &self,
-        batch: &[usize],
-        examples: &[TrainExample],
-        pool: Option<&ThreadPool>,
-    ) -> Vec<ExampleGrad> {
-        match pool {
-            None => self.forward_chunk(batch, examples),
-            Some(pool) => {
-                let per_worker = batch.len().div_ceil(pool.current_num_threads().max(1));
-                let chunks: Vec<&[usize]> = batch.chunks(per_worker.max(1)).collect();
-                let per_chunk: Vec<Vec<ExampleGrad>> = pool.install(|| {
-                    chunks
-                        .par_iter()
-                        .map(|c| self.forward_chunk(c, examples))
-                        .collect()
-                });
-                per_chunk.into_iter().flatten().collect()
-            }
-        }
-    }
-
     /// Trains with Adam over shuffled mini-batches; returns the mean loss
     /// per epoch. With `config.parallelism` > 1 the per-example forward
-    /// and backward passes of each batch run on a worker pool; the
+    /// and backward passes of each batch run on that many workers; the
     /// gradient reduction always happens afterwards in batch-index order,
     /// so losses and parameters are bit-for-bit identical at any worker
     /// count (proven by `tests/determinism.rs`).
     pub fn train(&mut self, examples: &[TrainExample]) -> Vec<f32> {
         assert!(!examples.is_empty(), "training set must be non-empty");
-        let pool = self.worker_pool();
         let mut adam = Adam::new(self.config.learning_rate);
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
         let mut order: Vec<usize> = (0..examples.len()).collect();
@@ -585,7 +551,7 @@ impl GraphGenerator {
             let mut epoch_loss = 0.0f32;
             for batch in order.chunks(self.config.batch_size.max(1)) {
                 self.store.zero_grads();
-                let per_example = self.batch_forward(batch, examples, pool.as_ref());
+                let per_example = self.map_chunks(batch, |c| self.forward_chunk(c, examples));
                 let scale = 1.0 / batch.len() as f32;
                 for (value, grads) in per_example {
                     epoch_loss += value;
@@ -607,20 +573,7 @@ impl GraphGenerator {
     /// worker count.
     pub fn evaluate(&self, examples: &[TrainExample]) -> f32 {
         let idxs: Vec<usize> = (0..examples.len()).collect();
-        let per_example: Vec<f32> = match self.worker_pool() {
-            None => self.eval_chunk(&idxs, examples),
-            Some(pool) => {
-                let per_worker = idxs.len().div_ceil(pool.current_num_threads().max(1));
-                let chunks: Vec<&[usize]> = idxs.chunks(per_worker.max(1)).collect();
-                let per_chunk: Vec<Vec<f32>> = pool.install(|| {
-                    chunks
-                        .par_iter()
-                        .map(|c| self.eval_chunk(c, examples))
-                        .collect()
-                });
-                per_chunk.into_iter().flatten().collect()
-            }
-        };
+        let per_example = self.map_chunks(&idxs, |c| self.eval_chunk(c, examples));
         per_example.iter().sum::<f32>() / examples.len().max(1) as f32
     }
 
@@ -825,7 +778,6 @@ impl GraphGenerator {
             Some(_) => SAMPLE_WAVE,
             None => attempts.min(MAX_FAN_OUT),
         };
-        let pool = self.worker_pool();
         let call = self.generation(dataset_embedding);
         let run_attempt = |attempt: u64| -> GeneratedGraph {
             let mut rng = StdRng::seed_from_u64(seed ^ attempt.wrapping_mul(RNG_STREAM_GOLDEN));
@@ -839,10 +791,7 @@ impl GraphGenerator {
                 .map(|i| i as u64)
                 .collect();
             next += wave.len();
-            let sampled: Vec<GeneratedGraph> = match &pool {
-                Some(pool) => pool.install(|| wave.par_iter().map(|&i| run_attempt(i)).collect()),
-                None => wave.iter().map(|&i| run_attempt(i)).collect(),
-            };
+            let sampled = map_ordered(self.config.parallelism, &wave, |&i| run_attempt(i));
             for g in sampled {
                 if !out.iter().any(|o| o.graph == g.graph) {
                     out.push(g);
@@ -908,11 +857,6 @@ struct SharedState {
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
-
-// The worker-count clamp moved to the bottom crate so every parallel
-// stage (embeddings, trial evaluation, mining) can consult one canonical
-// definition; re-exported here under its historical path.
-pub use kgpip_tabular::effective_parallelism;
 
 /// Temperature softmax sample over logits with class masking. Returns
 /// `(choice, log probability of the choice at temperature 1)`.

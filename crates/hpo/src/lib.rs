@@ -26,7 +26,7 @@
 //!   concurrency,
 //! * [`trial`] — the shared parallel trial-evaluation engine
 //!   ([`Evaluator`]): holdout evaluation of pipeline specs, a thread-safe
-//!   trial history, and `rayon`-backed batch evaluation.
+//!   trial history, and parallel batch evaluation.
 //!
 //! The engines expose two modes with one entry point ([`Optimizer`]):
 //! *cold* (search over all learners — the standalone baselines of Figure

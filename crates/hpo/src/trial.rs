@@ -4,11 +4,11 @@
 //! every optimizer: it owns the holdout split, a thread-safe trial
 //! history, and a [`BudgetGate`] that makes budget accounting exact under
 //! concurrency. Optimizers *propose* batches of [`Candidate`]s and the
-//! evaluator admits, evaluates (with `rayon` when `parallelism > 1`), and
-//! records them — engines no longer hand-roll fit/score/budget
-//! bookkeeping. With `parallelism == 1` the engine reproduces the
-//! sequential evaluation order bit-for-bit, which keeps seeded runs
-//! deterministic.
+//! evaluator admits, evaluates (through [`map_ordered`] when
+//! `parallelism > 1`), and records them — engines no longer hand-roll
+//! fit/score/budget bookkeeping. With `parallelism == 1` the engine
+//! reproduces the sequential evaluation order bit-for-bit, which keeps
+//! seeded runs deterministic.
 //!
 //! Both splits are encoded once per evaluator ([`EncodedDataset`]), and
 //! every trial fits its pipeline on the encoded training split
@@ -26,9 +26,8 @@ use crate::space::Skeleton;
 use crate::Result;
 use kgpip_learners::pipeline::{score_predictions, Pipeline, PipelineSpec};
 use kgpip_learners::{EncodedDataset, Params};
-use kgpip_tabular::{effective_parallelism, train_test_split, Dataset};
+use kgpip_tabular::{map_ordered, train_test_split, Dataset};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::time::Duration;
 
 /// Fraction of training rows held out for trial validation.
@@ -136,7 +135,7 @@ impl HpoResult {
     /// Refits the deployed model (ensemble if present, else the best
     /// single spec) on the full training set and scores it on a held-out
     /// test set with the paper's metric. Member refits run in parallel
-    /// (rayon) but predictions are combined — and the first error
+    /// ([`map_ordered`]) but predictions are combined — and the first error
     /// surfaced — in member order, so the result does not depend on
     /// completion order. Both sets are encoded once, with `train`'s
     /// encoder; a `test` frame that encoder rejects is an error, as it is
@@ -153,14 +152,7 @@ impl HpoResult {
                 .and_then(|mut pipeline| pipeline.fit_predict_encoded(&train_x, &test_x))
                 .map_err(|e| e.to_string())
         };
-        // Member refits ride the global rayon pool, gated on the clamp so
-        // a 1-CPU host takes the sequential path outright.
-        let results: Vec<std::result::Result<Vec<f64>, String>> =
-            if effective_parallelism(members.len()) > 1 {
-                members.par_iter().map(refit).collect()
-            } else {
-                members.iter().map(refit).collect()
-            };
+        let results = map_ordered(members.len(), &members, refit);
         let mut all_preds: Vec<Vec<f64>> = Vec::with_capacity(results.len());
         for result in results {
             all_preds.push(result.map_err(crate::HpoError::Learner)?);
@@ -419,23 +411,8 @@ impl Evaluator {
     /// depend on which trial finished first.
     pub fn evaluate_batch(&self, batch: &[Candidate]) -> Vec<TrialOutcome> {
         let admitted: Vec<&Candidate> = batch.iter().take_while(|_| self.gate.admit()).collect();
-        // Clamp to the CPUs actually present: on a 1-CPU host a
-        // `parallelism = 2` config would pay pool construction and
-        // contention for zero concurrency (outcomes are recorded in
-        // proposal order either way, so only the cost changes).
-        let workers = effective_parallelism(self.parallelism);
         let evaluate = |c: &&Candidate| self.run_trial(&c.skeleton, c.params.clone());
-        let pool = (workers > 1 && admitted.len() > 1)
-            .then(|| rayon::ThreadPoolBuilder::new().num_threads(workers).build())
-            .and_then(|built| built.ok());
-        let trials: Vec<(TrialOutcome, Option<Vec<f64>>)> = match pool {
-            Some(pool) => pool.install(|| admitted.par_iter().map(evaluate).collect()),
-            // Pool construction only fails on thread-resource exhaustion;
-            // outcomes are recorded in proposal order either way, so the
-            // sequential schedule returns the same results rather than
-            // killing the search.
-            None => admitted.iter().map(evaluate).collect(),
-        };
+        let trials = map_ordered(self.parallelism, &admitted, evaluate);
         let mut record = self.record.lock();
         let outcomes = trials
             .into_iter()

@@ -18,8 +18,9 @@
 //! * [`stats`] — column summary statistics shared by the dataset-embedding
 //!   and meta-feature components: one fold over a column's row chunks,
 //!   an in-memory column being its one-chunk case,
-//! * [`parallel`] — the [`effective_parallelism`] worker-count clamp every
-//!   rayon entry point in the workspace consults,
+//! * [`parallel`] — the [`effective_parallelism`] worker-count clamp and
+//!   [`map_ordered`], the one order-preserving fan-out every parallel
+//!   stage in the workspace maps through,
 //! * [`chunk`] — [`ChunkedFrame`], the chunked columnar substrate with
 //!   deterministic row sampling,
 //! * [`stream`] — chunk-parallel CSV ingest, the one CSV reader, whose
@@ -50,7 +51,7 @@ pub use dataset::{Dataset, Task};
 pub use error::TabularError;
 pub use frame::DataFrame;
 pub use infer::infer_task;
-pub use parallel::effective_parallelism;
+pub use parallel::{effective_parallelism, map_ordered};
 pub use split::{ensure_splittable, kfold, stratified_kfold, train_test_split};
 pub use stats::{fnv1a, ColumnStats};
 pub use stream::{read_chunked, read_chunked_with_report, ChunkedReadOptions, IngestReport};

@@ -1,7 +1,8 @@
 //! Streaming chunked CSV ingest: the one CSV reader.
 //!
 //! [`read_chunked`] parses a CSV document into a [`ChunkedFrame`] in
-//! fixed-size row chunks on a clamped rayon pool; the frame is identical
+//! fixed-size row chunks fanned out through
+//! [`map_ordered`](crate::parallel::map_ordered); the frame is identical
 //! at any chunk size × worker count. [`crate::csv::read_frame`] is this
 //! reader at its default options, collected into one frame. Each cell is
 //! parsed once, bar the backfill's re-parse in bounded mode; the scheme:
@@ -9,7 +10,7 @@
 //! 1. a sequential quote-aware byte scan locates record boundaries (cheap:
 //!    no field is materialized) and surfaces every structural error with
 //!    its source line;
-//! 2. **pass 1** parses each chunk of records on the pool, reduces it to
+//! 2. **pass 1** parses each chunk of records on the workers, reduces it to
 //!    per-column accumulators (the present count and the numeric/marker
 //!    lattice flags) and decodes each column under the kind the chunk
 //!    shows: the parsed `f64`s while its cells stay in the lattice, else
@@ -48,9 +49,8 @@ use crate::csv::{
 };
 use crate::error::TabularError;
 use crate::infer::{is_missing_marker, is_text, parse_number};
-use crate::parallel::effective_parallelism;
+use crate::parallel::{effective_parallelism, map_ordered};
 use crate::Result;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -315,19 +315,6 @@ fn convert(accs: Vec<ColAcc<'_>>, decisions: &[KindDecision]) -> Result<Vec<Colu
         .collect()
 }
 
-// xlint: allow(unclamped-rayon): the pool argument is built by read_chunked_with_report from effective_parallelism(); `None` means sequential
-fn map_ordered<T, U, F>(pool: Option<&rayon::ThreadPool>, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    match pool {
-        Some(p) => p.install(|| items.par_iter().map(&f).collect()),
-        None => items.iter().map(f).collect(),
-    }
-}
-
 /// Reads a CSV document into a [`ChunkedFrame`]; see the module docs for
 /// the scheme. `into_frame()` of the result is the same frame at any chunk
 /// size and worker count.
@@ -358,14 +345,6 @@ pub fn read_chunked_with_report(
         })
         .collect();
     let workers = effective_parallelism(opts.parallelism);
-    let pool = if workers > 1 && tasks.len() > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .ok()
-    } else {
-        None
-    };
     let wave_len = if opts.bounded_memory {
         (2 * workers).max(1)
     } else {
@@ -379,7 +358,7 @@ pub fn read_chunked_with_report(
     let mut peak_resident = 0usize;
     for wave in tasks.chunks(wave_len) {
         peak_resident = peak_resident.max(wave.len());
-        let parsed = map_ordered(pool.as_ref(), wave, |&(b, g)| {
+        let parsed = map_ordered(workers, wave, |&(b, g)| {
             parse_chunk(input, g, b, ncols).map(|cells| {
                 let accs = accumulate(&cells, ncols);
                 (accs, (!opts.bounded_memory).then_some(cells))
@@ -416,14 +395,12 @@ pub fn read_chunked_with_report(
                 .map(|&c| (c, details(cells, ncols, c)))
                 .collect()
         }
-        let filled = map_ordered(
-            pool.as_ref(),
-            wave,
-            |&(k, (b, g), ref cols)| match resident.get(k) {
+        let filled = map_ordered(workers, wave, |&(k, (b, g), ref cols)| {
+            match resident.get(k) {
                 Some(cells) => Ok(fill(cells, ncols, cols)),
                 None => parse_chunk(input, g, b, ncols).map(|cells| fill(&cells, ncols, cols)),
-            },
-        );
+            }
+        });
         for (&(k, _, _), dets) in wave.iter().zip(filled) {
             if let Some(accs) = chunk_accs.get_mut(k) {
                 for (c, d) in dets? {
@@ -437,11 +414,11 @@ pub fn read_chunked_with_report(
     drop(resident);
     let decisions = decide(ncols, &chunk_accs);
 
-    // Convert each chunk's decode on the pool, the parse buffers freed
-    // first. The pool maps by reference, so each chunk sits in a slot its
+    // Convert each chunk's decode on the workers, the parse buffers freed
+    // first. The fan-out maps by reference, so each chunk sits in a slot its
     // one conversion empties.
     let slots: Vec<Mutex<Vec<ColAcc<'_>>>> = chunk_accs.into_iter().map(Mutex::new).collect();
-    let converted = map_ordered(pool.as_ref(), &slots, |slot| {
+    let converted = map_ordered(workers, &slots, |slot| {
         let accs = std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
         convert(accs, &decisions)
     });

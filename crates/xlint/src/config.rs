@@ -44,9 +44,8 @@ impl CrateRules {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkspaceConfig {
     /// Identifiers whose presence in a function body marks its pool usage
-    /// as clamped (`effective_parallelism`, `worker_pool`). A function
-    /// using rayon without mentioning any of these trips
-    /// `unclamped-rayon`.
+    /// as clamped (`effective_parallelism`). A function using rayon
+    /// without mentioning any of these trips `unclamped-rayon`.
     pub pool_sanctioned: Vec<String>,
     /// One entry per scanned crate, in scan order.
     pub crates: Vec<CrateRules>,
@@ -145,10 +144,7 @@ impl WorkspaceConfig {
             panic_files: Vec::new(),
         });
         WorkspaceConfig {
-            pool_sanctioned: vec![
-                "effective_parallelism".to_string(),
-                "worker_pool".to_string(),
-            ],
+            pool_sanctioned: vec!["effective_parallelism".to_string()],
             crates,
         }
     }

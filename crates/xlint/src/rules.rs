@@ -602,10 +602,7 @@ mod tests {
             "src/lib.rs",
             &ctx,
             &cr,
-            &[
-                "effective_parallelism".to_string(),
-                "worker_pool".to_string(),
-            ],
+            &["effective_parallelism".to_string()],
         )
     }
 

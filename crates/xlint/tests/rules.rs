@@ -4,7 +4,7 @@
 
 use kgpip_xlint::{lint_source, CrateRules, FileOutcome, Rule};
 
-const POOL_SANCTIONED: &[&str] = &["effective_parallelism", "worker_pool"];
+const POOL_SANCTIONED: &[&str] = &["effective_parallelism"];
 
 fn run(rule: &str, crate_file: &str, source: &str) -> FileOutcome {
     let rules = CrateRules {

@@ -2,7 +2,7 @@
 # Runs the criterion suites and emits machine-readable summaries so the
 # perf trajectory is tracked across PRs:
 #   BENCH_graphgen.json — graph-generation kernels
-#   BENCH_hpo.json      — HPO trial throughput (trials/sec, cache hit rate)
+#   BENCH_hpo.json      — HPO trial throughput (trials/sec, encoded trials)
 #   BENCH_mining.json   — corpus mining (scripts/sec, p1 vs pN)
 #   BENCH_serve.json    — kgpip-serve (QPS, p50/p99 latency, cache hit rate)
 #   BENCH_embeddings.json — similarity tiers (build secs, insert/sec, QPS,
@@ -12,16 +12,17 @@
 #                           default 100K)
 #   BENCH_tabular.json  — chunked tabular engine (ingest rows/sec vs
 #                         read_frame at p1/p2/p4 + bounded mode with its
-#                         resident-chunk cap, GBT chunk-fit vs dense fit,
+#                         resident-chunk cap, dense GBT fit rows/sec,
 #                         sampled vs in-memory table embeddings)
 #   scripts/bench.sh [graphgen_out.json] [hpo_out.json] [mining_out.json] [serve_out.json] [embeddings_out.json] [tabular_out.json]
 #
 # Guard: parallel arms (pN mining, p4/p8 HPO, multi-worker serving) are
-# requested worker counts, not guarantees. Every rayon entry point clamps
-# through effective_parallelism() to the host's available cores, so on a
-# 1-CPU box the pN arms measure the same sequential schedule as p1 (plus
-# pool overhead) instead of oversubscribing — compare speedup ratios only
-# against the core count recorded in the "host" field below.
+# requested worker counts, not guarantees. Every fan-out maps through
+# map_ordered(), which clamps the width through effective_parallelism() to
+# the host's available cores, so on a 1-CPU box the pN arms measure the
+# same sequential schedule as p1 instead of oversubscribing — compare
+# speedup ratios only against the core count recorded in the "host" field
+# below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

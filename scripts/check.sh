@@ -22,7 +22,8 @@ cargo bench --workspace --no-run
 echo "==> vendored parallel runtime (one persistent pool: order, nesting, panics, no per-call threads)"
 cargo test -p rayon -q
 
-echo "==> determinism suite (parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; the per-call state memo and the one-row add-node pass ≡ the reference at widths 1 and 2; layers row-local; GBT fits identical with or without an installed width; mining identical at any worker count)"
+echo "==> determinism suite (every fan-out maps through map_ordered, which equals the sequential map at widths 0-4, nested too; parallel engine bit-for-bit reproducibility and pinned generator bits; one-pass generation ≡ reference loop; the per-call state memo and the one-row add-node pass ≡ the reference at widths 1 and 2; layers row-local; GBT fits identical with or without an installed width; mining identical at any worker count)"
+cargo test -p kgpip-tabular --lib -q parallel
 cargo test -p kgpip-graphgen --test determinism -q
 cargo test -p kgpip-graphgen --lib -q
 cargo test -p kgpip-graphgen --lib -q memo

@@ -71,7 +71,8 @@ fn filtering_reduces_realistic_notebooks_by_over_90_percent() {
         let raw = analyze(&record.source).unwrap();
         let filtered = filter_graph(&raw);
         raw_nodes += raw.num_nodes();
-        raw_edges += raw.num_edges();
+        // GraphGen4Code's closure edges are counted, not stored.
+        raw_edges += raw.num_edges() + raw.transitive_dataflow_pairs();
         filt_nodes += filtered.num_nodes();
         filt_edges += filtered.num_edges();
         if filtered.skeleton().is_some() {
